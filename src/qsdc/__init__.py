@@ -10,23 +10,20 @@ from qsdc.states import (
     Basis,
     ChannelParams,
     EncodeOp,
-    PreparedQubit,
     QubitState,
     apply_encoding,
     measure,
-    prepare_random,
-    transmit,
 )
 from qsdc.security import (
     AttackOverlaps,
     ErrorRates,
-    RateParams,
     SecurityEstimate,
     binary_entropy,
     entropy_rho_abe,
     eve_information,
     gram_eigenvalues,
     gram_matrix,
+    half_bias_capacity,
     main_information,
     optimal_attack_overlaps,
     secrecy_capacity,
@@ -54,21 +51,18 @@ __all__ = [
     "Basis",
     "ChannelParams",
     "EncodeOp",
-    "PreparedQubit",
     "QubitState",
     "apply_encoding",
     "measure",
-    "prepare_random",
-    "transmit",
     "AttackOverlaps",
     "ErrorRates",
-    "RateParams",
     "SecurityEstimate",
     "binary_entropy",
     "entropy_rho_abe",
     "eve_information",
     "gram_eigenvalues",
     "gram_matrix",
+    "half_bias_capacity",
     "main_information",
     "optimal_attack_overlaps",
     "secrecy_capacity",

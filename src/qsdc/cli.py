@@ -6,7 +6,8 @@ Subcommands:
   stability  per-block error-rate table over a simulated session (CSV)
   send       transmit a file through the simulated protocol
 
-Exit codes: 0 success, 2 I/O or argument error, 3 security abort.
+Exit codes: 0 success, 2 I/O or argument error, 3 security abort,
+4 decode failure (a block still failed after its last retry).
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from qsdc.experiments import (
     sweep_to_csv,
 )
 from qsdc.protocol import ProtocolConfig, nominal_config
-from qsdc.security import ErrorRates, eve_information, main_information, secrecy_capacity
+from qsdc.security import ErrorRates, half_bias_capacity, secrecy_capacity
 
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_SECURITY = 3
+EXIT_DECODE = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,6 +99,14 @@ def _attack_from_args(args: argparse.Namespace) -> AttackModel:
     return AttackModel.optimal_collective(args.attack_ex, args.attack_ez)
 
 
+def _exit_code(security_abort: bool, abort_reason: str | None) -> int:
+    if security_abort:
+        return EXIT_SECURITY
+    if abort_reason is not None:
+        return EXIT_DECODE
+    return EXIT_OK
+
+
 def _cmd_capacity(args: argparse.Namespace) -> int:
     if args.q_bob is not None:
         q_bob = args.q_bob
@@ -105,17 +115,16 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     else:
         q_bob = 10.0 ** (-25.1 / 10.0)
     rates = ErrorRates(e_x=args.e_x, e_z=args.e_z, e=args.e)
-    est = secrecy_capacity(rates, q_bob, args.g)
-    i_ae_half = eve_information(min(args.g * q_bob, 1.0), 0.5, rates)
-    i_ab_half = main_information(q_bob, 0.5, args.e)
+    half = half_bias_capacity(rates, q_bob, args.g)
+    best = secrecy_capacity(rates, q_bob, args.g)
     print(f"q_bob {q_bob:.6e}")
     print(f"g {args.g:.6f}")
-    print(f"i_ab {i_ab_half:.6e}")
-    print(f"i_ae {i_ae_half:.6e}")
-    print(f"c_s {est.c_s_closed_form:.6e}")
-    print(f"c_s_grid {est.c_s:.6e}")
-    print(f"p_star {est.p_star:.6f}")
-    print(f"secure {'yes' if est.c_s_closed_form > 0 else 'no'}")
+    print(f"i_ab {half.i_ab:.6e}")
+    print(f"i_ae {half.i_ae:.6e}")
+    print(f"c_s {half.c_s:.6e}")
+    print(f"c_s_grid {best.c_s:.6e}")
+    print(f"p_star {best.p:.6f}")
+    print(f"secure {'yes' if half.c_s > 0 else 'no'}")
     return EXIT_OK
 
 
@@ -162,9 +171,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
         Path(args.output).write_text(csv)
     for key, value in report.summary.items():
         print(f"{key} {value}", file=sys.stderr)
-    if report.summary["security_abort"]:
-        return EXIT_SECURITY
-    return EXIT_OK
+    return _exit_code(report.summary["security_abort"], report.summary["abort_reason"])
 
 
 def _cmd_send(args: argparse.Namespace) -> int:
@@ -182,11 +189,7 @@ def _cmd_send(args: argparse.Namespace) -> int:
     print(text)
     if args.report is not None:
         Path(args.report).write_text(text + "\n")
-    if report["security_abort"]:
-        return EXIT_SECURITY
-    if report["abort_reason"] is not None:
-        return EXIT_SECURITY
-    return EXIT_OK
+    return _exit_code(report["security_abort"], report["abort_reason"])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from qsdc.attacks import AttackKind, AttackModel
 from qsdc.protocol import ProtocolConfig, SessionTranscript, realize_code, run_session
-from qsdc.security import ErrorRates, binary_entropy, eve_information, main_information
+from qsdc.security import ErrorRates, half_bias_capacity
 
 
 def _mean_std(values: list[float]) -> tuple[Optional[float], Optional[float]]:
@@ -129,19 +129,14 @@ def run_capacity_sweep(spec: SweepSpec) -> list[dict]:
     rows = []
     for loss_db in spec.losses():
         q_bob = 10.0 ** (-loss_db / 10.0)
-        q_eve = min(spec.g * q_bob, 1.0)
-        i_ab = main_information(q_bob, 0.5, spec.e)
-        i_ae = eve_information(q_eve, 0.5, rates)
-        c_s = q_bob * (
-            1.0 - binary_entropy(spec.e) - spec.g * binary_entropy(min(spec.e_x + spec.e_z, 0.5))
-        )
+        est = half_bias_capacity(rates, q_bob, spec.g)
         rows.append(
             {
                 "loss_db": float(loss_db),
                 "q_bob": q_bob,
-                "i_ab": i_ab,
-                "i_ae": i_ae,
-                "c_s": c_s,
+                "i_ab": est.i_ab,
+                "i_ae": est.i_ae,
+                "c_s": est.c_s,
             }
         )
     return rows
@@ -204,10 +199,9 @@ def run_e2e(
         rates = ErrorRates(
             e_x=attack.e_x_target, e_z=attack.e_z_target, e=config.data_channel.flip_prob
         )
-        q_bob = config.data_channel.survival
-        report["eve_bound_bits_per_pulse"] = eve_information(
-            min(config.g * q_bob, 1.0), 0.5, rates
-        )
+        report["eve_bound_bits_per_pulse"] = half_bias_capacity(
+            rates, config.data_channel.survival, config.g
+        ).i_ae
     if not transcript.security_abort and transcript.abort_reason is None:
         Path(output_path).write_bytes(transcript.delivered)
         report["output_path"] = str(output_path)
@@ -222,9 +216,4 @@ def _nominal_capacity(config: ProtocolConfig) -> float:
         e_z=config.check_channel.flip_prob,
         e=config.data_channel.flip_prob,
     )
-    q_bob = config.data_channel.survival
-    return q_bob * (
-        1.0
-        - binary_entropy(rates.e)
-        - config.g * binary_entropy(min(rates.e_x + rates.e_z, 0.5))
-    )
+    return half_bias_capacity(rates, config.data_channel.survival, config.g).c_s

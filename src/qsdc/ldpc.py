@@ -114,36 +114,29 @@ def ldpc_encode(u: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (u @ g.astype(np.int64) % 2).astype(np.uint8)
 
 
-class _EdgeStructure:
-    """Flattened Tanner-graph edges grouped by check node."""
+class TannerGraph:
+    """Flattened Tanner-graph edges of a parity-check matrix, grouped by check.
+
+    Checks without edges are left out: they constrain nothing, and the
+    per-check reductions need every group to be non-empty.
+    """
 
     def __init__(self, h: np.ndarray) -> None:
         check_idx, var_idx = np.nonzero(h)  # row-major: already grouped by check
-        self.check_idx = check_idx
         self.var_idx = var_idx
-        self.counts = np.count_nonzero(h, axis=1)
+        counts = np.bincount(check_idx, minlength=h.shape[0])
+        self.counts = counts[counts > 0]
         self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
         self.n_vars = h.shape[1]
 
-
-_edge_cache: dict[int, tuple[np.ndarray, _EdgeStructure]] = {}
-
-
-def _edges_for(h: np.ndarray) -> _EdgeStructure:
-    key = id(h)
-    hit = _edge_cache.get(key)
-    if hit is not None and hit[0] is h:
-        return hit[1]
-    edges = _EdgeStructure(h)
-    if len(_edge_cache) > 16:
-        _edge_cache.clear()
-    _edge_cache[key] = (h, edges)
-    return edges
+    def syndrome_ok(self, v_hat: np.ndarray) -> bool:
+        """True iff the hard decision v_hat meets every parity check."""
+        return not (np.add.reduceat(v_hat[self.var_idx], self.starts) & 1).any()
 
 
 def bp_decode(
     llrs: np.ndarray,
-    h: np.ndarray,
+    edges: TannerGraph,
     info_positions: np.ndarray,
     max_iters: int = 100,
 ) -> tuple[np.ndarray, bool, int]:
@@ -152,7 +145,7 @@ def bp_decode(
     Parameters
     ----------
     llrs : per-codeword-bit channel LLRs, positive favouring bit 0.
-    h : parity-check matrix.
+    edges : Tanner graph of the parity-check matrix.
     info_positions : systematic positions from which the information
         word is read off the hard decision.
     max_iters : flooding iteration budget.
@@ -163,14 +156,8 @@ def bp_decode(
     information word even when the decoder did not converge.
     """
     llr0 = np.clip(np.asarray(llrs, dtype=np.float64), -LLR_CLAMP, LLR_CLAMP)
-    edges = _edges_for(h)
-    totals = llr0
-
-    def syndrome_ok(v_hat: np.ndarray) -> bool:
-        return not ((h.astype(np.int64) @ v_hat) % 2).any()
-
-    v_hat = (totals < 0).astype(np.uint8)
-    if syndrome_ok(v_hat):
+    v_hat = (llr0 < 0).astype(np.uint8)
+    if edges.syndrome_ok(v_hat):
         return v_hat[info_positions].copy(), True, 0
 
     q = llr0[edges.var_idx]
@@ -196,7 +183,7 @@ def bp_decode(
         totals = llr0 + np.bincount(edges.var_idx, weights=r, minlength=edges.n_vars)
         q = np.clip(totals[edges.var_idx] - r, -LLR_CLAMP, LLR_CLAMP)
         v_hat = (totals < 0).astype(np.uint8)
-        if syndrome_ok(v_hat):
+        if edges.syndrome_ok(v_hat):
             converged = True
             break
     return v_hat[info_positions].copy(), converged, iterations

@@ -33,7 +33,7 @@ import numpy as np
 
 from qsdc.attacks import AttackModel
 from qsdc.ldpc import bp_decode, ldpc_encode
-from qsdc.security import ErrorRates, SecurityEstimate, eve_information, secrecy_capacity
+from qsdc.security import ErrorRates, SecurityEstimate, half_bias_capacity
 from qsdc.spreading import ChipFrame, compute_llrs, spread
 from qsdc.states import ChannelParams, flip_codes, measure_codes, random_state_codes
 from qsdc.wiretap_code import (
@@ -186,11 +186,11 @@ class CheckStats:
 
 @dataclass(frozen=True)
 class GateDecision:
-    """Outcome of the capacity gate for one block."""
+    """Outcome of the capacity gate for one block; estimate holds the
+    rates at the operating bias p = 0.5 that the decision was made on."""
 
     proceed: bool
     estimate: SecurityEstimate
-    i_ae_half: float
     budget_ok: bool
     budgets: dict
     reason: str
@@ -213,6 +213,7 @@ class BlockDecodeResult:
     random_bits: np.ndarray
     status: str
     e_fwd: Optional[float]
+    fwd_errors: int
     n_fwd_detected: int
     n_chip_detected: int
     bp_iterations: int
@@ -291,17 +292,20 @@ def hoeffding_upper(rate: float, n: int, delta: float) -> float:
 def _capped_rates(e_x: float, e_z: float, e: float) -> ErrorRates:
     # measured rates can exceed the entropy-formula domain under attack;
     # beyond e_x + e_z = 0.5 Eve's information is already maximal, so the
-    # pair is scaled back onto the boundary
-    s = e_x + e_z
-    if s > 0.5:
-        scale = 0.5 / s
+    # pair is scaled back onto the boundary; a scaled pair can still sum
+    # to an ulp above 0.5, and each further pass lowers it, so this ends
+    # after one or two passes
+    while e_x + e_z > 0.5:
+        scale = 0.5 / (e_x + e_z)
         e_x *= scale
         e_z *= scale
     return ErrorRates(e_x=min(e_x, 0.5), e_z=min(e_z, 0.5), e=min(e, 0.5))
 
 
 def gate_on_capacity(
-    rates: ErrorRates,
+    e_x: float,
+    e_z: float,
+    e: float,
     q_bob: float,
     g: float,
     *,
@@ -311,24 +315,23 @@ def gate_on_capacity(
 ) -> GateDecision:
     """Decide whether the link supports secure transmission.
 
-    The decision compares the closed-form secrecy capacity at the
-    operating bias p = 0.5 against the abort threshold.  The wiretap
+    e_x, e_z are the measured check error rates and e the data-path
+    rate.  The decision compares the closed-form secrecy capacity at
+    the operating bias p = 0.5 against the abort threshold.  The wiretap
     code's random-bit budget is evaluated against Eve's bound and
     reported in both per-pulse readings; it only forces an abort when
     enforce_code_budget is set.  Measured rates outside the entropy
     domain (e_x + e_z > 0.5) are scaled onto the boundary where Eve's
     information is already maximal.
     """
-    rates = _capped_rates(rates.e_x, rates.e_z, rates.e)
-    estimate = secrecy_capacity(rates, q_bob, g)
-    i_ae_half = eve_information(min(g * q_bob, 1.0), 0.5, rates)
+    estimate = half_bias_capacity(_capped_rates(e_x, e_z, e), q_bob, g)
     if code is not None:
-        budget_ok = check_security_condition(code, i_ae_half)
+        budget_ok = check_security_condition(code, estimate.i_ae)
         budgets = security_budgets(code)
     else:
         budget_ok = True
         budgets = {}
-    proceed = estimate.c_s_closed_form > threshold
+    proceed = estimate.c_s > threshold
     reason = "capacity above threshold" if proceed else "secrecy capacity at or below threshold"
     if enforce_code_budget and not budget_ok:
         proceed = False
@@ -336,7 +339,6 @@ def gate_on_capacity(
     return GateDecision(
         proceed=proceed,
         estimate=estimate,
-        i_ae_half=i_ae_half,
         budget_ok=budget_ok,
         budgets=budgets,
         reason=reason,
@@ -437,7 +439,7 @@ def bob_decode_block(
 
     frame = ChipFrame(chips=chips, detected=detected)
     llrs = compute_llrs(frame, code, e_llr, record.block_index)
-    u_hat, converged, iterations = bp_decode(llrs, code.h, code.info_positions)
+    u_hat, converged, iterations = bp_decode(llrs, code.edges, code.info_positions)
     m_hat, r_hat = uhf_invert(u_hat, code)
 
     if e_fwd is not None and e_fwd > e_margin:
@@ -451,6 +453,7 @@ def bob_decode_block(
         random_bits=r_hat,
         status=status,
         e_fwd=e_fwd,
+        fwd_errors=fwd_errors,
         n_fwd_detected=n_fwd_det,
         n_chip_detected=int(det_is_chip.sum()),
         bp_iterations=iterations,
@@ -477,7 +480,6 @@ class BlockRecord:
     c_s: Optional[float]
     i_ab: Optional[float]
     i_ae: Optional[float]
-    p_star: Optional[float]
     budget_kr: Optional[float]
     budget_ku: Optional[float]
     budget_ok: Optional[bool]
@@ -604,7 +606,6 @@ def _run_block_attempt(
         c_s=None,
         i_ab=None,
         i_ae=None,
-        p_star=None,
         budget_kr=None,
         budget_ku=None,
         budget_ok=None,
@@ -647,9 +648,10 @@ def _run_block_attempt(
         e_x = hoeffding_upper(e_x, gx_n, config.confidence_delta)
         e_z = hoeffding_upper(e_z, gz_n, config.confidence_delta)
         e_gate = hoeffding_upper(e_gate, n_pool, config.confidence_delta)
-    rates = _capped_rates(e_x, e_z, e_gate)
     decision = gate_on_capacity(
-        rates,
+        e_x,
+        e_z,
+        e_gate,
         q_hat,
         config.g,
         threshold=config.abort_threshold_capacity,
@@ -657,10 +659,9 @@ def _run_block_attempt(
         enforce_code_budget=config.enforce_code_budget,
     )
     base_record.update(
-        c_s=decision.estimate.c_s_closed_form,
+        c_s=decision.estimate.c_s,
         i_ab=decision.estimate.i_ab,
-        i_ae=decision.i_ae_half,
-        p_star=decision.estimate.p_star,
+        i_ae=decision.estimate.i_ae,
         budget_kr=decision.budgets.get("k_r_per_pulse"),
         budget_ku=decision.budgets.get("k_u_per_pulse"),
         budget_ok=decision.budget_ok,
@@ -759,8 +760,8 @@ def run_session(
             chk_n_x += record.n_x
             chk_err_z += record.err_z
             chk_n_z += record.n_z
-            if result is not None and result.n_fwd_detected:
-                err_pool += round(result.e_fwd * result.n_fwd_detected)
+            if result is not None:
+                err_pool += result.fwd_errors
                 n_pool += result.n_fwd_detected
             if record.status == "gate-abort":
                 transcript.security_abort = True

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 
 @dataclass(frozen=True)
@@ -37,43 +36,13 @@ class ErrorRates:
 
 
 @dataclass(frozen=True)
-class RateParams:
-    """Detection rates: Bob's receipt probability and Eve's advantage g.
-
-    g is the ratio of Eve's accessible detection rate to Bob's; for a
-    back-channel loss of L dB it equals 10^(L/10) since Eve can tap
-    right at Alice's output.  p is the probability that Alice applies
-    the identity (encodes 0); the hardware runs at p = 0.5.
-    """
-
-    q_bob: float
-    g: float
-    p: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.q_bob <= 1.0:
-            raise ValueError(f"q_bob must be in (0, 1], got {self.q_bob}")
-        if self.g < 1.0:
-            raise ValueError(f"g must be >= 1, got {self.g}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if self.q_eve > 1.0:
-            raise ValueError(f"q_eve = g*q_bob = {self.q_eve} exceeds 1")
-
-    @property
-    def q_eve(self) -> float:
-        return self.g * self.q_bob
-
-
-@dataclass(frozen=True)
 class SecurityEstimate:
-    """Result of the capacity optimisation over the encoding bias p."""
+    """Per-pulse information rates at the encoding bias p."""
 
+    p: float
     i_ab: float
     i_ae: float
     c_s: float
-    p_star: float
-    c_s_closed_form: float
 
 
 @dataclass(frozen=True)
@@ -114,57 +83,98 @@ class AttackOverlaps:
         return math.sqrt((self.alpha + self.beta) ** 2 + self.delta_mag**2)
 
 
-def binary_entropy(x: float) -> float:
-    """Shannon entropy of a coin with bias x, in bits."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary_entropy argument must be in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+def _check_unit(name: str, v: float | np.ndarray) -> None:
+    # the comparison is written so that NaN fails it too
+    if not np.all((0.0 <= v) & (v <= 1.0)):
+        raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-def xi(p: float, e_x: float, e_z: float) -> float:
+def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
+    """Shannon entropy of a coin with bias x, in bits; x may be an array.
+
+    A scalar takes the math.log2 path, so scalar results do not depend
+    on which vectorised log2 numpy was built with.
+    """
+    _check_unit("binary_entropy argument", x)
+    if np.ndim(x) == 0:
+        x = float(x)
+        if x == 0.0 or x == 1.0:
+            return 0.0
+        return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    x = np.asarray(x, dtype=float)
+    inner = (x > 0.0) & (x < 1.0)
+    y = np.where(inner, x, 0.5)
+    return np.where(inner, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
+
+
+def xi(p: float | np.ndarray, e_x: float, e_z: float) -> float | np.ndarray:
     """Effective bias of Eve's optimal measurement on her ancilla.
 
     xi = (1 - sqrt((1-2p)^2 + (1-2e_x-2e_z)^2 (1 - (1-2p)^2))) / 2
 
     At p = 0.5 the radical collapses to |1 - 2(e_x+e_z)| and xi equals
     e_x + e_z; that case is evaluated directly so the cancellation is
-    exact in floating point at the hardware operating point.
+    exact in floating point at the hardware operating point.  p may be
+    an array.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_unit("p", p)
     s = e_x + e_z
     if e_x < 0.0 or e_z < 0.0 or s > 0.5:
         raise ValueError(f"need e_x, e_z >= 0 and e_x + e_z <= 0.5, got {e_x}, {e_z}")
-    if p == 0.5:
-        return s
     a = (1.0 - 2.0 * p) ** 2
     d = 1.0 - 2.0 * s
     radicand = a + d * d * (1.0 - a)
-    return (1.0 - math.sqrt(radicand)) / 2.0
+    out = np.where(p == 0.5, s, (1.0 - np.sqrt(radicand)) / 2.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def eve_information(q_eve: float, p: float, rates: ErrorRates) -> float:
+def eve_information(q_eve: float, p: float | np.ndarray, rates: ErrorRates) -> float | np.ndarray:
     """Upper bound on Eve's information per pulse, q_eve * h(xi)."""
     if not 0.0 <= q_eve <= 1.0:
         raise ValueError(f"q_eve must be in [0, 1], got {q_eve}")
     return q_eve * binary_entropy(xi(p, rates.e_x, rates.e_z))
 
-def main_information(q_bob: float, p: float, e: float) -> float:
+
+def main_information(q_bob: float, p: float | np.ndarray, e: float) -> float | np.ndarray:
     """Alice-to-Bob mutual information per pulse.
 
     Bob sees Alice's bit through a BSC(e); with encoding bias p the
     output bias is p + e - 2pe, so I = q_bob * (h(p + e - 2pe) - h(e)).
+    p may be an array.
     """
     if not 0.0 <= q_bob <= 1.0:
         raise ValueError(f"q_bob must be in [0, 1], got {q_bob}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_unit("p", p)
     if not 0.0 <= e <= 0.5:
         raise ValueError(f"e must be in [0, 0.5], got {e}")
     mixed = p + e - 2.0 * p * e
     return q_bob * (binary_entropy(mixed) - binary_entropy(e))
+
+
+def _eve_detection_rate(q_bob: float, g: float) -> float:
+    # Eve's detection rate saturates at one pulse per pulse in the
+    # low-loss regime
+    return min(g * q_bob, 1.0)
+
+
+def half_bias_capacity(rates: ErrorRates, q_bob: float, g: float) -> SecurityEstimate:
+    """The rates at the operating bias p = 0.5, where they have closed forms.
+
+    i_ab = q_bob (1 - h(e)) and i_ae = min(g q_bob, 1) h(e_x + e_z).
+    The secrecy capacity is the closed form
+    c_s = q_bob (1 - h(e) - g h(e_x + e_z)), which does not cap Eve's
+    detection rate, so it reads below i_ab - i_ae when g q_bob > 1.  A
+    negative c_s is returned as is so callers can log the margin to
+    abort.
+    """
+    i_ab = main_information(q_bob, 0.5, rates.e)
+    i_ae = eve_information(_eve_detection_rate(q_bob, g), 0.5, rates)
+    c_s = q_bob * (
+        1.0
+        - binary_entropy(rates.e)
+        - g * binary_entropy(min(rates.e_x + rates.e_z, 0.5))
+    )
+    return SecurityEstimate(p=0.5, i_ab=i_ab, i_ae=i_ae, c_s=c_s)
 
 
 def secrecy_capacity(
@@ -172,49 +182,29 @@ def secrecy_capacity(
 ) -> SecurityEstimate:
     """Maximise I(A:B) - I(A:E) over the encoding bias p.
 
-    A uniform grid over [0, 1] (odd-sized, so p = 0.5 is on the grid)
-    seeds a bounded local refinement.  The closed form
-    q_bob * (1 - h(e) - g*h(e_x+e_z)), which is the p = 0.5 value of
-    the objective, is recorded alongside; a negative value is returned
-    as-is so callers can log the margin to abort.
-
-    Returns
-    -------
-    SecurityEstimate with i_ab, i_ae evaluated at the maximiser p_star,
-    c_s = i_ab - i_ae, and the closed form.
+    The objective is evaluated on a uniform grid over [0, 1]
+    (odd-sized, so p = 0.5 is on it), then on a second grid of the same
+    size between the best point's neighbours; a refined point replaces
+    the first only if it is strictly better.  Returns the rates at the
+    maximiser, with c_s = i_ab - i_ae.
     """
     if grid_points < 3 or grid_points % 2 == 0:
         raise ValueError("grid_points must be odd and >= 3")
-    # Eve's detection rate saturates at one pulse per pulse in the
-    # low-loss regime
-    q_eve = min(g * q_bob, 1.0)
-    closed = q_bob * (
-        1.0
-        - binary_entropy(rates.e)
-        - g * binary_entropy(min(rates.e_x + rates.e_z, 0.5))
-    )
+    q_eve = _eve_detection_rate(q_bob, g)
 
-    def objective(p: float) -> float:
+    def objective(p: np.ndarray) -> np.ndarray:
         return main_information(q_bob, p, rates.e) - eve_information(q_eve, p, rates)
 
     grid = np.linspace(0.0, 1.0, grid_points)
-    values = np.array([objective(p) for p in grid])
-    best = int(np.argmax(values))
+    best = int(np.argmax(objective(grid)))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid_points - 1)]
-    result = minimize_scalar(lambda p: -objective(p), bounds=(lo, hi), method="bounded")
-    p_star = float(result.x)
-    if -result.fun < values[best]:
-        p_star = float(grid[best])
+    # the coarse best goes first so that it wins ties
+    fine = np.concatenate([[grid[best]], np.linspace(lo, hi, grid_points)])
+    p_star = float(fine[np.argmax(objective(fine))])
     i_ab = main_information(q_bob, p_star, rates.e)
     i_ae = eve_information(q_eve, p_star, rates)
-    return SecurityEstimate(
-        i_ab=i_ab,
-        i_ae=i_ae,
-        c_s=i_ab - i_ae,
-        p_star=p_star,
-        c_s_closed_form=closed,
-    )
+    return SecurityEstimate(p=p_star, i_ab=i_ab, i_ae=i_ae, c_s=i_ab - i_ae)
 
 
 def gram_matrix(p: float, ov: AttackOverlaps) -> np.ndarray:

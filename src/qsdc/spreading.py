@@ -29,6 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover
 # s[k] = s[k-10] ^ s[k-30] ^ s[k-31] ^ s[k-32]
 _LAGS = (10, 30, 31, 32)
 _DEGREE = 32
+# over GF(2) the polynomial raised to the 64th power is P(x^64), so from
+# word 64 * 32 on the same sequence also obeys the recurrence with every
+# lag times 64, which fills 640 words per step instead of 10
+_SQUARED_LAGS = tuple(64 * lag for lag in _LAGS)
 
 # column j of the cached word array holds the m-sequence started from
 # unit state e_j; the stream for an arbitrary 32-bit state is the XOR
@@ -55,15 +59,23 @@ def _ensure_basis(length: int) -> np.ndarray:
     size = max(length, 2 * _basis_words.size, 1 << 12)
     w = np.empty(size, dtype=np.uint32)
     w[:_DEGREE] = np.uint32(1) << np.arange(_DEGREE, dtype=np.uint32)
-    step = _LAGS[0]
-    for start in range(_DEGREE, size, step):
-        end = min(start + step, size)
-        chunk = w[start - _LAGS[0] : end - _LAGS[0]].copy()
-        for lag in _LAGS[1:]:
-            chunk ^= w[start - lag : end - lag]
-        w[start:end] = chunk
+    switch = min(_SQUARED_LAGS[-1], size)
+    _run_recurrence(w, _DEGREE, switch, _LAGS)
+    _run_recurrence(w, switch, size, _SQUARED_LAGS)
     _basis_words = w
     return _basis_words
+
+
+def _run_recurrence(w: np.ndarray, start: int, stop: int, lags: tuple[int, ...]) -> None:
+    """Fill w[start:stop] from earlier words; lags ascend, and each step
+    fills as many words as the shortest lag."""
+    step = lags[0]
+    for begin in range(start, stop, step):
+        end = min(begin + step, stop)
+        chunk = w[begin - lags[0] : end - lags[0]].copy()
+        for lag in lags[1:]:
+            chunk ^= w[begin - lag : end - lag]
+        w[begin:end] = chunk
 
 
 def lfsr_state(seed: int, block_index: int) -> int:

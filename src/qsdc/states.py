@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -51,21 +50,6 @@ class EncodeOp(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class PreparedQubit:
-    """A qubit together with the classical record its preparer keeps."""
-
-    state: QubitState
-
-    @property
-    def basis(self) -> Basis:
-        return self.state.basis
-
-    @property
-    def bit(self) -> int:
-        return self.state.bit
-
-
-@dataclass(frozen=True)
 class ChannelParams:
     """Loss in dB plus a basis-preserving flip probability."""
 
@@ -81,11 +65,6 @@ class ChannelParams:
     @property
     def survival(self) -> float:
         return 10.0 ** (-self.loss_db / 10.0)
-
-
-def prepare_random(rng: np.random.Generator) -> PreparedQubit:
-    """Draw one of the four states uniformly."""
-    return PreparedQubit(QubitState(int(rng.integers(0, 4))))
 
 
 def apply_encoding(state: QubitState, op: EncodeOp) -> QubitState:
@@ -112,30 +91,11 @@ def measure(state: QubitState, basis: Basis, rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2))
 
 
-def transmit(
-    state: QubitState, channel: ChannelParams, rng: np.random.Generator
-) -> Optional[QubitState]:
-    """Send one qubit: None on erasure, else a possible bit flip in its basis."""
-    if rng.random() >= channel.survival:
-        return None
-    if channel.flip_prob > 0.0 and rng.random() < channel.flip_prob:
-        return QubitState(state.value ^ 1)
-    return state
-
-
 # Array helpers on packed state codes (uint8 values 0..3).
 
 
 def random_state_codes(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 4, size=n, dtype=np.uint8)
-
-
-def codes_basis(codes: np.ndarray) -> np.ndarray:
-    return codes >> 1
-
-
-def codes_bit(codes: np.ndarray) -> np.ndarray:
-    return codes & 1
 
 
 def flip_codes(codes: np.ndarray, flip_prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -146,11 +106,6 @@ def flip_codes(codes: np.ndarray, flip_prob: float, rng: np.random.Generator) ->
     return codes ^ flips
 
 
-def encode_codes(codes: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Vectorised apply_encoding; ops is a 0/1 array (0 = I, 1 = Y)."""
-    return codes ^ ops.astype(np.uint8)
-
-
 def measure_codes(
     codes: np.ndarray, bases: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -158,8 +113,3 @@ def measure_codes(
     matched = (codes >> 1) == bases
     out = np.where(matched, codes & 1, rng.integers(0, 2, size=codes.shape[0], dtype=np.uint8))
     return out.astype(np.uint8)
-
-
-def survival_mask(n: int, channel: ChannelParams, rng: np.random.Generator) -> np.ndarray:
-    """Boolean mask of pulses that survive the channel loss."""
-    return rng.random(n) < channel.survival

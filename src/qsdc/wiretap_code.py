@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qsdc.gf2 import gf2_matmul, random_invertible
-from qsdc.ldpc import peg_construct, systematic_generator
+from qsdc.ldpc import TannerGraph, peg_construct, systematic_generator
 
 VAR_DEGREE = 3
 MAX_BUILD_ATTEMPTS = 16
@@ -39,6 +39,7 @@ class WiretapCode:
     n_spread: int
     seed: int
     h: np.ndarray
+    edges: TannerGraph
     g: np.ndarray
     info_positions: np.ndarray
     uhf: np.ndarray
@@ -92,6 +93,7 @@ def build_code(l: int, k_u: int, k_r: int, n_spread: int, seed: int) -> WiretapC
         n_spread=n_spread,
         seed=seed,
         h=h,
+        edges=TannerGraph(h),
         g=g,
         info_positions=info,
         uhf=uhf,

@@ -23,6 +23,7 @@ from qsdc.security import (
     eve_information,
     gram_eigenvalues,
     gram_matrix,
+    half_bias_capacity,
     secrecy_capacity,
     xi,
 )
@@ -113,10 +114,9 @@ def test_criterion_04_xi_reduction_and_bias_optimum():
         q_bob = 10.0 ** rng.uniform(-4.0, -0.5)
         if g * q_bob > 1.0:
             continue
-        est = secrecy_capacity(rates, q_bob, g)
-        if est.c_s_closed_form <= 0.0:
+        if half_bias_capacity(rates, q_bob, g).c_s <= 0.0:
             continue
-        assert abs(est.p_star - 0.5) <= 0.01
+        assert abs(secrecy_capacity(rates, q_bob, g).p - 0.5) <= 0.01
         found += 1
 
 
@@ -148,7 +148,7 @@ def test_criterion_06_codec_roundtrip_and_toy_ml(small_code, toy_code):
         chips = spread(v, small_code, trial)
         frame = ChipFrame(chips=chips, detected=np.ones(chips.size, dtype=bool))
         llrs = compute_llrs(frame, small_code, 0.01, trial)
-        u_hat, converged, _ = bp_decode(llrs, small_code.h, small_code.info_positions)
+        u_hat, converged, _ = bp_decode(llrs, small_code.edges, small_code.info_positions)
         m_hat, r_hat = uhf_invert(u_hat, small_code)
         assert converged and (m_hat == m).all() and (r_hat == r).all()
 
@@ -167,7 +167,7 @@ def test_criterion_06_codec_roundtrip_and_toy_ml(small_code, toy_code):
             noisy[rng.choice(chips.size, n_flips, replace=False)] ^= 1
         frame = ChipFrame(chips=noisy, detected=np.ones(chips.size, dtype=bool))
         llrs = compute_llrs(frame, toy_code, 0.05, trial)
-        u_bp, _, _ = bp_decode(llrs, toy_code.h, toy_code.info_positions)
+        u_bp, _, _ = bp_decode(llrs, toy_code.edges, toy_code.info_positions)
         metrics = (llrs[None, :] * (1.0 - 2.0 * all_v.astype(float))).sum(axis=1)
         u_ml = all_u[int(np.argmax(metrics))]
         assert (u_bp == u_ml).all()
@@ -189,7 +189,7 @@ def test_criterion_07_monte_carlo_reliability(default_code):
             chips=np.where(detected, noisy, 0).astype(np.uint8), detected=detected
         )
         llrs = compute_llrs(frame, default_code, 0.006, trial)
-        u_hat, converged, _ = bp_decode(llrs, default_code.h, default_code.info_positions)
+        u_hat, converged, _ = bp_decode(llrs, default_code.edges, default_code.info_positions)
         m_hat, _ = uhf_invert(u_hat, default_code)
         if not converged or (m_hat != m).any():
             failures += 1

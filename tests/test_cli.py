@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qsdc.cli import EXIT_IO, EXIT_OK, EXIT_SECURITY, main
+import qsdc
+from qsdc.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_SECURITY, main
 from qsdc.config_io import load_config, parse_config, render_config, save_config
 from qsdc.protocol import CodeParams, ProtocolConfig, nominal_config
 from qsdc.states import ChannelParams
@@ -64,6 +69,26 @@ def test_capacity_insecure_point(capsys):
     assert float(kv["c_s"]) < 0
 
 
+def test_capacity_interior_optimum(capsys):
+    # at 3 dB with these check rates the best bias is not 1/2
+    rc = main(["capacity", "--loss-db", "3", "--e-x", "0.06", "--e-z", "0.04"])
+    assert rc == EXIT_OK
+    kv = _parse_kv(capsys.readouterr().out)
+    assert float(kv["p_star"]) == pytest.approx(0.2512, abs=1e-4)
+    assert float(kv["c_s_grid"]) > 0 > float(kv["c_s"])
+
+
+def test_cli_import_leaves_scipy_out():
+    # the runtime needs numpy only; scipy is a test dependency
+    src = str(Path(qsdc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, qsdc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_sweep_stdout(capsys):
     rc = main(["sweep", "--loss-start", "5", "--loss-stop", "10", "--loss-step", "1"])
     assert rc == EXIT_OK
@@ -119,6 +144,35 @@ def test_send_attack_exit_code(tmp_path, capsys):
     assert rc == EXIT_SECURITY
     report = json.loads(capsys.readouterr().out)
     assert report["security_abort"]
+
+
+# a data-path flip rate far above e_margin fails every block's forward
+# check, while the noiseless check path keeps the capacity gate open
+FAILING_INI = FAST_INI.replace("flip_prob = 0.006", "flip_prob = 0.3").replace(
+    "e_margin = 0.12", "e_margin = 0.12\nmax_block_retries = 1"
+)
+
+
+def test_send_decode_failure_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "failing.ini"
+    cfg.write_text(FAILING_INI)
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"abc")
+    dst = tmp_path / "out.bin"
+    rc = main(["send", "--config", str(cfg), "--input", str(src), "--output", str(dst)])
+    assert rc == EXIT_DECODE
+    report = json.loads(capsys.readouterr().out)
+    assert not report["security_abort"]
+    assert report["abort_reason"] == "decode-failure"
+    assert not dst.exists()
+
+
+def test_stability_decode_failure_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "failing.ini"
+    cfg.write_text(FAILING_INI)
+    rc = main(["stability", "--config", str(cfg), "--blocks", "2", "--output", str(tmp_path / "rows.csv")])
+    assert rc == EXIT_DECODE
+    assert "abort_reason decode-failure" in capsys.readouterr().err
 
 
 def test_send_missing_input_is_io_error(tmp_path, capsys):

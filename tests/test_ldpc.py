@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsdc.gf2 import gf2_matmul
-from qsdc.ldpc import LLR_CLAMP, bp_decode, ldpc_encode, peg_construct, systematic_generator
+from qsdc.ldpc import (
+    LLR_CLAMP,
+    TannerGraph,
+    bp_decode,
+    ldpc_encode,
+    peg_construct,
+    systematic_generator,
+)
 
 
 def _llrs_from_codeword(v, scale=8.0):
@@ -66,7 +73,7 @@ def test_bp_decode_noiseless_zero_iterations(small_code, rng):
     u = rng.integers(0, 2, small_code.k_u, dtype=np.uint8)
     v = ldpc_encode(u, small_code.g)
     u_hat, converged, iters = bp_decode(
-        _llrs_from_codeword(v), small_code.h, small_code.info_positions
+        _llrs_from_codeword(v), small_code.edges, small_code.info_positions
     )
     assert converged and iters == 0
     assert (u_hat == u).all()
@@ -77,7 +84,7 @@ def test_bp_decode_corrects_single_erasure(small_code, rng):
     v = ldpc_encode(u, small_code.g)
     llrs = _llrs_from_codeword(v)
     llrs[17] = 0.0  # one erased bit
-    u_hat, converged, iters = bp_decode(llrs, small_code.h, small_code.info_positions)
+    u_hat, converged, iters = bp_decode(llrs, small_code.edges, small_code.info_positions)
     assert converged and iters >= 1
     assert (u_hat == u).all()
 
@@ -89,7 +96,7 @@ def test_bp_decode_corrects_flips(small_code, rng):
         llrs = _llrs_from_codeword(v, scale=2.0)
         flip = rng.choice(llrs.size, n_flips, replace=False)
         llrs[flip] *= -1.0
-        u_hat, converged, _ = bp_decode(llrs, small_code.h, small_code.info_positions)
+        u_hat, converged, _ = bp_decode(llrs, small_code.edges, small_code.info_positions)
         assert converged
         assert (u_hat == u).all()
 
@@ -97,7 +104,7 @@ def test_bp_decode_corrects_flips(small_code, rng):
 def test_bp_decode_hopeless_input_reports_failure(small_code, rng):
     # adversarial all-zero LLRs cannot converge to a unique codeword
     llrs = np.zeros(small_code.l)
-    u_hat, converged, iters = bp_decode(llrs, small_code.h, small_code.info_positions)
+    u_hat, converged, iters = bp_decode(llrs, small_code.edges, small_code.info_positions)
     assert u_hat.shape == (small_code.k_u,)
     assert isinstance(converged, bool)
 
@@ -106,7 +113,7 @@ def test_bp_decode_respects_max_iters(small_code):
     llrs = np.zeros(small_code.l)
     llrs[0] = 1.0  # inconsistent with nothing, but cannot fix the rest
     _, converged, iters = bp_decode(
-        llrs, small_code.h, small_code.info_positions, max_iters=7
+        llrs, small_code.edges, small_code.info_positions, max_iters=7
     )
     if not converged:
         assert iters == 7
@@ -127,5 +134,24 @@ def test_bp_roundtrip_property(seed):
         return  # rank-deficient draw: construction rejects it upstream
     u = rng.integers(0, 2, 12, dtype=np.uint8)
     v = ldpc_encode(u, g)
-    u_hat, converged, _ = bp_decode(_llrs_from_codeword(v), h, info)
+    u_hat, converged, _ = bp_decode(_llrs_from_codeword(v), TannerGraph(h), info)
     assert converged and (u_hat == u).all()
+
+
+def test_tanner_graph_syndrome_matches_dense_parity(small_code, rng):
+    edges = small_code.edges
+    assert edges.var_idx.size == int(small_code.h.sum())
+    for _ in range(20):
+        v = rng.integers(0, 2, small_code.l, dtype=np.uint8)
+        dense_ok = not ((small_code.h.astype(np.int64) @ v) % 2).any()
+        assert edges.syndrome_ok(v) == dense_ok
+    u = rng.integers(0, 2, small_code.k_u, dtype=np.uint8)
+    assert edges.syndrome_ok(ldpc_encode(u, small_code.g))
+
+
+def test_tanner_graph_skips_empty_checks():
+    h = np.array([[1, 1, 0], [0, 0, 0], [0, 1, 1]], dtype=np.uint8)
+    edges = TannerGraph(h)
+    assert edges.counts.tolist() == [2, 2]
+    assert edges.syndrome_ok(np.array([1, 1, 1], dtype=np.uint8))
+    assert not edges.syndrome_ok(np.array([0, 0, 1], dtype=np.uint8))

@@ -26,7 +26,6 @@ from qsdc.protocol import (
     _frame_message,
     _unframe_message,
 )
-from qsdc.security import ErrorRates
 from qsdc.states import ChannelParams, flip_codes
 from qsdc.wiretap_code import build_code
 
@@ -128,31 +127,36 @@ def test_bob_estimate_errors_undefined_bucket():
 
 
 def test_gate_passes_at_nominal_rates():
-    decision = gate_on_capacity(
-        ErrorRates(0.008, 0.008, 0.006), 0.00309, 2.5703957827688635
-    )
+    decision = gate_on_capacity(0.008, 0.008, 0.006, 0.00309, 2.5703957827688635)
     assert decision.proceed
-    assert decision.estimate.c_s_closed_form > 0
-    assert decision.i_ae_half > 0
+    assert decision.estimate.c_s > 0
+    assert decision.estimate.i_ae > 0
 
 
 def test_gate_aborts_under_attack_rates():
-    decision = gate_on_capacity(ErrorRates(0.25, 0.25, 0.006), 0.00309, 2.57)
+    decision = gate_on_capacity(0.25, 0.25, 0.006, 0.00309, 2.57)
     assert not decision.proceed
     assert "capacity" in decision.reason
 
 
 def test_gate_survives_saturated_rates():
     # measured rates can exceed the formula domain; the gate must not crash
-    decision = gate_on_capacity(ErrorRates(0.4, 0.4, 0.5), 0.00309, 2.57)
+    decision = gate_on_capacity(0.4, 0.4, 0.5, 0.00309, 2.57)
+    assert not decision.proceed
+
+
+def test_gate_survives_rescale_rounding():
+    # one rescaling of this pair sums to an ulp above 0.5, outside the
+    # entropy-formula domain; the gate must still decide
+    decision = gate_on_capacity(0.27535131086748066, 0.2538143313219278, 0.006, 0.00309, 2.57)
     assert not decision.proceed
 
 
 def test_gate_code_budget_enforcement(fast_config):
     code = realize_code(fast_config.code)
-    rates = ErrorRates(0.008, 0.008, 0.006)
-    relaxed = gate_on_capacity(rates, 0.3, 1.1, code=code, enforce_code_budget=False)
-    strict = gate_on_capacity(rates, 0.3, 1.1, code=code, enforce_code_budget=True)
+    rates = (0.008, 0.008, 0.006)
+    relaxed = gate_on_capacity(*rates, 0.3, 1.1, code=code, enforce_code_budget=False)
+    strict = gate_on_capacity(*rates, 0.3, 1.1, code=code, enforce_code_budget=True)
     assert relaxed.budgets["k_r_per_pulse"] == pytest.approx(32 / (8 * 256))
     # i_ae at q_eve = 0.33 exceeds the small code's budget
     assert not relaxed.budget_ok

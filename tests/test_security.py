@@ -10,12 +10,12 @@ from scipy.stats import entropy as shannon_entropy
 from qsdc.security import (
     AttackOverlaps,
     ErrorRates,
-    RateParams,
     binary_entropy,
     entropy_rho_abe,
     eve_information,
     gram_eigenvalues,
     gram_matrix,
+    half_bias_capacity,
     main_information,
     optimal_attack_overlaps,
     secrecy_capacity,
@@ -158,15 +158,6 @@ def test_error_rates_validation():
         ErrorRates(e_x=0.0, e_z=-0.1, e=0.0)
 
 
-def test_rate_params():
-    rp = RateParams(q_bob=0.003, g=G_NOMINAL)
-    assert rp.q_eve == pytest.approx(0.003 * G_NOMINAL)
-    with pytest.raises(ValueError):
-        RateParams(q_bob=0.5, g=2.5)  # q_eve above 1
-    with pytest.raises(ValueError):
-        RateParams(q_bob=0.003, g=0.5)
-
-
 def test_eve_information_frozen_value():
     q_eve = 0.003 * G_NOMINAL
     assert eve_information(q_eve, 0.5, NOMINAL) == pytest.approx(I_AE_Q003, rel=1e-9)
@@ -194,22 +185,68 @@ def test_main_information_decreasing_in_e():
 
 def test_secrecy_capacity_nominal():
     est = secrecy_capacity(NOMINAL, 0.003, G_NOMINAL)
-    assert est.p_star == pytest.approx(0.5, abs=1e-6)
+    half = half_bias_capacity(NOMINAL, 0.003, G_NOMINAL)
+    assert est.p == pytest.approx(0.5, abs=1e-6)
     assert est.c_s == pytest.approx(est.i_ab - est.i_ae, rel=1e-12)
-    assert est.c_s_closed_form == pytest.approx(C_S_Q003, rel=1e-9)
+    assert half.c_s == pytest.approx(C_S_Q003, rel=1e-9)
     # at the operating bias the grid optimum coincides with the closed form
-    assert est.c_s == pytest.approx(est.c_s_closed_form, rel=1e-9)
+    assert est.c_s == pytest.approx(half.c_s, rel=1e-9)
 
 
 def test_secrecy_capacity_closed_form_independent():
     # closed form re-derived with the scipy entropy oracle
     q, g = 0.0021, 2.2
-    est = secrecy_capacity(ErrorRates(0.01, 0.005, 0.004), q, g)
+    est = half_bias_capacity(ErrorRates(0.01, 0.005, 0.004), q, g)
     h = lambda x: float(shannon_entropy([x, 1 - x], base=2))
     expected = q * (1 - h(0.004) - g * h(0.015))
-    assert est.c_s_closed_form == pytest.approx(expected, rel=1e-12)
+    assert est.c_s == pytest.approx(expected, rel=1e-12)
 
 
 def test_secrecy_capacity_negative_under_heavy_noise():
-    est = secrecy_capacity(ErrorRates(0.2, 0.2, 0.2), 0.003, G_NOMINAL)
-    assert est.c_s_closed_form < 0
+    est = half_bias_capacity(ErrorRates(0.2, 0.2, 0.2), 0.003, G_NOMINAL)
+    assert est.c_s < 0
+
+
+def test_formulas_accept_arrays():
+    # the bias search evaluates whole grids; each element must agree
+    # with the scalar evaluation
+    ps = np.linspace(0.0, 1.0, 41)
+    q_eve = 0.003 * G_NOMINAL
+    for fn, scalar in (
+        (binary_entropy, lambda p: binary_entropy(p)),
+        (lambda p: xi(p, 0.03, 0.02), lambda p: xi(p, 0.03, 0.02)),
+        (lambda p: main_information(0.003, p, 0.006), lambda p: main_information(0.003, p, 0.006)),
+        (lambda p: eve_information(q_eve, p, NOMINAL), lambda p: eve_information(q_eve, p, NOMINAL)),
+    ):
+        got = fn(ps)
+        assert isinstance(got, np.ndarray) and got.shape == ps.shape
+        assert np.allclose(got, [scalar(float(p)) for p in ps], rtol=1e-12, atol=1e-15)
+    with pytest.raises(ValueError):
+        binary_entropy(np.array([0.2, 1.5]))
+    with pytest.raises(ValueError):
+        xi(np.array([0.5, -0.1]), 0.01, 0.01)
+
+
+def test_half_bias_capacity_caps_only_eve_rate():
+    # at g * q_bob > 1 Eve's detection rate saturates at one, while the
+    # closed-form c_s keeps the uncapped g * q_bob
+    rates = ErrorRates(0.06, 0.04, 0.006)
+    half = half_bias_capacity(rates, 0.5, G_NOMINAL)
+    assert half.p == 0.5
+    assert half.i_ab == pytest.approx(0.5 * (1.0 - H_006), rel=1e-12)
+    assert half.i_ae == pytest.approx(binary_entropy(0.1), rel=1e-12)
+    expected = 0.5 * (1.0 - H_006 - G_NOMINAL * binary_entropy(0.1))
+    assert half.c_s == pytest.approx(expected, rel=1e-12)
+
+
+def test_secrecy_capacity_interior_optimum():
+    # at 3 dB and (e_x, e_z) = (0.06, 0.04) the best bias leaves 1/2;
+    # the two-stage grid must match a dense brute-force search
+    rates = ErrorRates(0.06, 0.04, 0.006)
+    q_bob = 10.0 ** (-0.3)
+    est = secrecy_capacity(rates, q_bob, G_NOMINAL)
+    ps = np.linspace(0.0, 1.0, 400_001)
+    values = main_information(q_bob, ps, rates.e) - eve_information(1.0, ps, rates)
+    assert est.p == pytest.approx(float(ps[np.argmax(values)]), abs=1e-5)
+    assert est.c_s >= float(values.max()) - 1e-12
+    assert est.c_s == pytest.approx(est.i_ab - est.i_ae, rel=1e-12)

@@ -1,5 +1,8 @@
 """State preparation, encoding, measurement, channel."""
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,20 +11,67 @@ from qsdc.states import (
     Basis,
     ChannelParams,
     EncodeOp,
-    PreparedQubit,
     QubitState,
     apply_encoding,
-    codes_basis,
-    codes_bit,
-    encode_codes,
     flip_codes,
     measure,
     measure_codes,
-    prepare_random,
     random_state_codes,
-    survival_mask,
-    transmit,
 )
+
+
+# Scalar reference semantics kept as oracles for the tests below; the
+# protocol itself works on packed state-code arrays.
+
+
+@dataclass(frozen=True)
+class PreparedQubit:
+    """A qubit together with the classical record its preparer keeps."""
+
+    state: QubitState
+
+    @property
+    def basis(self) -> Basis:
+        return self.state.basis
+
+    @property
+    def bit(self) -> int:
+        return self.state.bit
+
+
+def prepare_random(rng: np.random.Generator) -> PreparedQubit:
+    """Draw one of the four states uniformly."""
+    return PreparedQubit(QubitState(int(rng.integers(0, 4))))
+
+
+def transmit(
+    state: QubitState, channel: ChannelParams, rng: np.random.Generator
+) -> Optional[QubitState]:
+    """Send one qubit: None on erasure, else a possible bit flip in its basis."""
+    if rng.random() >= channel.survival:
+        return None
+    if channel.flip_prob > 0.0 and rng.random() < channel.flip_prob:
+        return QubitState(state.value ^ 1)
+    return state
+
+
+def codes_basis(codes: np.ndarray) -> np.ndarray:
+    return codes >> 1
+
+
+def codes_bit(codes: np.ndarray) -> np.ndarray:
+    return codes & 1
+
+
+def encode_codes(codes: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Vectorised apply_encoding; ops is a 0/1 array (0 = I, 1 = Y)."""
+    return codes ^ ops.astype(np.uint8)
+
+
+def survival_mask(n: int, channel: ChannelParams, rng: np.random.Generator) -> np.ndarray:
+    """Boolean mask of pulses that survive the channel loss."""
+    return rng.random(n) < channel.survival
+
 
 # 2x2 vector oracle: check the algebraic encoding table against actual
 # single-qubit linear algebra (global phase ignored)
