@@ -34,7 +34,7 @@ import numpy as np
 from qsdc.attacks import AttackModel
 from qsdc.ldpc import bp_decode, ldpc_encode
 from qsdc.security import ErrorRates, SecurityEstimate, half_bias_capacity
-from qsdc.spreading import ChipFrame, compute_llrs, spread
+from qsdc.spreading import compute_llrs, spread
 from qsdc.states import ChannelParams, flip_codes, measure_codes, random_state_codes
 from qsdc.wiretap_code import (
     WiretapCode,
@@ -198,13 +198,21 @@ class GateDecision:
 
 @dataclass(frozen=True)
 class EncodeRecord:
-    """Public description of one encoded block's slot layout."""
+    """Alice's account of one encoded block.
+
+    The slot layout (consumed and forward-check positions, check values)
+    is public; the codeword stays with Alice, and bob_decode_block reads
+    only the layout.  fwd_local holds the sorted forward-check indices
+    into consumed_positions.
+    """
 
     block_index: int
     consumed_positions: np.ndarray
     fwd_positions: np.ndarray
     fwd_values: np.ndarray
     n_chips: int
+    codeword: np.ndarray
+    fwd_local: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -352,15 +360,15 @@ def alice_encode_block(
     forward_check_fraction: float,
     rng: np.random.Generator,
     block_index: int,
-) -> tuple[np.ndarray, EncodeRecord]:
-    """Modulate one block onto the available slots.
+) -> EncodeRecord:
+    """Lay one block out on the available slots.
 
     Fresh random bits are drawn, (message || random) is whitened and
-    LDPC encoded, the codeword is spread into chips, and uniformly
-    random check bits are interleaved at random slot positions at the
-    configured density.  Exactly n_chips + check-bit-count slots are
-    consumed, in slot order.  Returns the 0/1 modulation ops aligned
-    with the consumed positions and the public layout record.
+    LDPC encoded, and uniformly random check bits are placed at random
+    slot positions at the configured density; the codeword's chips fill
+    the other slots in order.  Exactly n_chips + check-bit-count slots
+    are consumed, in slot order.  modulation_at gives the resulting 0/1
+    modulation op of any consumed slot.
     """
     message_bits = np.asarray(message_bits, dtype=np.uint8)
     n_chips = code.block_chips
@@ -373,30 +381,50 @@ def alice_encode_block(
     random_bits = rng.integers(0, 2, size=code.k_r, dtype=np.uint8)
     u = uhf_map(message_bits, random_bits, code)
     v = ldpc_encode(u, code.g)
-    chips = spread(v, code, block_index)
 
     consumed = available_positions[:needed]
-    ops = np.empty(needed, dtype=np.uint8)
     if n_fwd > 0:
         fwd_local = np.sort(rng.choice(needed, size=n_fwd, replace=False))
         fwd_values = rng.integers(0, 2, size=n_fwd, dtype=np.uint8)
-        chip_mask = np.ones(needed, dtype=bool)
-        chip_mask[fwd_local] = False
-        ops[fwd_local] = fwd_values
-        ops[chip_mask] = chips
-        fwd_positions = consumed[fwd_local]
     else:
+        fwd_local = np.empty(0, dtype=np.int64)
         fwd_values = np.empty(0, dtype=np.uint8)
-        fwd_positions = np.empty(0, dtype=np.int64)
-        ops[:] = chips
-    record = EncodeRecord(
+    return EncodeRecord(
         block_index=block_index,
         consumed_positions=consumed,
-        fwd_positions=fwd_positions,
+        fwd_positions=consumed[fwd_local],
         fwd_values=fwd_values,
         n_chips=n_chips,
+        codeword=v,
+        fwd_local=fwd_local,
     )
-    return ops, record
+
+
+def _rank_in(sorted_values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each x: how many sorted_values lie below it, and whether x is one."""
+    rank = np.searchsorted(sorted_values, x)
+    hit = np.zeros(x.shape, dtype=bool)
+    inside = rank < sorted_values.size
+    hit[inside] = sorted_values[rank[inside]] == x[inside]
+    return rank, hit
+
+
+def modulation_at(record: EncodeRecord, code: WiretapCode, local: np.ndarray) -> np.ndarray:
+    """Alice's 0/1 modulation op at the given consumed-slot indices.
+
+    A forward-check slot carries its check value; any other slot carries
+    the chip whose index is the slot's index less the forward checks
+    before it.
+    """
+    local = np.asarray(local, dtype=np.int64)
+    rank, is_fwd = _rank_in(record.fwd_local, local)
+    ops = np.empty(local.shape, dtype=np.uint8)
+    ops[is_fwd] = record.fwd_values[rank[is_fwd]]
+    is_chip = ~is_fwd
+    ops[is_chip] = spread(
+        record.codeword, code, record.block_index, local[is_chip] - rank[is_chip]
+    )
+    return ops
 
 
 def bob_decode_block(
@@ -415,30 +443,19 @@ def bob_decode_block(
     LLRs and belief-propagation decoded, and the whitening is inverted.
     """
     est = (outcomes ^ (bob_codes[detected_positions] & 1)).astype(np.uint8)
-    consumed = record.consumed_positions
-    local = np.searchsorted(consumed, detected_positions)
-    chip_mask_consumed = np.ones(consumed.size, dtype=bool)
-    fwd_local = np.searchsorted(consumed, record.fwd_positions)
-    chip_mask_consumed[fwd_local] = False
-    chip_index = np.cumsum(chip_mask_consumed) - 1
+    local = np.searchsorted(record.consumed_positions, detected_positions)
+    fwd_rank, det_is_fwd = _rank_in(record.fwd_positions, detected_positions)
+    det_is_chip = ~det_is_fwd
 
-    det_is_chip = chip_mask_consumed[local]
-    chips = np.zeros(code.block_chips, dtype=np.uint8)
-    detected = np.zeros(code.block_chips, dtype=bool)
-    chips[chip_index[local[det_is_chip]]] = est[det_is_chip]
-    detected[chip_index[local[det_is_chip]]] = True
-
-    det_fwd_local = local[~det_is_chip]
-    fwd_rank = np.searchsorted(record.fwd_positions, consumed[det_fwd_local])
-    n_fwd_det = int(det_fwd_local.size)
-    fwd_errors = int((est[~det_is_chip] != record.fwd_values[fwd_rank]).sum())
+    n_fwd_det = int(det_is_fwd.sum())
+    fwd_errors = int((est[det_is_fwd] != record.fwd_values[fwd_rank[det_is_fwd]]).sum())
     e_fwd = fwd_errors / n_fwd_det if n_fwd_det else None
     # Laplace-smoothed estimate keeps the LLR weight finite per block
     e_llr = (fwd_errors + 1.0) / (n_fwd_det + 2.0) if n_fwd_det else 0.1
     e_llr = min(max(e_llr, 1e-4), 0.49)
 
-    frame = ChipFrame(chips=chips, detected=detected)
-    llrs = compute_llrs(frame, code, e_llr, record.block_index)
+    chip_idx = local[det_is_chip] - fwd_rank[det_is_chip]
+    llrs = compute_llrs(chip_idx, est[det_is_chip], code, e_llr, record.block_index)
     u_hat, converged, iterations = bp_decode(llrs, code.edges, code.info_positions)
     m_hat, r_hat = uhf_invert(u_hat, code)
 
@@ -551,6 +568,13 @@ def _unframe_message(bit_chunks: list[np.ndarray]) -> bytes:
     data = np.packbits(bits).tobytes()
     length = int.from_bytes(data[:4], "big")
     return data[4 : 4 + length]
+
+
+def _available_slots(n_sent: int, disclosed_positions: np.ndarray) -> np.ndarray:
+    """Slot indices below n_sent that the check disclosure did not consume."""
+    disclosed = np.zeros(n_sent, dtype=bool)
+    disclosed[disclosed_positions] = True
+    return np.flatnonzero(~disclosed)
 
 
 def _run_block_attempt(
@@ -672,9 +696,9 @@ def _run_block_attempt(
         return BlockRecord(**base_record), None
 
     # encoding phase: no message material leaves Alice before this point
-    available = np.setdiff1d(np.arange(n_sent, dtype=np.int64), disclosure.positions)
+    available = _available_slots(n_sent, disclosure.positions)
     try:
-        ops, enc_record = alice_encode_block(
+        enc_record = alice_encode_block(
             chunk_bits,
             code,
             available,
@@ -684,12 +708,14 @@ def _run_block_attempt(
         )
     except InsufficientPulsesError:
         return BlockRecord(**base_record), None
-    returned = wire[enc_record.consumed_positions] ^ ops
 
-    detected_mask = channel_rng.random(returned.size) < config.data_channel.survival
-    det_local = np.nonzero(detected_mask)[0]
-    det_codes = flip_codes(returned[det_local], config.data_channel.flip_prob, channel_rng)
-    det_positions = enc_record.consumed_positions[det_local]
+    # every consumed slot draws its detection, but only the detected ones
+    # are modulated, flipped and measured
+    consumed = enc_record.consumed_positions
+    det_local = np.flatnonzero(channel_rng.random(consumed.size) < config.data_channel.survival)
+    det_positions = consumed[det_local]
+    returned = wire[det_positions] ^ modulation_at(enc_record, code, det_local)
+    det_codes = flip_codes(returned, config.data_channel.flip_prob, channel_rng)
     bob_bases = bob_codes[det_positions] >> 1
     outcomes = measure_codes(det_codes, bob_bases, channel_rng)
 

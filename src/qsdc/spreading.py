@@ -12,12 +12,15 @@ The de-spreader turns detected chips into one LLR per coded bit:
 agreement with the keystream votes for bit 0, disagreement for bit 1,
 each vote worth ln((1-e)/e); bits with no detected chips get LLR
 exactly 0.
+
+Both directions take explicit chip indices: only the chips that a
+detector fired on are ever computed, so the cost of a block follows
+its detections, not its 10^6-chip footprint.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,18 +41,6 @@ _SQUARED_LAGS = tuple(64 * lag for lag in _LAGS)
 # unit state e_j; the stream for an arbitrary 32-bit state is the XOR
 # of the selected columns, i.e. the parity of (word & state)
 _basis_words = np.empty(0, dtype=np.uint32)
-
-
-@dataclass(frozen=True)
-class ChipFrame:
-    """Received chip values plus detection flags for one block."""
-
-    chips: np.ndarray
-    detected: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.chips.shape != self.detected.shape:
-            raise ValueError("chips and detected must have identical shape")
 
 
 def _ensure_basis(length: int) -> np.ndarray:
@@ -88,14 +79,9 @@ def lfsr_state(seed: int, block_index: int) -> int:
     return 1
 
 
-def keystream(seed: int, block_index: int, length: int) -> np.ndarray:
-    """The (seed, block_index)-keyed m-sequence slice as a uint8 array."""
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    state = np.uint32(lfsr_state(seed, block_index))
-    w = _ensure_basis(length)[:length] & state
-    # parity fold of each 32-bit word
-    w = w ^ (w >> np.uint32(16))
+def _parity(words: np.ndarray) -> np.ndarray:
+    """Parity of each uint32 word as a uint8 array, by shift-XOR fold."""
+    w = words ^ (words >> np.uint32(16))
     w = w ^ (w >> np.uint32(8))
     w = w ^ (w >> np.uint32(4))
     w = w ^ (w >> np.uint32(2))
@@ -103,34 +89,61 @@ def keystream(seed: int, block_index: int, length: int) -> np.ndarray:
     return (w & np.uint32(1)).astype(np.uint8)
 
 
-def spread(v: np.ndarray, code: "WiretapCode", block_index: int) -> np.ndarray:
-    """Expand a codeword into its chip sequence for one block."""
+def keystream(seed: int, block_index: int, length: int) -> np.ndarray:
+    """The (seed, block_index)-keyed m-sequence slice as a uint8 array."""
+    if length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
+    state = np.uint32(lfsr_state(seed, block_index))
+    return _parity(_ensure_basis(length)[:length] & state)
+
+
+def _keystream_at(code: "WiretapCode", block_index: int, chip_idx: np.ndarray) -> np.ndarray:
+    """keystream(code.seed, block_index, code.block_chips)[chip_idx],
+    computed at the given chip indices only."""
+    if chip_idx.size and not (0 <= chip_idx.min() and chip_idx.max() < code.block_chips):
+        raise ValueError(f"chip indices must lie in [0, {code.block_chips})")
+    state = np.uint32(lfsr_state(code.seed, block_index))
+    return _parity(_ensure_basis(code.block_chips)[chip_idx] & state)
+
+
+def spread(
+    v: np.ndarray, code: "WiretapCode", block_index: int, chip_idx: np.ndarray
+) -> np.ndarray:
+    """The chips at chip_idx of a codeword's chip sequence for one block.
+
+    Chip i of the full sequence is keystream bit i XOR v[i // n_spread];
+    only the requested chips are computed.
+    """
     v = np.asarray(v, dtype=np.uint8)
     if v.shape != (code.l,):
         raise ValueError(f"codeword length {v.shape} != ({code.l},)")
-    ks = keystream(code.seed, block_index, code.n_spread * code.l)
-    return ks ^ np.repeat(v, code.n_spread)
+    chip_idx = np.asarray(chip_idx, dtype=np.int64)
+    return _keystream_at(code, block_index, chip_idx) ^ v[chip_idx // code.n_spread]
 
 
 def compute_llrs(
-    frame: ChipFrame, code: "WiretapCode", e: float, block_index: int
+    chip_idx: np.ndarray,
+    chips: np.ndarray,
+    code: "WiretapCode",
+    e: float,
+    block_index: int,
 ) -> np.ndarray:
     """Per-coded-bit LLRs from the detected chips of one block.
 
-    e is the running message-phase error estimate; it must lie in
-    (0, 0.5) since the endpoints give infinite or zero-information
-    votes.
+    chip_idx lists the detected chip indices and chips their received
+    values; every other chip is an erasure.  e is the running
+    message-phase error estimate; it must lie in (0, 0.5) since the
+    endpoints give infinite or zero-information votes.  Vote sums are
+    small integers, exact in float64, so the result does not depend on
+    the order of the detections.
     """
     if not 0.0 < e < 0.5:
         raise ValueError(f"e must be in (0, 0.5), got {e}")
-    n_chips = code.n_spread * code.l
-    if frame.chips.shape != (n_chips,):
-        raise ValueError(f"frame length {frame.chips.shape} != ({n_chips},)")
-    ks = keystream(code.seed, block_index, n_chips)
-    votes = np.where(
-        frame.detected,
-        1.0 - 2.0 * (frame.chips.astype(np.int8) ^ ks),
-        0.0,
-    )
+    chip_idx = np.asarray(chip_idx, dtype=np.int64)
+    chips = np.asarray(chips, dtype=np.uint8)
+    if chips.shape != chip_idx.shape or chip_idx.ndim != 1:
+        raise ValueError(f"chips {chips.shape} and chip indices {chip_idx.shape} must match")
+    ks = _keystream_at(code, block_index, chip_idx)
+    votes = 1.0 - 2.0 * (chips ^ ks)
     weight = math.log((1.0 - e) / e)
-    return weight * votes.reshape(code.l, code.n_spread).sum(axis=1)
+    return weight * np.bincount(chip_idx // code.n_spread, weights=votes, minlength=code.l)

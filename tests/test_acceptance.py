@@ -27,7 +27,7 @@ from qsdc.security import (
     secrecy_capacity,
     xi,
 )
-from qsdc.spreading import ChipFrame, compute_llrs, spread
+from qsdc.spreading import compute_llrs, spread
 from qsdc.wiretap_code import uhf_invert, uhf_map
 
 
@@ -145,9 +145,9 @@ def test_criterion_06_codec_roundtrip_and_toy_ml(small_code, toy_code):
         m = rng.integers(0, 2, small_code.k_m, dtype=np.uint8)
         r = rng.integers(0, 2, small_code.k_r, dtype=np.uint8)
         v = ldpc_encode(uhf_map(m, r, small_code), small_code.g)
-        chips = spread(v, small_code, trial)
-        frame = ChipFrame(chips=chips, detected=np.ones(chips.size, dtype=bool))
-        llrs = compute_llrs(frame, small_code, 0.01, trial)
+        idx = np.arange(small_code.block_chips)
+        chips = spread(v, small_code, trial, idx)
+        llrs = compute_llrs(idx, chips, small_code, 0.01, trial)
         u_hat, converged, _ = bp_decode(llrs, small_code.edges, small_code.info_positions)
         m_hat, r_hat = uhf_invert(u_hat, small_code)
         assert converged and (m_hat == m).all() and (r_hat == r).all()
@@ -160,13 +160,13 @@ def test_criterion_06_codec_roundtrip_and_toy_ml(small_code, toy_code):
     for trial in range(1000):
         u = all_u[rng.integers(all_u.shape[0])]
         v = ldpc_encode(u, toy_code.g)
-        chips = spread(v, toy_code, trial)
+        idx = np.arange(toy_code.block_chips)
+        chips = spread(v, toy_code, trial, idx)
         n_flips = int(rng.integers(0, 3))
         noisy = chips.copy()
         if n_flips:
             noisy[rng.choice(chips.size, n_flips, replace=False)] ^= 1
-        frame = ChipFrame(chips=noisy, detected=np.ones(chips.size, dtype=bool))
-        llrs = compute_llrs(frame, toy_code, 0.05, trial)
+        llrs = compute_llrs(idx, noisy, toy_code, 0.05, trial)
         u_bp, _, _ = bp_decode(llrs, toy_code.edges, toy_code.info_positions)
         metrics = (llrs[None, :] * (1.0 - 2.0 * all_v.astype(float))).sum(axis=1)
         u_ml = all_u[int(np.argmax(metrics))]
@@ -182,13 +182,12 @@ def test_criterion_07_monte_carlo_reliability(default_code):
         m = rng.integers(0, 2, default_code.k_m, dtype=np.uint8)
         r = rng.integers(0, 2, default_code.k_r, dtype=np.uint8)
         v = ldpc_encode(uhf_map(m, r, default_code), default_code.g)
-        chips = spread(v, default_code, trial)
-        detected = rng.random(chips.size) < 0.003
-        noisy = chips ^ (rng.random(chips.size) < 0.006).astype(np.uint8)
-        frame = ChipFrame(
-            chips=np.where(detected, noisy, 0).astype(np.uint8), detected=detected
-        )
-        llrs = compute_llrs(frame, default_code, 0.006, trial)
+        n_chips = default_code.block_chips
+        detected = rng.random(n_chips) < 0.003
+        flips = rng.random(n_chips) < 0.006
+        idx = np.flatnonzero(detected)
+        noisy = spread(v, default_code, trial, idx) ^ flips[idx].astype(np.uint8)
+        llrs = compute_llrs(idx, noisy, default_code, 0.006, trial)
         u_hat, converged, _ = bp_decode(llrs, default_code.edges, default_code.info_positions)
         m_hat, _ = uhf_invert(u_hat, default_code)
         if not converged or (m_hat != m).any():

@@ -1,5 +1,6 @@
 """Block protocol engine: ops, gate, session orchestration."""
 
+import hashlib
 import json
 import math
 
@@ -20,12 +21,15 @@ from qsdc.protocol import (
     bob_prepare_block,
     gate_on_capacity,
     hoeffding_upper,
+    modulation_at,
     nominal_config,
     realize_code,
     run_session,
+    _available_slots,
     _frame_message,
     _unframe_message,
 )
+from qsdc.spreading import spread
 from qsdc.states import ChannelParams, flip_codes
 from qsdc.wiretap_code import build_code
 
@@ -170,11 +174,27 @@ def test_hoeffding_upper():
     assert hoeffding_upper(0.49, 10, 0.5) == 0.5  # clamped
 
 
+def _all_ops(record, code):
+    return modulation_at(record, code, np.arange(record.consumed_positions.size))
+
+
+def _dense_ops(record, code):
+    # reference: the whole chip sequence poured into the non-check slots
+    chips = spread(record.codeword, code, record.block_index, np.arange(code.block_chips))
+    ops = np.empty(record.consumed_positions.size, dtype=np.uint8)
+    chip_mask = np.ones(ops.size, dtype=bool)
+    chip_mask[record.fwd_local] = False
+    ops[record.fwd_local] = record.fwd_values
+    ops[chip_mask] = chips
+    return ops
+
+
 def test_encode_block_layout(fast_config, rng):
     code = realize_code(fast_config.code)
     available = np.arange(5000, dtype=np.int64)
     msg = rng.integers(0, 2, code.k_m, dtype=np.uint8)
-    ops, record = alice_encode_block(msg, code, available, 0.05, rng, block_index=0)
+    record = alice_encode_block(msg, code, available, 0.05, rng, block_index=0)
+    ops = _all_ops(record, code)
     needed = code.block_chips + math.ceil(code.block_chips * 0.05 / 0.95)
     assert ops.size == needed
     assert (record.consumed_positions == available[:needed]).all()
@@ -183,6 +203,20 @@ def test_encode_block_layout(fast_config, rng):
     fwd_local = np.searchsorted(record.consumed_positions, record.fwd_positions)
     assert (ops[fwd_local] == record.fwd_values).all()
     assert set(record.fwd_positions) <= set(record.consumed_positions)
+
+
+def test_modulation_at_equals_dense_ops(fast_config, rng):
+    code = realize_code(fast_config.code)
+    available = np.sort(rng.choice(6000, 5000, replace=False))
+    for fraction in (0.05, 0.0):
+        msg = rng.integers(0, 2, code.k_m, dtype=np.uint8)
+        record = alice_encode_block(msg, code, available, fraction, rng, block_index=3)
+        assert (record.fwd_local.size == 0) == (fraction == 0.0)
+        dense = _dense_ops(record, code)
+        assert np.array_equal(_all_ops(record, code), dense)
+        # any subset, in any order
+        local = rng.permutation(dense.size)[:700]
+        assert np.array_equal(modulation_at(record, code, local), dense[local])
 
 
 def test_encode_block_insufficient_pulses(fast_config, rng):
@@ -199,21 +233,28 @@ def test_single_use_of_checked_pulses(fast_config, rng):
     positions = np.nonzero(rng.random(n) < 0.5)[0]
     codes = rng.integers(0, 4, positions.size, dtype=np.uint8)
     disc = alice_sample_check(positions, codes, 0.1, rng)
-    available = np.setdiff1d(np.arange(n, dtype=np.int64), disc.positions)
+    available = _available_slots(n, disc.positions)
     msg = np.zeros(code.k_m, dtype=np.uint8)
-    ops, record = alice_encode_block(msg, code, available, 0.05, rng, 0)
+    record = alice_encode_block(msg, code, available, 0.05, rng, 0)
     assert np.intersect1d(record.consumed_positions, disc.positions).size == 0
     # chips and forward checks partition the consumed set
     assert record.fwd_positions.size + record.n_chips == record.consumed_positions.size
+    # the available slots are exactly the complement of the disclosure,
+    # including an empty disclosure and both end slots
+    disclosures = [disc.positions, np.empty(0, dtype=np.int64), np.array([0, n - 1])]
+    disclosures += [np.sort(rng.choice(n, k, replace=False)) for k in (1, 50, n // 2, n)]
+    for disclosed in disclosures:
+        expected = np.setdiff1d(np.arange(n, dtype=np.int64), disclosed)
+        assert np.array_equal(_available_slots(n, disclosed), expected)
 
 
 def test_decode_block_perfect_channel(fast_config, rng):
     code = realize_code(fast_config.code)
     available = np.arange(4000, dtype=np.int64)
     msg = rng.integers(0, 2, code.k_m, dtype=np.uint8)
-    ops, record = alice_encode_block(msg, code, available, 0.05, rng, block_index=0)
+    record = alice_encode_block(msg, code, available, 0.05, rng, block_index=0)
     bob_codes = rng.integers(0, 4, 4000, dtype=np.uint8)
-    wire = bob_codes[record.consumed_positions] ^ ops
+    wire = bob_codes[record.consumed_positions] ^ _all_ops(record, code)
     outcomes = wire & 1  # measuring in the preparation basis, no noise
     result = bob_decode_block(
         record.consumed_positions, outcomes, bob_codes, record, code, e_margin=0.03
@@ -228,9 +269,9 @@ def test_decode_block_error_margin_abort(fast_config, rng):
     code = realize_code(fast_config.code)
     available = np.arange(4000, dtype=np.int64)
     msg = rng.integers(0, 2, code.k_m, dtype=np.uint8)
-    ops, record = alice_encode_block(msg, code, available, 0.05, rng, block_index=0)
+    record = alice_encode_block(msg, code, available, 0.05, rng, block_index=0)
     bob_codes = rng.integers(0, 4, 4000, dtype=np.uint8)
-    wire = bob_codes[record.consumed_positions] ^ ops
+    wire = bob_codes[record.consumed_positions] ^ _all_ops(record, code)
     # 10% flips exceed the 3% margin
     outcomes = (wire & 1) ^ (rng.random(wire.size) < 0.10).astype(np.uint8)
     result = bob_decode_block(
@@ -337,3 +378,37 @@ def test_hoeffding_gate_is_more_conservative(fast_config):
     for lo, hi in zip(guarded.blocks, base.blocks):
         if lo.c_s is not None and hi.c_s is not None:
             assert lo.c_s <= hi.c_s + 1e-12
+
+
+# sha256 of to_jsonl() + delivered bytes, recorded before the block
+# engine went detection-sparse; the slot layout, chips and LLRs it
+# computes are the dense engine's, so each draw and each byte must
+# match.  The digests assume numpy's PCG64 bit streams.
+_PINNED_SESSIONS = [
+    ("honest", None, 11, "d1d698b1a529b1c9439a7b38dbc41340e117ae818ddc9e331d6cb3acf5f8d6f1"),
+    (
+        "intercept-resend 0.3",
+        AttackModel.intercept_resend(0.3),
+        12,
+        "7e56c6feffa6f3816359071c8391421836c9804a80205efb60b4ed19aadfa803",
+    ),
+    (
+        "collective (0.02, 0.01)",
+        AttackModel.optimal_collective(0.02, 0.01),
+        17,
+        "181e0bcf714cc11b4b0ec26f8df1cb8b30550f6a5a601443ce2b71355ce1e98c",
+    ),
+]
+
+
+def _digest(tr) -> str:
+    return hashlib.sha256(tr.to_jsonl().encode() + tr.delivered).hexdigest()
+
+
+def test_transcripts_match_pinned_digests(fast_config):
+    for name, attack, seed, digest in _PINNED_SESSIONS:
+        tr = run_session(fast_config, bytes(range(200)), seed=seed, attack=attack)
+        assert _digest(tr) == digest, name
+    tr = run_session(nominal_config(), b"nominal payload", seed=3)
+    assert tr.delivered == b"nominal payload"
+    assert _digest(tr) == "cf7377196e8fbd8526717656ba2a8a4cd63a47c58a232bd499bb446a5fa8483d"
