@@ -6,14 +6,7 @@ the spread-spectrum LDPC coding chain, the block protocol engine, and
 attack/experiment harnesses with a command line front end.
 """
 
-from qsdc.states import (
-    Basis,
-    ChannelParams,
-    EncodeOp,
-    QubitState,
-    apply_encoding,
-    measure,
-)
+from qsdc.states import ChannelParams
 from qsdc.security import (
     AttackOverlaps,
     ErrorRates,
@@ -48,12 +41,7 @@ from qsdc.protocol import (
 from qsdc.attacks import AttackModel
 
 __all__ = [
-    "Basis",
     "ChannelParams",
-    "EncodeOp",
-    "QubitState",
-    "apply_encoding",
-    "measure",
     "AttackOverlaps",
     "ErrorRates",
     "SecurityEstimate",

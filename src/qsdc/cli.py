@@ -26,13 +26,22 @@ from qsdc.experiments import (
     run_stability,
     sweep_to_csv,
 )
-from qsdc.protocol import ProtocolConfig, nominal_config
+from qsdc.protocol import NOMINAL, ProtocolConfig
 from qsdc.security import ErrorRates, half_bias_capacity, secrecy_capacity
 
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_SECURITY = 3
 EXIT_DECODE = 4
+
+
+def _add_rate_args(parser: argparse.ArgumentParser) -> None:
+    """Error rates and Eve's advantage, defaulting to the nominal point."""
+    e, e_check = NOMINAL.data_channel.flip_prob, NOMINAL.check_channel.flip_prob
+    parser.add_argument("--e", type=float, default=e, help="data-path error rate")
+    parser.add_argument("--e-x", type=float, default=e_check, help="X-basis check error rate")
+    parser.add_argument("--e-z", type=float, default=e_check, help="Z-basis check error rate")
+    parser.add_argument("--g", type=float, default=NOMINAL.g, help="Eve detection advantage")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,20 +54,16 @@ def _build_parser() -> argparse.ArgumentParser:
     cap = sub.add_parser("capacity", help="single-point secrecy capacity")
     group = cap.add_mutually_exclusive_group()
     group.add_argument("--q-bob", type=float, default=None, help="Bob detection rate per pulse")
-    group.add_argument("--loss-db", type=float, default=None, help="system loss in dB")
-    cap.add_argument("--e", type=float, default=0.006, help="data-path error rate")
-    cap.add_argument("--e-x", type=float, default=0.008, help="X-basis check error rate")
-    cap.add_argument("--e-z", type=float, default=0.008, help="Z-basis check error rate")
-    cap.add_argument("--g", type=float, default=10.0 ** (4.1 / 10.0), help="Eve detection advantage")
+    group.add_argument(
+        "--loss-db", type=float, default=NOMINAL.data_channel.loss_db, help="system loss in dB"
+    )
+    _add_rate_args(cap)
 
     sw = sub.add_parser("sweep", help="capacity sweep over loss range, CSV output")
     sw.add_argument("--loss-start", type=float, default=5.0)
     sw.add_argument("--loss-stop", type=float, default=35.0)
     sw.add_argument("--loss-step", type=float, default=0.5)
-    sw.add_argument("--e", type=float, default=0.006)
-    sw.add_argument("--e-x", type=float, default=0.008)
-    sw.add_argument("--e-z", type=float, default=0.008)
-    sw.add_argument("--g", type=float, default=10.0 ** (4.1 / 10.0))
+    _add_rate_args(sw)
     sw.add_argument("--output", default="-", help="CSV path, or - for stdout")
 
     st = sub.add_parser("stability", help="per-block error table over a session")
@@ -87,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config_arg(path: str | None) -> ProtocolConfig:
     if path is None:
-        return nominal_config()
+        return NOMINAL
     return load_config(path)
 
 
@@ -107,13 +112,16 @@ def _exit_code(security_abort: bool, abort_reason: str | None) -> int:
     return EXIT_OK
 
 
-def _cmd_capacity(args: argparse.Namespace) -> int:
-    if args.q_bob is not None:
-        q_bob = args.q_bob
-    elif args.loss_db is not None:
-        q_bob = 10.0 ** (-args.loss_db / 10.0)
+def _write_output(text: str, output: str) -> None:
+    """Write text to the --output path, or to stdout when it is "-"."""
+    if output == "-":
+        sys.stdout.write(text)
     else:
-        q_bob = 10.0 ** (-25.1 / 10.0)
+        Path(output).write_text(text)
+
+
+def _cmd_capacity(args: argparse.Namespace) -> int:
+    q_bob = args.q_bob if args.q_bob is not None else 10.0 ** (-args.loss_db / 10.0)
     rates = ErrorRates(e_x=args.e_x, e_z=args.e_z, e=args.e)
     half = half_bias_capacity(rates, q_bob, args.g)
     best = secrecy_capacity(rates, q_bob, args.g)
@@ -138,11 +146,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         e_z=args.e_z,
         g=args.g,
     )
-    csv = sweep_to_csv(run_capacity_sweep(spec))
-    if args.output == "-":
-        sys.stdout.write(csv)
-    else:
-        Path(args.output).write_text(csv)
+    _write_output(sweep_to_csv(run_capacity_sweep(spec)), args.output)
     return EXIT_OK
 
 
@@ -164,11 +168,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
             else:
                 cells.append(str(value))
         lines.append(",".join(cells))
-    csv = "\n".join(lines) + "\n"
-    if args.output == "-":
-        sys.stdout.write(csv)
-    else:
-        Path(args.output).write_text(csv)
+    _write_output("\n".join(lines) + "\n", args.output)
     for key, value in report.summary.items():
         print(f"{key} {value}", file=sys.stderr)
     return _exit_code(report.summary["security_abort"], report.summary["abort_reason"])

@@ -1,45 +1,46 @@
 """Load and save protocol configurations as INI text.
 
-Sections mirror the config dataclasses: [code] for the wiretap code,
-[protocol] for session parameters, [check_channel] and [data_channel]
-for the two loss/noise models.  Any missing section or key falls back
-to the built-in default; unknown keys are rejected so that typos fail
-loudly instead of silently running the nominal setup.
+The config dataclasses are the schema: each dataclass-typed field of
+ProtocolConfig is a section of that dataclass's fields, and the other
+fields of ProtocolConfig form [protocol].  Values parse by the fields'
+annotations.  Missing sections and keys keep their defaults; unknown
+ones are rejected so that typos fail loudly instead of silently
+running the nominal setup.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
+import typing
 from pathlib import Path
+from types import NoneType
 
-from qsdc.protocol import CodeParams, ProtocolConfig
-from qsdc.states import ChannelParams
+from qsdc.protocol import ProtocolConfig
 
-_CODE_KEYS = {"l": int, "k_u": int, "k_r": int, "n_spread": int, "seed": int}
-_CHANNEL_KEYS = {"loss_db": float, "flip_prob": float}
-_PROTOCOL_KEYS = {
-    "block_pulses": int,
-    "check_fraction": float,
-    "forward_check_fraction": float,
-    "abort_threshold_capacity": float,
-    "g_back_channel_db": float,
-    "e_margin": float,
-    "enforce_code_budget": bool,
-    "confidence_delta": float,
-    "repetition_rate_hz": float,
-    "max_block_retries": int,
-}
-_SECTIONS = {
-    "code": _CODE_KEYS,
-    "protocol": _PROTOCOL_KEYS,
-    "check_channel": _CHANNEL_KEYS,
-    "data_channel": _CHANNEL_KEYS,
-}
+
+def _scalar_fields(cls: type) -> dict[str, type]:
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: hints[f.name]
+        for f in dataclasses.fields(cls)
+        if not dataclasses.is_dataclass(hints[f.name])
+    }
+
+
+def _section(name: str) -> tuple[str, type]:
+    kind = typing.get_type_hints(ProtocolConfig)[name]
+    return (name, kind) if dataclasses.is_dataclass(kind) else ("protocol", ProtocolConfig)
+
+
+# section -> the dataclass whose scalar fields are its keys; [protocol]
+# sits where ProtocolConfig's first scalar field does
+_SECTIONS = dict(_section(f.name) for f in dataclasses.fields(ProtocolConfig))
 
 
 def _parse_section(parser: configparser.ConfigParser, section: str) -> dict:
-    known = _SECTIONS[section]
+    known = _scalar_fields(_SECTIONS[section])
     out: dict = {}
     if not parser.has_section(section):
         return out
@@ -47,12 +48,13 @@ def _parse_section(parser: configparser.ConfigParser, section: str) -> dict:
         if key not in known:
             raise ValueError(f"unknown key '{key}' in section [{section}]")
         kind = known[key]
-        if kind is bool:
-            out[key] = parser.getboolean(section, key)
-        elif key == "confidence_delta" and raw.strip().lower() in ("", "none"):
-            out[key] = None
-        else:
-            out[key] = kind(raw)
+        args = typing.get_args(kind)
+        if NoneType in args:  # Optional[T]: empty or "none" reads as None
+            if raw.strip().lower() in ("", "none"):
+                out[key] = None
+                continue
+            (kind,) = set(args) - {NoneType}
+        out[key] = parser.getboolean(section, key) if kind is bool else kind(raw)
     return out
 
 
@@ -62,14 +64,13 @@ def parse_config(text: str) -> ProtocolConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ValueError(f"unknown section [{section}]")
-    kwargs: dict = dict(_parse_section(parser, "protocol"))
-    code_kwargs = _parse_section(parser, "code")
-    if code_kwargs:
-        kwargs["code"] = CodeParams(**code_kwargs)
-    for section, field in (("check_channel", "check_channel"), ("data_channel", "data_channel")):
-        chan_kwargs = _parse_section(parser, section)
-        if chan_kwargs:
-            kwargs[field] = ChannelParams(**chan_kwargs)
+    kwargs: dict = {}
+    for section, cls in _SECTIONS.items():
+        values = _parse_section(parser, section)
+        if cls is ProtocolConfig:
+            kwargs.update(values)
+        elif values:
+            kwargs[section] = cls(**values)
     return ProtocolConfig(**kwargs)
 
 
@@ -79,13 +80,10 @@ def load_config(path: str | Path) -> ProtocolConfig:
 
 def render_config(config: ProtocolConfig) -> str:
     parser = configparser.ConfigParser()
-    parser["code"] = {k: str(getattr(config.code, k)) for k in _CODE_KEYS}
-    parser["protocol"] = {
-        k: ("" if getattr(config, k) is None else str(getattr(config, k)))
-        for k in _PROTOCOL_KEYS
-    }
-    for section, chan in (("check_channel", config.check_channel), ("data_channel", config.data_channel)):
-        parser[section] = {k: str(getattr(chan, k)) for k in _CHANNEL_KEYS}
+    for section, cls in _SECTIONS.items():
+        obj = config if cls is ProtocolConfig else getattr(config, section)
+        values = {k: getattr(obj, k) for k in _scalar_fields(cls)}
+        parser[section] = {k: "" if v is None else str(v) for k, v in values.items()}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from qsdc.attacks import AttackKind, AttackModel
-from qsdc.protocol import ProtocolConfig, SessionTranscript, realize_code, run_session
+from qsdc.protocol import NOMINAL, ProtocolConfig, SessionTranscript, realize_code, run_session
 from qsdc.security import ErrorRates, half_bias_capacity
 
 
@@ -100,10 +100,10 @@ class SweepSpec:
     loss_start_db: float
     loss_stop_db: float
     loss_step_db: float
-    e: float = 0.006
-    e_x: float = 0.008
-    e_z: float = 0.008
-    g: float = 10.0 ** (4.1 / 10.0)
+    e: float = NOMINAL.data_channel.flip_prob
+    e_x: float = NOMINAL.check_channel.flip_prob
+    e_z: float = NOMINAL.check_channel.flip_prob
+    g: float = NOMINAL.g
 
     def __post_init__(self) -> None:
         if self.loss_step_db <= 0:
@@ -190,7 +190,7 @@ def run_e2e(
         "capacity_rate_bits_per_s": _nominal_capacity(config) * config.repetition_rate_hz,
         "attack": attack.kind.value,
     }
-    if transcript.security_abort or transcript.abort_reason:
+    if not transcript.ok:
         aborted = transcript.blocks[-1]
         report["abort_block"] = aborted.block_index
         report["abort_cause"] = transcript.abort_reason
@@ -202,7 +202,7 @@ def run_e2e(
         report["eve_bound_bits_per_pulse"] = half_bias_capacity(
             rates, config.data_channel.survival, config.g
         ).i_ae
-    if not transcript.security_abort and transcript.abort_reason is None:
+    if transcript.ok:
         Path(output_path).write_bytes(transcript.delivered)
         report["output_path"] = str(output_path)
     if transcript_path is not None:

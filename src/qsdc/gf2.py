@@ -42,10 +42,6 @@ def gf2_row_reduce(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return a, np.array(pivots, dtype=np.int64), r
 
 
-def gf2_rank(mat: np.ndarray) -> int:
-    return gf2_row_reduce(mat)[2]
-
-
 def gf2_invert(mat: np.ndarray) -> np.ndarray:
     """Inverse of a square GF(2) matrix; raises ValueError if singular."""
     n = mat.shape[0]

@@ -24,6 +24,7 @@ blocks can be simulated in parallel without shared state.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -60,22 +61,12 @@ class CodeParams:
     n_spread: int = 830
     seed: int = 12345
 
-    def key(self) -> tuple:
-        return (self.l, self.k_u, self.k_r, self.n_spread, self.seed)
 
-
-_code_cache: dict[tuple, WiretapCode] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def realize_code(params: CodeParams) -> WiretapCode:
-    """Build (or fetch from the process-wide cache) the configured code."""
-    code = _code_cache.get(params.key())
-    if code is None:
-        code = build_code(params.l, params.k_u, params.k_r, params.n_spread, params.seed)
-        if len(_code_cache) >= 8:
-            _code_cache.clear()
-        _code_cache[params.key()] = code
-    return code
+    """Build the configured code, or fetch it from the process-wide cache
+    of the eight most recently used."""
+    return build_code(params.l, params.k_u, params.k_r, params.n_spread, params.seed)
 
 
 @dataclass(frozen=True)
@@ -148,6 +139,10 @@ class ProtocolConfig:
 def nominal_config() -> ProtocolConfig:
     """The default operating point of the simulated hardware."""
     return ProtocolConfig()
+
+
+# built once; SweepSpec and the analytic CLI subcommands default to it
+NOMINAL = nominal_config()
 
 
 @dataclass(frozen=True)
@@ -357,22 +352,21 @@ def alice_encode_block(
     message_bits: np.ndarray,
     code: WiretapCode,
     available_positions: np.ndarray,
-    forward_check_fraction: float,
+    n_fwd: int,
     rng: np.random.Generator,
     block_index: int,
 ) -> EncodeRecord:
     """Lay one block out on the available slots.
 
     Fresh random bits are drawn, (message || random) is whitened and
-    LDPC encoded, and uniformly random check bits are placed at random
-    slot positions at the configured density; the codeword's chips fill
-    the other slots in order.  Exactly n_chips + check-bit-count slots
-    are consumed, in slot order.  modulation_at gives the resulting 0/1
-    modulation op of any consumed slot.
+    LDPC encoded, and n_fwd uniformly random check bits are placed at
+    random slot positions; the codeword's chips fill the other slots in
+    order.  Exactly n_chips + n_fwd slots are consumed, in slot order.
+    modulation_at gives the resulting 0/1 modulation op of any consumed
+    slot.
     """
     message_bits = np.asarray(message_bits, dtype=np.uint8)
     n_chips = code.block_chips
-    n_fwd = math.ceil(n_chips * forward_check_fraction / (1.0 - forward_check_fraction)) if forward_check_fraction > 0 else 0
     needed = n_chips + n_fwd
     if available_positions.size < needed:
         raise InsufficientPulsesError(
@@ -480,34 +474,38 @@ def bob_decode_block(
 
 @dataclass(frozen=True)
 class BlockRecord:
-    """Scalar per-block-attempt summary kept in the transcript."""
+    """Scalar per-block-attempt summary kept in the transcript.
+
+    Fields past n_received_check default to what an attempt that never
+    reached them records: a deferral with zero counts and no estimates.
+    """
 
     block_index: int
     attempt: int
     n_sent: int
     n_received_check: int
-    n_checked: int
-    n_z: int
-    n_x: int
-    err_z: int
-    err_x: int
-    e_z: Optional[float]
-    e_x: Optional[float]
-    q_hat: float
-    c_s: Optional[float]
-    i_ab: Optional[float]
-    i_ae: Optional[float]
-    budget_kr: Optional[float]
-    budget_ku: Optional[float]
-    budget_ok: Optional[bool]
-    gate_proceed: Optional[bool]
-    status: str
-    e_fwd: Optional[float]
-    n_fwd_detected: int
-    n_chip_detected: int
-    bp_iterations: int
-    bp_converged: Optional[bool]
-    delivered_bits: int
+    n_checked: int = 0
+    n_z: int = 0
+    n_x: int = 0
+    err_z: int = 0
+    err_x: int = 0
+    e_z: Optional[float] = None
+    e_x: Optional[float] = None
+    q_hat: float = 0.0
+    c_s: Optional[float] = None
+    i_ab: Optional[float] = None
+    i_ae: Optional[float] = None
+    budget_kr: Optional[float] = None
+    budget_ku: Optional[float] = None
+    budget_ok: Optional[bool] = None
+    gate_proceed: Optional[bool] = None
+    status: str = "deferred"
+    e_fwd: Optional[float] = None
+    n_fwd_detected: int = 0
+    n_chip_detected: int = 0
+    bp_iterations: int = 0
+    bp_converged: Optional[bool] = None
+    delivered_bits: int = 0
 
 
 @dataclass
@@ -619,28 +617,6 @@ def _run_block_attempt(
         attempt=attempt,
         n_sent=n_sent,
         n_received_check=int(received_pos.size),
-        n_checked=0,
-        n_z=0,
-        n_x=0,
-        err_z=0,
-        err_x=0,
-        e_z=None,
-        e_x=None,
-        q_hat=0.0,
-        c_s=None,
-        i_ab=None,
-        i_ae=None,
-        budget_kr=None,
-        budget_ku=None,
-        budget_ok=None,
-        gate_proceed=None,
-        status="deferred",
-        e_fwd=None,
-        n_fwd_detected=0,
-        n_chip_detected=0,
-        bp_iterations=0,
-        bp_converged=None,
-        delivered_bits=0,
     )
     if received_pos.size == 0:
         return BlockRecord(**base_record), None
@@ -702,7 +678,7 @@ def _run_block_attempt(
             chunk_bits,
             code,
             available,
-            config.forward_check_fraction,
+            config.n_forward_checks,
             alice_rng,
             block_index=counter,
         )

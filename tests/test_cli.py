@@ -61,6 +61,18 @@ def test_capacity_accepts_loss_db(capsys):
     assert float(kv["q_bob"]) == pytest.approx(10**-2.51, rel=1e-6)
 
 
+def test_capacity_defaults_are_the_nominal_point(capsys):
+    assert main(["capacity"]) == EXIT_OK
+    defaults = capsys.readouterr().out
+    literal = ["--loss-db", "25.1", "--e", "0.006", "--e-x", "0.008", "--e-z", "0.008",
+               "--g", "2.5703957827688635"]
+    assert main(["capacity", *literal]) == EXIT_OK
+    assert capsys.readouterr().out == defaults
+    # a default --loss-db must not hide an explicit clash with --q-bob
+    with pytest.raises(SystemExit):
+        main(["capacity", "--q-bob", "0.003", "--loss-db", "25.1"])
+
+
 def test_capacity_insecure_point(capsys):
     rc = main(["capacity", "--q-bob", "0.003", "--e-x", "0.2", "--e-z", "0.2"])
     assert rc == EXIT_OK
@@ -194,6 +206,33 @@ def test_send_report_file(tmp_path, capsys):
     assert json.loads(rep.read_text())["byte_identical"]
 
 
+def _scalars(obj) -> list:
+    """Every scalar field value of a config, nested dataclasses flattened."""
+    out = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        out += _scalars(value) if dataclasses.is_dataclass(value) else [value]
+    return out
+
+
+def _off_default(obj):
+    """obj with every scalar field moved off its value, staying valid."""
+    changes = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            changes[f.name] = _off_default(value)
+        elif isinstance(value, bool):
+            changes[f.name] = not value
+        elif isinstance(value, int):
+            changes[f.name] = value - 1
+        elif value is None:
+            changes[f.name] = 0.25
+        else:
+            changes[f.name] = value / 2 + 0.001
+    return dataclasses.replace(obj, **changes)
+
+
 def test_config_roundtrip(tmp_path):
     config = ProtocolConfig(
         code=CodeParams(l=512, k_u=256, k_r=64, n_spread=16, seed=8),
@@ -202,9 +241,15 @@ def test_config_roundtrip(tmp_path):
         confidence_delta=1e-6,
         check_channel=ChannelParams(7.0, 0.001),
     )
-    path = tmp_path / "cfg.ini"
-    save_config(config, path)
-    assert load_config(path) == config
+    # every field off its default: a field the INI cannot carry fails
+    changed = _off_default(nominal_config())
+    assert len(_scalars(changed)) == 19
+    assert all(a != b for a, b in zip(_scalars(changed), _scalars(nominal_config())))
+    for i, cfg in enumerate((config, changed)):
+        path = tmp_path / f"cfg{i}.ini"
+        save_config(cfg, path)
+        assert load_config(path) == cfg
+        assert parse_config(render_config(cfg)) == cfg
 
 
 def test_config_defaults_for_missing_sections():

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsdc.gf2 import gf2_invert, gf2_matmul, gf2_rank, gf2_row_reduce, random_invertible
+from qsdc.gf2 import gf2_invert, gf2_matmul, gf2_row_reduce, random_invertible
+
+
+def gf2_rank(mat: np.ndarray) -> int:
+    return gf2_row_reduce(mat)[2]
 
 
 def test_matmul_matches_numpy_oracle(rng):

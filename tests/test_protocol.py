@@ -193,9 +193,11 @@ def test_encode_block_layout(fast_config, rng):
     code = realize_code(fast_config.code)
     available = np.arange(5000, dtype=np.int64)
     msg = rng.integers(0, 2, code.k_m, dtype=np.uint8)
-    record = alice_encode_block(msg, code, available, 0.05, rng, block_index=0)
+    n_fwd = fast_config.n_forward_checks
+    record = alice_encode_block(msg, code, available, n_fwd, rng, block_index=0)
     ops = _all_ops(record, code)
     needed = code.block_chips + math.ceil(code.block_chips * 0.05 / 0.95)
+    assert needed == code.block_chips + n_fwd
     assert ops.size == needed
     assert (record.consumed_positions == available[:needed]).all()
     assert record.n_chips == code.block_chips
@@ -208,10 +210,10 @@ def test_encode_block_layout(fast_config, rng):
 def test_modulation_at_equals_dense_ops(fast_config, rng):
     code = realize_code(fast_config.code)
     available = np.sort(rng.choice(6000, 5000, replace=False))
-    for fraction in (0.05, 0.0):
+    for n_fwd in (fast_config.n_forward_checks, 0):
         msg = rng.integers(0, 2, code.k_m, dtype=np.uint8)
-        record = alice_encode_block(msg, code, available, fraction, rng, block_index=3)
-        assert (record.fwd_local.size == 0) == (fraction == 0.0)
+        record = alice_encode_block(msg, code, available, n_fwd, rng, block_index=3)
+        assert record.fwd_local.size == n_fwd
         dense = _dense_ops(record, code)
         assert np.array_equal(_all_ops(record, code), dense)
         # any subset, in any order
@@ -223,7 +225,9 @@ def test_encode_block_insufficient_pulses(fast_config, rng):
     code = realize_code(fast_config.code)
     msg = np.zeros(code.k_m, dtype=np.uint8)
     with pytest.raises(InsufficientPulsesError):
-        alice_encode_block(msg, code, np.arange(10, dtype=np.int64), 0.05, rng, 0)
+        alice_encode_block(
+            msg, code, np.arange(10, dtype=np.int64), fast_config.n_forward_checks, rng, 0
+        )
 
 
 def test_single_use_of_checked_pulses(fast_config, rng):
@@ -235,7 +239,7 @@ def test_single_use_of_checked_pulses(fast_config, rng):
     disc = alice_sample_check(positions, codes, 0.1, rng)
     available = _available_slots(n, disc.positions)
     msg = np.zeros(code.k_m, dtype=np.uint8)
-    record = alice_encode_block(msg, code, available, 0.05, rng, 0)
+    record = alice_encode_block(msg, code, available, fast_config.n_forward_checks, rng, 0)
     assert np.intersect1d(record.consumed_positions, disc.positions).size == 0
     # chips and forward checks partition the consumed set
     assert record.fwd_positions.size + record.n_chips == record.consumed_positions.size
@@ -252,7 +256,8 @@ def test_decode_block_perfect_channel(fast_config, rng):
     code = realize_code(fast_config.code)
     available = np.arange(4000, dtype=np.int64)
     msg = rng.integers(0, 2, code.k_m, dtype=np.uint8)
-    record = alice_encode_block(msg, code, available, 0.05, rng, block_index=0)
+    n_fwd = fast_config.n_forward_checks
+    record = alice_encode_block(msg, code, available, n_fwd, rng, block_index=0)
     bob_codes = rng.integers(0, 4, 4000, dtype=np.uint8)
     wire = bob_codes[record.consumed_positions] ^ _all_ops(record, code)
     outcomes = wire & 1  # measuring in the preparation basis, no noise
@@ -269,7 +274,8 @@ def test_decode_block_error_margin_abort(fast_config, rng):
     code = realize_code(fast_config.code)
     available = np.arange(4000, dtype=np.int64)
     msg = rng.integers(0, 2, code.k_m, dtype=np.uint8)
-    record = alice_encode_block(msg, code, available, 0.05, rng, block_index=0)
+    n_fwd = fast_config.n_forward_checks
+    record = alice_encode_block(msg, code, available, n_fwd, rng, block_index=0)
     bob_codes = rng.integers(0, 4, 4000, dtype=np.uint8)
     wire = bob_codes[record.consumed_positions] ^ _all_ops(record, code)
     # 10% flips exceed the 3% margin

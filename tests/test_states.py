@@ -1,5 +1,6 @@
 """State preparation, encoding, measurement, channel."""
 
+import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -7,21 +8,64 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qsdc.states import (
-    Basis,
-    ChannelParams,
-    EncodeOp,
-    QubitState,
-    apply_encoding,
-    flip_codes,
-    measure,
-    measure_codes,
-    random_state_codes,
-)
+from qsdc.states import ChannelParams, flip_codes, measure_codes, random_state_codes
 
 
 # Scalar reference semantics kept as oracles for the tests below; the
 # protocol itself works on packed state-code arrays.
+
+
+class Basis(enum.IntEnum):
+    Z = 0
+    X = 1
+
+
+class QubitState(enum.IntEnum):
+    """Protocol preparation states; the code packs (basis, bit) as 2*basis + bit."""
+
+    Z0 = 0  # |0>
+    Z1 = 1  # |1>
+    XP = 2  # |+>
+    XM = 3  # |->
+
+    @property
+    def basis(self) -> Basis:
+        return Basis(self.value >> 1)
+
+    @property
+    def bit(self) -> int:
+        return self.value & 1
+
+
+class EncodeOp(enum.IntEnum):
+    """Alice's message unitaries: identity encodes 0, Y = |1><0| - |0><1| encodes 1."""
+
+    I = 0
+    Y = 1
+
+
+def apply_encoding(state: QubitState, op: EncodeOp) -> QubitState:
+    """Apply I or Y.  Y flips the bit within the preparation basis:
+
+    Y|0> = |1>,  Y|1> = -|0>,  Y|+> = -|->,  Y|-> = |+>
+
+    and the global signs are dropped.
+    """
+    if op == EncodeOp.I:
+        return state
+    return QubitState(state.value ^ 1)
+
+
+def measure(state: QubitState, basis: Basis, rng: np.random.Generator) -> int:
+    """Projective measurement, returning the observed bit.
+
+    Measuring an eigenstate of the basis is deterministic; measuring in
+    the conjugate basis returns a uniform bit (Born rule for the four
+    states, all cross-basis overlaps have squared modulus 1/2).
+    """
+    if state.basis == basis:
+        return state.bit
+    return int(rng.integers(0, 2))
 
 
 @dataclass(frozen=True)
