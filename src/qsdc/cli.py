@@ -28,6 +28,7 @@ from qsdc.experiments import (
 )
 from qsdc.protocol import NOMINAL, ProtocolConfig
 from qsdc.security import ErrorRates, half_bias_capacity, secrecy_capacity
+from qsdc.states import loss_to_survival
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -121,7 +122,7 @@ def _write_output(text: str, output: str) -> None:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    q_bob = args.q_bob if args.q_bob is not None else 10.0 ** (-args.loss_db / 10.0)
+    q_bob = args.q_bob if args.q_bob is not None else loss_to_survival(args.loss_db)
     rates = ErrorRates(e_x=args.e_x, e_z=args.e_z, e=args.e)
     half = half_bias_capacity(rates, q_bob, args.g)
     best = secrecy_capacity(rates, q_bob, args.g)

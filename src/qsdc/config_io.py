@@ -64,13 +64,14 @@ def parse_config(text: str) -> ProtocolConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ValueError(f"unknown section [{section}]")
+    default = ProtocolConfig()
     kwargs: dict = {}
     for section, cls in _SECTIONS.items():
         values = _parse_section(parser, section)
         if cls is ProtocolConfig:
             kwargs.update(values)
         elif values:
-            kwargs[section] = cls(**values)
+            kwargs[section] = dataclasses.replace(getattr(default, section), **values)
     return ProtocolConfig(**kwargs)
 
 

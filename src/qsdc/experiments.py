@@ -17,6 +17,7 @@ import numpy as np
 from qsdc.attacks import AttackKind, AttackModel
 from qsdc.protocol import NOMINAL, ProtocolConfig, SessionTranscript, realize_code, run_session
 from qsdc.security import ErrorRates, half_bias_capacity
+from qsdc.states import loss_to_survival
 
 
 def _mean_std(values: list[float]) -> tuple[Optional[float], Optional[float]]:
@@ -128,7 +129,7 @@ def run_capacity_sweep(spec: SweepSpec) -> list[dict]:
     rates = ErrorRates(e_x=spec.e_x, e_z=spec.e_z, e=spec.e)
     rows = []
     for loss_db in spec.losses():
-        q_bob = 10.0 ** (-loss_db / 10.0)
+        q_bob = loss_to_survival(loss_db)
         est = half_bias_capacity(rates, q_bob, spec.g)
         rows.append(
             {

@@ -2,9 +2,13 @@
 
 Matrices hold 0/1 values in uint8; addition is XOR.  Sizes here stay
 in the low thousands, so row-vectorised Gauss-Jordan is plenty fast.
+A matrix applied once per block is packed eight bits to a byte
+(PackedRows), so a product is the XOR of the rows the input selects.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,6 +16,31 @@ import numpy as np
 def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(2)."""
     return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
+
+
+@dataclass(frozen=True, eq=False)
+class PackedRows:
+    """A GF(2) matrix M stored as its rows packed eight bits to a byte."""
+
+    rows: np.ndarray
+    n_cols: int
+
+    @classmethod
+    def pack(cls, mat: np.ndarray) -> PackedRows:
+        return cls(np.packbits(mat, axis=1), mat.shape[1])
+
+    def left_mul(self, x: np.ndarray) -> np.ndarray:
+        """x @ M over GF(2): the XOR of the rows of M that the 1-bits of x select.
+
+        x may be a single vector or a batch of them along leading axes.
+        """
+        x = np.asarray(x)
+        select = (x.reshape(-1, x.shape[-1]) & 1).astype(bool)
+        out = np.empty((select.shape[0], self.rows.shape[1]), dtype=np.uint8)
+        for i, sel in enumerate(select):
+            out[i] = np.bitwise_xor.reduce(self.rows[sel], axis=0)
+        bits = np.unpackbits(out, axis=1, count=self.n_cols)
+        return bits.reshape(x.shape[:-1] + (self.n_cols,))
 
 
 def gf2_row_reduce(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

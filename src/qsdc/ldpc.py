@@ -3,9 +3,12 @@
 The parity-check matrix comes from progressive edge growth with a
 fixed variable degree: each new edge attaches to a check node as far
 as possible from the variable in the current Tanner graph, which keeps
-short cycles out (girth >= 6 at the sizes used here).  The generator
-is obtained by Gauss-Jordan reduction of H, so encoding is systematic
-on the non-pivot columns.
+short cycles out (girth >= 6 at the sizes used here).  Ties break on
+the lowest check degree, then by one rng draw over the tied checks in
+ascending index order, so a seed names the same matrix on every
+platform.  The generator is obtained by Gauss-Jordan reduction of H,
+so encoding is systematic on the non-pivot columns and costs the XOR
+of the generator's packed rows that the information bits select.
 
 The decoder is flooding sum-product on log-likelihood ratios with the
 convention that positive LLR favours bit 0.  Messages are clamped to
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qsdc.gf2 import gf2_row_reduce
+from qsdc.gf2 import PackedRows, gf2_row_reduce
 
 LLR_CLAMP = 30.0
 _TANH_LIM = 1.0 - 1e-12
@@ -31,58 +34,56 @@ def peg_construct(
     For every variable node, edges are placed one at a time on the
     check node at maximal graph distance from the variable (unreached
     checks count as infinitely far), breaking ties by lowest check
-    degree and then uniformly at random.
+    degree and then by one uniform draw over the tied checks in
+    ascending index order.  The first edge of a variable has no graph
+    to search, so every check is a candidate.
+
+    The growing graph is held as packed bit rows, row c having bit c2
+    set when some variable joins checks c and c2, so one breadth-first
+    level is the OR of the frontier's rows.  No step depends on hash or
+    set order: h is a function of the arguments and the rng state.
     """
     if var_degree > n_checks:
         raise ValueError(f"var_degree {var_degree} exceeds check count {n_checks}")
-    var_adj: list[list[int]] = [[] for _ in range(n_vars)]
-    check_adj: list[list[int]] = [[] for _ in range(n_checks)]
+    var_checks = np.empty((n_vars, var_degree), dtype=np.int64)
     check_degree = np.zeros(n_checks, dtype=np.int64)
-    all_checks = frozenset(range(n_checks))
+    linked = np.zeros((n_checks, (n_checks + 7) // 8), dtype=np.uint8)
+    every_check = np.packbits(np.ones(n_checks, dtype=bool))
 
     for v in range(n_vars):
-        for _ in range(var_degree):
-            # breadth-first expansion of the checks reachable from v;
-            # prev holds the reached set one level before the last growth
-            adjacent = set(var_adj[v])
-            reached = set(adjacent)
-            prev: set[int] = set()
-            visited_vars = {v}
-            frontier = set(reached)
-            while frontier and len(reached) < n_checks:
-                next_vars: set[int] = set()
-                for c in frontier:
-                    next_vars.update(check_adj[c])
-                next_vars -= visited_vars
-                if not next_vars:
-                    break
-                visited_vars |= next_vars
-                new_checks: set[int] = set()
-                for u in next_vars:
-                    new_checks.update(var_adj[u])
-                new_checks -= reached
-                if not new_checks:
-                    break
-                prev = set(reached)
-                reached |= new_checks
-                frontier = new_checks
-            candidates = all_checks - reached
-            if not candidates:
-                candidates = all_checks - prev
-            candidates -= adjacent
-            if not candidates:
-                candidates = all_checks - adjacent
-            cand = np.fromiter(candidates, dtype=np.int64)
+        for j in range(var_degree):
+            adjacent = var_checks[v, :j]
+            candidates = every_check
+            if j:
+                # breadth-first expansion of the checks reachable from v;
+                # prev holds the unreached set one level before the last growth
+                unreached = every_check.copy()
+                for c in adjacent.tolist():
+                    unreached[c >> 3] ^= 0x80 >> (c & 7)
+                prev = unreached
+                n_reached = j
+                frontier = adjacent
+                while n_reached < n_checks:
+                    new = np.bitwise_or.reduce(linked.take(frontier, axis=0), axis=0)
+                    new &= unreached
+                    frontier = np.unpackbits(new, count=n_checks).nonzero()[0]
+                    if not frontier.size:
+                        break
+                    prev, unreached = unreached, unreached ^ new
+                    n_reached += frontier.size
+                candidates = unreached if n_reached < n_checks else prev
+            cand = np.unpackbits(candidates, count=n_checks).nonzero()[0]
             degs = check_degree[cand]
             low = cand[degs == degs.min()]
             c = int(low[rng.integers(0, low.size)])
-            var_adj[v].append(c)
-            check_adj[c].append(v)
+            for c2 in adjacent.tolist():
+                linked[c, c2 >> 3] |= 0x80 >> (c2 & 7)
+                linked[c2, c >> 3] |= 0x80 >> (c & 7)
+            var_checks[v, j] = c
             check_degree[c] += 1
 
     h = np.zeros((n_checks, n_vars), dtype=np.uint8)
-    for v, checks in enumerate(var_adj):
-        h[checks, v] = 1
+    h[var_checks, np.arange(n_vars)[:, None]] = 1
     return h
 
 
@@ -106,12 +107,12 @@ def systematic_generator(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, info
 
 
-def ldpc_encode(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Codeword(s) u @ G over GF(2); u may be a single vector or a batch."""
-    u = np.asarray(u, dtype=np.int64)
-    if u.shape[-1] != g.shape[0]:
-        raise ValueError(f"input length {u.shape[-1]} != k_u {g.shape[0]}")
-    return (u @ g.astype(np.int64) % 2).astype(np.uint8)
+def ldpc_encode(u: np.ndarray, g: PackedRows) -> np.ndarray:
+    """Codeword(s) u @ G over GF(2), G as packed rows; u may be a single vector or a batch."""
+    u = np.asarray(u)
+    if u.shape[-1] != g.rows.shape[0]:
+        raise ValueError(f"input length {u.shape[-1]} != k_u {g.rows.shape[0]}")
+    return g.left_mul(u)
 
 
 class TannerGraph:

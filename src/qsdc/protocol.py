@@ -374,7 +374,7 @@ def alice_encode_block(
         )
     random_bits = rng.integers(0, 2, size=code.k_r, dtype=np.uint8)
     u = uhf_map(message_bits, random_bits, code)
-    v = ldpc_encode(u, code.g)
+    v = ldpc_encode(u, code.g_rows)
 
     consumed = available_positions[:needed]
     if n_fwd > 0:

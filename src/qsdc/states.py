@@ -34,7 +34,12 @@ class ChannelParams:
 
     @property
     def survival(self) -> float:
-        return 10.0 ** (-self.loss_db / 10.0)
+        return loss_to_survival(self.loss_db)
+
+
+def loss_to_survival(loss_db: float) -> float:
+    """Fraction of pulses that survive loss_db of channel loss."""
+    return 10.0 ** (-loss_db / 10.0)
 
 
 def random_state_codes(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsdc.gf2 import gf2_matmul, random_invertible
+from qsdc.gf2 import PackedRows, random_invertible
 from qsdc.ldpc import TannerGraph, peg_construct, systematic_generator
 
 VAR_DEGREE = 3
@@ -44,6 +44,11 @@ class WiretapCode:
     info_positions: np.ndarray
     uhf: np.ndarray
     uhf_inv: np.ndarray
+    # the per-block maps u -> u @ g, x -> uhf @ x and u -> uhf_inv @ u,
+    # packed once so that each is the XOR of the rows its input selects
+    g_rows: PackedRows
+    uhf_rows: PackedRows
+    uhf_inv_rows: PackedRows
 
     @property
     def k_m(self) -> int:
@@ -98,6 +103,9 @@ def build_code(l: int, k_u: int, k_r: int, n_spread: int, seed: int) -> WiretapC
         info_positions=info,
         uhf=uhf,
         uhf_inv=uhf_inv,
+        g_rows=PackedRows.pack(g),
+        uhf_rows=PackedRows.pack(uhf.T),
+        uhf_inv_rows=PackedRows.pack(uhf_inv.T),
     )
 
 
@@ -110,7 +118,7 @@ def uhf_map(message_bits: np.ndarray, random_bits: np.ndarray, code: WiretapCode
     if r.shape != (code.k_r,):
         raise ValueError(f"random-bit length {r.shape} != ({code.k_r},)")
     x = np.concatenate([m, r])
-    return gf2_matmul(code.uhf, x[:, None])[:, 0]
+    return code.uhf_rows.left_mul(x)
 
 
 def uhf_invert(u: np.ndarray, code: WiretapCode) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +126,7 @@ def uhf_invert(u: np.ndarray, code: WiretapCode) -> tuple[np.ndarray, np.ndarray
     u = np.asarray(u, dtype=np.uint8)
     if u.shape != (code.k_u,):
         raise ValueError(f"information-word length {u.shape} != ({code.k_u},)")
-    x = gf2_matmul(code.uhf_inv, u[:, None])[:, 0]
+    x = code.uhf_inv_rows.left_mul(u)
     return x[: code.k_m], x[code.k_m :]
 
 

@@ -144,7 +144,7 @@ def test_criterion_06_codec_roundtrip_and_toy_ml(small_code, toy_code):
     for trial in range(1000):
         m = rng.integers(0, 2, small_code.k_m, dtype=np.uint8)
         r = rng.integers(0, 2, small_code.k_r, dtype=np.uint8)
-        v = ldpc_encode(uhf_map(m, r, small_code), small_code.g)
+        v = ldpc_encode(uhf_map(m, r, small_code), small_code.g_rows)
         idx = np.arange(small_code.block_chips)
         chips = spread(v, small_code, trial, idx)
         llrs = compute_llrs(idx, chips, small_code, 0.01, trial)
@@ -156,10 +156,10 @@ def test_criterion_06_codec_roundtrip_and_toy_ml(small_code, toy_code):
     all_u = np.array(
         [[int(b) for b in f"{i:04b}"] for i in range(2**toy_code.k_u)], dtype=np.uint8
     )
-    all_v = ldpc_encode(all_u, toy_code.g)
+    all_v = ldpc_encode(all_u, toy_code.g_rows)
     for trial in range(1000):
         u = all_u[rng.integers(all_u.shape[0])]
-        v = ldpc_encode(u, toy_code.g)
+        v = ldpc_encode(u, toy_code.g_rows)
         idx = np.arange(toy_code.block_chips)
         chips = spread(v, toy_code, trial, idx)
         n_flips = int(rng.integers(0, 3))
@@ -181,7 +181,7 @@ def test_criterion_07_monte_carlo_reliability(default_code):
     for trial in range(1000):
         m = rng.integers(0, 2, default_code.k_m, dtype=np.uint8)
         r = rng.integers(0, 2, default_code.k_r, dtype=np.uint8)
-        v = ldpc_encode(uhf_map(m, r, default_code), default_code.g)
+        v = ldpc_encode(uhf_map(m, r, default_code), default_code.g_rows)
         n_chips = default_code.block_chips
         detected = rng.random(n_chips) < 0.003
         flips = rng.random(n_chips) < 0.006

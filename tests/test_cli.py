@@ -259,6 +259,25 @@ def test_config_defaults_for_missing_sections():
     assert partial.code == nominal_config().code
 
 
+def test_config_partial_section_keeps_defaults():
+    nominal = nominal_config()
+    partial = parse_config("[data_channel]\nloss_db = 12\n")
+    assert partial.data_channel == ChannelParams(12.0, nominal.data_channel.flip_prob)
+    assert partial.check_channel == nominal.check_channel
+    partial = parse_config("[check_channel]\nflip_prob = 0.02\n[code]\nseed = 7\n")
+    assert partial.check_channel == ChannelParams(nominal.check_channel.loss_db, 0.02)
+    assert partial.code == CodeParams(seed=7)
+    assert partial.data_channel == nominal.data_channel
+
+
+@pytest.mark.parametrize("value", ["-3", "twelve"])
+def test_bad_partial_section_value_is_io_error(tmp_path, capsys, value):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[data_channel]\nloss_db = {value}\n")
+    rc = main(["stability", "--config", str(cfg), "--blocks", "1"])
+    assert rc == EXIT_IO
+
+
 def test_config_unknown_key_rejected():
     with pytest.raises(ValueError):
         parse_config("[protocol]\nblok_pulses = 10\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsdc.gf2 import gf2_matmul
+from qsdc.gf2 import PackedRows, gf2_matmul
 from qsdc.ldpc import (
     LLR_CLAMP,
     TannerGraph,
@@ -13,6 +13,65 @@ from qsdc.ldpc import (
     peg_construct,
     systematic_generator,
 )
+from qsdc.wiretap_code import code_description
+
+# h_sha256 of the nominal code, build_code(1312, 656, 128, 830, seed=12345)
+NOMINAL_H_SHA256 = "3657a253754e26e89b2dcb48d14885641fce070fdf8ca575c1c8efc47277cb51"
+
+
+def _peg_reference(n_checks, n_vars, var_degree, rng):
+    """Set-based progressive edge growth, the oracle for peg_construct.
+
+    Each edge runs a breadth-first search over Python sets of checks
+    and variables; the tied candidates are sorted before the rng draw.
+    """
+    var_adj = [[] for _ in range(n_vars)]
+    check_adj = [[] for _ in range(n_checks)]
+    check_degree = np.zeros(n_checks, dtype=np.int64)
+    all_checks = frozenset(range(n_checks))
+
+    for v in range(n_vars):
+        for _ in range(var_degree):
+            adjacent = set(var_adj[v])
+            reached = set(adjacent)
+            prev = set()
+            visited_vars = {v}
+            frontier = set(reached)
+            while frontier and len(reached) < n_checks:
+                next_vars = set()
+                for c in frontier:
+                    next_vars.update(check_adj[c])
+                next_vars -= visited_vars
+                if not next_vars:
+                    break
+                visited_vars |= next_vars
+                new_checks = set()
+                for u in next_vars:
+                    new_checks.update(var_adj[u])
+                new_checks -= reached
+                if not new_checks:
+                    break
+                prev = set(reached)
+                reached |= new_checks
+                frontier = new_checks
+            candidates = all_checks - reached
+            if not candidates:
+                candidates = all_checks - prev
+            candidates -= adjacent
+            if not candidates:
+                candidates = all_checks - adjacent
+            cand = np.array(sorted(candidates), dtype=np.int64)
+            degs = check_degree[cand]
+            low = cand[degs == degs.min()]
+            c = int(low[rng.integers(0, low.size)])
+            var_adj[v].append(c)
+            check_adj[c].append(v)
+            check_degree[c] += 1
+
+    h = np.zeros((n_checks, n_vars), dtype=np.uint8)
+    for v, checks in enumerate(var_adj):
+        h[checks, v] = 1
+    return h
 
 
 def _llrs_from_codeword(v, scale=8.0):
@@ -28,6 +87,27 @@ def test_peg_degrees_and_girth(rng):
     assert cd.max() - cd.min() <= 2
     # no 4-cycles: two checks never share two variables
     overlap = h.astype(int) @ h.T.astype(int)
+    np.fill_diagonal(overlap, 0)
+    assert overlap.max() <= 1
+
+
+@pytest.mark.parametrize(
+    "n_checks, n_vars, var_degree",
+    [(3, 6, 3), (5, 7, 2), (12, 24, 3), (20, 40, 3), (33, 50, 4), (64, 128, 3), (9, 9, 9)],
+)
+def test_peg_equals_set_reference(n_checks, n_vars, var_degree):
+    for seed in range(3):
+        want = _peg_reference(n_checks, n_vars, var_degree, np.random.default_rng(seed))
+        got = peg_construct(n_checks, n_vars, var_degree, np.random.default_rng(seed))
+        assert (got == want).all(), seed
+
+
+def test_peg_nominal_code_pinned(default_code):
+    h = default_code.h
+    assert f"h_sha256 = {NOMINAL_H_SHA256}\n" in code_description(default_code)
+    assert (h.sum(axis=0) == 3).all()
+    # girth >= 6: two checks never share two variables
+    overlap = h.astype(np.int64) @ h.T.astype(np.int64)
     np.fill_diagonal(overlap, 0)
     assert overlap.max() <= 1
 
@@ -54,16 +134,16 @@ def test_systematic_generator_rejects_rank_deficiency():
 
 
 def test_encode_linear(small_code, rng):
-    g = small_code.g
-    k = g.shape[0]
+    g = small_code.g_rows
+    k = small_code.k_u
     a = rng.integers(0, 2, k, dtype=np.uint8)
     b = rng.integers(0, 2, k, dtype=np.uint8)
     assert (ldpc_encode(a ^ b, g) == (ldpc_encode(a, g) ^ ldpc_encode(b, g))).all()
 
 
 def test_encode_batch_matches_single(small_code, rng):
-    g = small_code.g
-    batch = rng.integers(0, 2, (5, g.shape[0]), dtype=np.uint8)
+    g = small_code.g_rows
+    batch = rng.integers(0, 2, (5, small_code.k_u), dtype=np.uint8)
     enc = ldpc_encode(batch, g)
     for i in range(5):
         assert (enc[i] == ldpc_encode(batch[i], g)).all()
@@ -71,7 +151,7 @@ def test_encode_batch_matches_single(small_code, rng):
 
 def test_bp_decode_noiseless_zero_iterations(small_code, rng):
     u = rng.integers(0, 2, small_code.k_u, dtype=np.uint8)
-    v = ldpc_encode(u, small_code.g)
+    v = ldpc_encode(u, small_code.g_rows)
     u_hat, converged, iters = bp_decode(
         _llrs_from_codeword(v), small_code.edges, small_code.info_positions
     )
@@ -81,9 +161,10 @@ def test_bp_decode_noiseless_zero_iterations(small_code, rng):
 
 def test_bp_decode_corrects_single_erasure(small_code, rng):
     u = rng.integers(0, 2, small_code.k_u, dtype=np.uint8)
-    v = ldpc_encode(u, small_code.g)
+    v = ldpc_encode(u, small_code.g_rows)
     llrs = _llrs_from_codeword(v)
-    llrs[17] = 0.0  # one erased bit
+    # erase a 1-bit: a zero LLR hard-decides to 0, so BP must iterate
+    llrs[np.flatnonzero(v)[0]] = 0.0
     u_hat, converged, iters = bp_decode(llrs, small_code.edges, small_code.info_positions)
     assert converged and iters >= 1
     assert (u_hat == u).all()
@@ -91,7 +172,7 @@ def test_bp_decode_corrects_single_erasure(small_code, rng):
 
 def test_bp_decode_corrects_flips(small_code, rng):
     u = rng.integers(0, 2, small_code.k_u, dtype=np.uint8)
-    v = ldpc_encode(u, small_code.g)
+    v = ldpc_encode(u, small_code.g_rows)
     for n_flips in (1, 3, 7):
         llrs = _llrs_from_codeword(v, scale=2.0)
         flip = rng.choice(llrs.size, n_flips, replace=False)
@@ -133,7 +214,7 @@ def test_bp_roundtrip_property(seed):
     except ValueError:
         return  # rank-deficient draw: construction rejects it upstream
     u = rng.integers(0, 2, 12, dtype=np.uint8)
-    v = ldpc_encode(u, g)
+    v = ldpc_encode(u, PackedRows.pack(g))
     u_hat, converged, _ = bp_decode(_llrs_from_codeword(v), TannerGraph(h), info)
     assert converged and (u_hat == u).all()
 
@@ -146,7 +227,7 @@ def test_tanner_graph_syndrome_matches_dense_parity(small_code, rng):
         dense_ok = not ((small_code.h.astype(np.int64) @ v) % 2).any()
         assert edges.syndrome_ok(v) == dense_ok
     u = rng.integers(0, 2, small_code.k_u, dtype=np.uint8)
-    assert edges.syndrome_ok(ldpc_encode(u, small_code.g))
+    assert edges.syndrome_ok(ldpc_encode(u, small_code.g_rows))
 
 
 def test_tanner_graph_skips_empty_checks():

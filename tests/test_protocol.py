@@ -386,12 +386,13 @@ def test_hoeffding_gate_is_more_conservative(fast_config):
             assert lo.c_s <= hi.c_s + 1e-12
 
 
-# sha256 of to_jsonl() + delivered bytes, recorded before the block
-# engine went detection-sparse; the slot layout, chips and LLRs it
-# computes are the dense engine's, so each draw and each byte must
-# match.  The digests assume numpy's PCG64 bit streams.
+# sha256 of to_jsonl() + delivered bytes.  The slot layout, chips and
+# LLRs are the dense engine's, so each draw and each byte must match.
+# They see H through the per-block BP iteration counts, which the
+# "honest" session's digest pins.  The digests assume numpy's PCG64 bit
+# streams.
 _PINNED_SESSIONS = [
-    ("honest", None, 11, "d1d698b1a529b1c9439a7b38dbc41340e117ae818ddc9e331d6cb3acf5f8d6f1"),
+    ("honest", None, 11, "e5abfdb128a7a49512cb78785c6145113cfbb80090a55248bb385f1809a8989d"),
     (
         "intercept-resend 0.3",
         AttackModel.intercept_resend(0.3),

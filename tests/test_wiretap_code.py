@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsdc.gf2 import gf2_matmul
+from qsdc.ldpc import ldpc_encode
 from qsdc.wiretap_code import (
     build_code,
     check_security_condition,
@@ -51,6 +52,22 @@ def test_build_code_validation():
 def test_uhf_is_invertible(small_code):
     eye = np.eye(small_code.k_u, dtype=np.uint8)
     assert (gf2_matmul(small_code.uhf, small_code.uhf_inv) == eye).all()
+
+
+def test_packed_products_equal_gf2_matmul(small_code, default_code, rng):
+    for code in (small_code, default_code):
+        batch = rng.integers(0, 2, (2, 3, code.k_u), dtype=np.uint8)
+        encoded = ldpc_encode(batch, code.g_rows)
+        assert encoded.shape == (2, 3, code.l)
+        assert (encoded.reshape(6, code.l) == gf2_matmul(batch.reshape(6, code.k_u), code.g)).all()
+        for x in batch.reshape(6, code.k_u):
+            assert (ldpc_encode(x, code.g_rows) == gf2_matmul(x, code.g)).all()
+            u = uhf_map(x[: code.k_m], x[code.k_m :], code)
+            assert (u == gf2_matmul(code.uhf, x)).all()
+            m, r = uhf_invert(x, code)
+            assert (np.concatenate([m, r]) == gf2_matmul(code.uhf_inv, x)).all()
+        zero = np.zeros(code.k_u, dtype=np.uint8)
+        assert not ldpc_encode(zero, code.g_rows).any()
 
 
 def test_uhf_roundtrip(small_code, rng):
