@@ -17,6 +17,16 @@ the hardware.  Alice cannot tell which coding slots carry photons, so
 chips are assigned to slots blindly and undetected chips become
 erasures on Bob's side.
 
+The engine draws only what is observed.  States, the attack and the
+channel act on each slot independently and identically, and check and
+data slots are disjoint, so a slot's identity never affects an
+outcome.  A block attempt therefore draws counts for the slots nobody
+observes (binomial detection and check counts) and states, attack,
+flips and measurements only for the checked pulses and for the data
+slots that fire Bob's detector.  Every recorded quantity keeps the
+distribution of a slot-by-slot simulation, and an attempt costs
+O(detections), not O(slots).
+
 All randomness is drawn from per-block generators derived from
 (session seed, block counter), so transcripts are reproducible and
 blocks can be simulated in parallel without shared state.
@@ -45,10 +55,6 @@ from qsdc.wiretap_code import (
     uhf_invert,
     uhf_map,
 )
-
-
-class InsufficientPulsesError(RuntimeError):
-    """A block did not have enough usable slots; the block is deferred."""
 
 
 @dataclass(frozen=True)
@@ -147,20 +153,18 @@ NOMINAL = nominal_config()
 
 @dataclass(frozen=True)
 class CheckDisclosure:
-    """Alice's published check measurements: positions, bases, outcomes."""
+    """Alice's published check measurements: the basis and the outcome
+    of each checked pulse, in the order of Bob's records of them."""
 
-    positions: np.ndarray
     bases: np.ndarray
     outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.positions.shape == self.bases.shape == self.outcomes.shape):
+        if self.bases.shape != self.outcomes.shape:
             raise ValueError("disclosure arrays must have identical shape")
-        if self.positions.size > 1 and not (np.diff(self.positions) > 0).all():
-            raise ValueError("disclosure positions must be strictly increasing")
 
     def __len__(self) -> int:
-        return int(self.positions.size)
+        return int(self.bases.size)
 
 
 @dataclass(frozen=True)
@@ -193,21 +197,21 @@ class GateDecision:
 
 @dataclass(frozen=True)
 class EncodeRecord:
-    """Alice's account of one encoded block.
+    """Alice's account of one encoded block at the slots Bob detects.
 
-    The slot layout (consumed and forward-check positions, check values)
-    is public; the codeword stays with Alice, and bob_decode_block reads
-    only the layout.  fwd_local holds the sorted forward-check indices
-    into consumed_positions.
+    The detected slots are listed forward checks first, then chips in
+    ascending chip order.  fwd_values (the check values Alice discloses)
+    and chip_idx are the public layout bob_decode_block reads; the
+    codeword stays with Alice.
     """
 
     block_index: int
-    consumed_positions: np.ndarray
-    fwd_positions: np.ndarray
-    fwd_values: np.ndarray
-    n_chips: int
     codeword: np.ndarray
-    fwd_local: np.ndarray
+    fwd_values: np.ndarray
+    chip_idx: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.fwd_values.size + self.chip_idx.size)
 
 
 @dataclass(frozen=True)
@@ -224,49 +228,36 @@ class BlockDecodeResult:
 
 
 def bob_prepare_block(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one block of uniformly random preparation states.
+    """Draw n uniformly random preparation states.
 
     The returned code array doubles as Bob's basis/bit record: basis is
     code >> 1 and bit is code & 1.
     """
-    if n <= 0:
-        raise ValueError(f"pulse count must be > 0, got {n}")
+    if n < 0:
+        raise ValueError(f"pulse count must be >= 0, got {n}")
     return random_state_codes(n, rng)
 
 
-def alice_sample_check(
-    positions: np.ndarray,
-    codes: np.ndarray,
-    check_fraction: float,
-    rng: np.random.Generator,
-) -> CheckDisclosure:
-    """Select and measure a random subset of the received pulses.
+def alice_sample_check(codes: np.ndarray, rng: np.random.Generator) -> CheckDisclosure:
+    """Measure the pulses Alice diverted to her check module.
 
-    positions/codes describe the pulses that fired Alice's check path,
-    as they arrive at her bench (channel noise already applied).  Each
-    is selected independently with check_fraction, measured in a
-    uniformly random basis, and disclosed; selected pulses are consumed
-    and must not be modulated.
+    codes are the checked pulses as they arrive at her bench (channel
+    noise already applied).  Each is measured in a uniformly random
+    basis and disclosed; checked pulses are consumed and never
+    modulated.
     """
-    if not 0.0 < check_fraction <= 1.0:
-        raise ValueError(f"check_fraction must be in (0, 1], got {check_fraction}")
-    if positions.size == 0:
-        raise ValueError("no pulses received in this block (channel outage)")
-    sel = rng.random(positions.size) < check_fraction
-    pos = positions[sel]
-    bases = rng.integers(0, 2, size=int(sel.sum()), dtype=np.uint8)
-    outcomes = measure_codes(codes[sel], bases, rng)
-    return CheckDisclosure(positions=pos, bases=bases, outcomes=outcomes)
+    bases = rng.integers(0, 2, size=codes.shape[0], dtype=np.uint8)
+    return CheckDisclosure(bases=bases, outcomes=measure_codes(codes, bases, rng))
 
 
-def bob_estimate_errors(disclosure: CheckDisclosure, bob_codes: np.ndarray) -> CheckStats:
-    """Compare the disclosure with Bob's records, bucketed by basis.
+def bob_estimate_errors(disclosure: CheckDisclosure, prepared: np.ndarray) -> CheckStats:
+    """Compare the disclosure with Bob's records of the checked pulses,
+    bucketed by basis.
 
     Only pulses Alice happened to measure in Bob's preparation basis
     are comparable; a bucket with no such pulses leaves that estimate
     undefined (None).
     """
-    prepared = bob_codes[disclosure.positions]
     matched = (prepared >> 1) == disclosure.bases
     errors = disclosure.outcomes != (prepared & 1)
     z_bucket = matched & (disclosure.bases == 0)
@@ -348,108 +339,87 @@ def gate_on_capacity(
     )
 
 
+def draw_data_detections(
+    n_chips: int, n_fwd: int, survival: float, rng: np.random.Generator
+) -> tuple[int, np.ndarray]:
+    """Which of a block's n_chips + n_fwd data slots fire Bob's detector.
+
+    Each data slot fires independently with the survival probability,
+    and the forward checks are a uniform n_fwd-subset of the data slots,
+    independent of the detections; the chips fill the other slots in
+    order.  So Binomial(n_fwd, survival) forward checks are detected,
+    and the detected chips are a Binomial(n_chips, survival)-sized
+    uniform subset of the chip indices.  Returns that forward-check
+    count and the ascending detected chip indices.  A few thousand of a
+    million indices are drawn by Floyd's algorithm, so no array of
+    length n_chips is built.
+    """
+    n_fwd_det = int(rng.binomial(n_fwd, survival))
+    n_chip_det = int(rng.binomial(n_chips, survival))
+    chip_idx = np.sort(rng.choice(n_chips, size=n_chip_det, replace=False, shuffle=False))
+    return n_fwd_det, chip_idx
+
+
 def alice_encode_block(
     message_bits: np.ndarray,
     code: WiretapCode,
-    available_positions: np.ndarray,
-    n_fwd: int,
+    n_fwd_detected: int,
+    chip_idx: np.ndarray,
     rng: np.random.Generator,
     block_index: int,
 ) -> EncodeRecord:
-    """Lay one block out on the available slots.
+    """Encode one block and lay it out on the slots Bob detects.
 
-    Fresh random bits are drawn, (message || random) is whitened and
-    LDPC encoded, and n_fwd uniformly random check bits are placed at
-    random slot positions; the codeword's chips fill the other slots in
-    order.  Exactly n_chips + n_fwd slots are consumed, in slot order.
-    modulation_at gives the resulting 0/1 modulation op of any consumed
-    slot.
+    Fresh random bits are drawn and (message || random) is whitened and
+    LDPC encoded.  Alice's uniformly random forward-check values are
+    drawn for the n_fwd_detected detected check slots only: the others
+    are never observed.  modulation_at gives her modulation op on every
+    detected slot.
     """
     message_bits = np.asarray(message_bits, dtype=np.uint8)
-    n_chips = code.block_chips
-    needed = n_chips + n_fwd
-    if available_positions.size < needed:
-        raise InsufficientPulsesError(
-            f"block needs {needed} slots, only {available_positions.size} available"
-        )
     random_bits = rng.integers(0, 2, size=code.k_r, dtype=np.uint8)
     u = uhf_map(message_bits, random_bits, code)
     v = ldpc_encode(u, code.g_rows)
-
-    consumed = available_positions[:needed]
-    if n_fwd > 0:
-        fwd_local = np.sort(rng.choice(needed, size=n_fwd, replace=False))
-        fwd_values = rng.integers(0, 2, size=n_fwd, dtype=np.uint8)
-    else:
-        fwd_local = np.empty(0, dtype=np.int64)
-        fwd_values = np.empty(0, dtype=np.uint8)
+    fwd_values = rng.integers(0, 2, size=n_fwd_detected, dtype=np.uint8)
     return EncodeRecord(
         block_index=block_index,
-        consumed_positions=consumed,
-        fwd_positions=consumed[fwd_local],
-        fwd_values=fwd_values,
-        n_chips=n_chips,
         codeword=v,
-        fwd_local=fwd_local,
+        fwd_values=fwd_values,
+        chip_idx=np.asarray(chip_idx, dtype=np.int64),
     )
 
 
-def _rank_in(sorted_values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each x: how many sorted_values lie below it, and whether x is one."""
-    rank = np.searchsorted(sorted_values, x)
-    hit = np.zeros(x.shape, dtype=bool)
-    inside = rank < sorted_values.size
-    hit[inside] = sorted_values[rank[inside]] == x[inside]
-    return rank, hit
-
-
-def modulation_at(record: EncodeRecord, code: WiretapCode, local: np.ndarray) -> np.ndarray:
-    """Alice's 0/1 modulation op at the given consumed-slot indices.
-
-    A forward-check slot carries its check value; any other slot carries
-    the chip whose index is the slot's index less the forward checks
-    before it.
-    """
-    local = np.asarray(local, dtype=np.int64)
-    rank, is_fwd = _rank_in(record.fwd_local, local)
-    ops = np.empty(local.shape, dtype=np.uint8)
-    ops[is_fwd] = record.fwd_values[rank[is_fwd]]
-    is_chip = ~is_fwd
-    ops[is_chip] = spread(
-        record.codeword, code, record.block_index, local[is_chip] - rank[is_chip]
-    )
-    return ops
+def modulation_at(record: EncodeRecord, code: WiretapCode) -> np.ndarray:
+    """Alice's 0/1 modulation op on each detected slot, in record order:
+    the check value on a forward-check slot, the chip on a chip slot."""
+    chips = spread(record.codeword, code, record.block_index, record.chip_idx)
+    return np.concatenate([record.fwd_values, chips])
 
 
 def bob_decode_block(
-    detected_positions: np.ndarray,
     outcomes: np.ndarray,
-    bob_codes: np.ndarray,
+    prepared: np.ndarray,
     record: EncodeRecord,
     code: WiretapCode,
     e_margin: float,
 ) -> BlockDecodeResult:
     """Recover one block from Bob's detected return pulses.
 
+    outcomes and prepared (Bob's state codes) are in record order.
     Measured outcomes are XORed with Bob's prepared bits to estimate
     the modulation op on each detected slot; disclosed forward check
     bits give the running error estimate, the rest are de-spread into
     LLRs and belief-propagation decoded, and the whitening is inverted.
     """
-    est = (outcomes ^ (bob_codes[detected_positions] & 1)).astype(np.uint8)
-    local = np.searchsorted(record.consumed_positions, detected_positions)
-    fwd_rank, det_is_fwd = _rank_in(record.fwd_positions, detected_positions)
-    det_is_chip = ~det_is_fwd
-
-    n_fwd_det = int(det_is_fwd.sum())
-    fwd_errors = int((est[det_is_fwd] != record.fwd_values[fwd_rank[det_is_fwd]]).sum())
+    est = (outcomes ^ (prepared & 1)).astype(np.uint8)
+    n_fwd_det = record.fwd_values.size
+    fwd_errors = int((est[:n_fwd_det] != record.fwd_values).sum())
     e_fwd = fwd_errors / n_fwd_det if n_fwd_det else None
     # Laplace-smoothed estimate keeps the LLR weight finite per block
     e_llr = (fwd_errors + 1.0) / (n_fwd_det + 2.0) if n_fwd_det else 0.1
     e_llr = min(max(e_llr, 1e-4), 0.49)
 
-    chip_idx = local[det_is_chip] - fwd_rank[det_is_chip]
-    llrs = compute_llrs(chip_idx, est[det_is_chip], code, e_llr, record.block_index)
+    llrs = compute_llrs(record.chip_idx, est[n_fwd_det:], code, e_llr, record.block_index)
     u_hat, converged, iterations = bp_decode(llrs, code.edges, code.info_positions)
     m_hat, r_hat = uhf_invert(u_hat, code)
 
@@ -466,7 +436,7 @@ def bob_decode_block(
         e_fwd=e_fwd,
         fwd_errors=fwd_errors,
         n_fwd_detected=n_fwd_det,
-        n_chip_detected=int(det_is_chip.sum()),
+        n_chip_detected=int(record.chip_idx.size),
         bp_iterations=iterations,
         bp_converged=converged,
     )
@@ -478,6 +448,9 @@ class BlockRecord:
 
     Fields past n_received_check default to what an attempt that never
     reached them records: a deferral with zero counts and no estimates.
+    A deferred attempt's status names its reason: no check-path
+    detection, an empty basis bucket in the check sample, or too few
+    unchecked slots left for the codeword and its forward checks.
     """
 
     block_index: int
@@ -499,7 +472,7 @@ class BlockRecord:
     budget_ku: Optional[float] = None
     budget_ok: Optional[bool] = None
     gate_proceed: Optional[bool] = None
-    status: str = "deferred"
+    status: str = "deferred-no-detections"
     e_fwd: Optional[float] = None
     n_fwd_detected: int = 0
     n_chip_detected: int = 0
@@ -568,11 +541,36 @@ def _unframe_message(bit_chunks: list[np.ndarray]) -> bytes:
     return data[4 : 4 + length]
 
 
-def _available_slots(n_sent: int, disclosed_positions: np.ndarray) -> np.ndarray:
-    """Slot indices below n_sent that the check disclosure did not consume."""
-    disclosed = np.zeros(n_sent, dtype=bool)
-    disclosed[disclosed_positions] = True
-    return np.flatnonzero(~disclosed)
+def _gate_block(
+    config: ProtocolConfig,
+    code: WiretapCode,
+    stats: CheckStats,
+    q_hat: float,
+    e_pool: tuple[int, int],
+    check_pool: tuple[int, int, int, int],
+) -> GateDecision:
+    """The capacity gate on this attempt's check counts pooled with the
+    session's earlier ones (see _run_block_attempt)."""
+    err_pool, n_pool = e_pool
+    e_gate = err_pool / n_pool if n_pool else config.data_channel.flip_prob
+    px_err, px_n, pz_err, pz_n = check_pool
+    gx_err, gx_n = px_err + stats.err_x, px_n + stats.n_x
+    gz_err, gz_n = pz_err + stats.err_z, pz_n + stats.n_z
+    e_x, e_z = gx_err / gx_n, gz_err / gz_n
+    if config.confidence_delta is not None:
+        e_x = hoeffding_upper(e_x, gx_n, config.confidence_delta)
+        e_z = hoeffding_upper(e_z, gz_n, config.confidence_delta)
+        e_gate = hoeffding_upper(e_gate, n_pool, config.confidence_delta)
+    return gate_on_capacity(
+        e_x,
+        e_z,
+        e_gate,
+        q_hat,
+        config.g,
+        threshold=config.abort_threshold_capacity,
+        code=code,
+        enforce_code_budget=config.enforce_code_budget,
+    )
 
 
 def _run_block_attempt(
@@ -599,34 +597,37 @@ def _run_block_attempt(
     each block were gated on its own sample alone.  Per-block rates are
     still logged unpooled, and the forward-check margin in the decode
     step guards each block individually.
+
+    Slots nobody observes are only counted (see the module docstring):
+    Bob's states, the attack, the flips and the measurements are drawn
+    for the checked pulses and the detected data slots alone.
     """
     ss = np.random.SeedSequence([seed, counter])
     bob_rng, channel_rng, alice_rng, attack_rng = (
         np.random.default_rng(child) for child in ss.spawn(4)
     )
 
+    # check path: how many slots fire Alice's check detector, and which
+    # of those she checks
     n_sent = config.slots_per_block
-    bob_codes = bob_prepare_block(n_sent, bob_rng)
-    wire, _ = attack.apply(bob_codes, attack_rng)
-
-    # check path: which slots fire Alice's check detector
-    received_mask = channel_rng.random(n_sent) < config.check_channel.survival
-    received_pos = np.nonzero(received_mask)[0]
+    n_received = int(channel_rng.binomial(n_sent, config.check_channel.survival))
     base_record = dict(
         block_index=block_index,
         attempt=attempt,
         n_sent=n_sent,
-        n_received_check=int(received_pos.size),
+        n_received_check=n_received,
     )
-    if received_pos.size == 0:
-        return BlockRecord(**base_record), None
+    if n_received == 0:
+        return BlockRecord(**base_record, status="deferred-no-detections"), None
 
-    arriving = flip_codes(wire[received_pos], config.check_channel.flip_prob, channel_rng)
-    disclosure = alice_sample_check(received_pos, arriving, config.check_fraction, alice_rng)
-    stats = bob_estimate_errors(disclosure, bob_codes)
-    q_hat = received_pos.size / n_sent
+    n_checked = int(alice_rng.binomial(n_received, config.check_fraction))
+    prepared = bob_prepare_block(n_checked, bob_rng)
+    wire, _ = attack.apply(prepared, attack_rng)
+    arriving = flip_codes(wire, config.check_channel.flip_prob, channel_rng)
+    stats = bob_estimate_errors(alice_sample_check(arriving, alice_rng), prepared)
+    q_hat = n_received / n_sent
     base_record.update(
-        n_checked=len(disclosure),
+        n_checked=n_checked,
         n_z=stats.n_z,
         n_x=stats.n_x,
         err_z=stats.err_z,
@@ -636,28 +637,9 @@ def _run_block_attempt(
         q_hat=q_hat,
     )
     if not stats.well_defined:
-        return BlockRecord(**base_record), None
+        return BlockRecord(**base_record, status="deferred-empty-basis"), None
 
-    err_pool, n_pool = e_pool
-    e_gate = err_pool / n_pool if n_pool else config.data_channel.flip_prob
-    px_err, px_n, pz_err, pz_n = check_pool
-    gx_err, gx_n = px_err + stats.err_x, px_n + stats.n_x
-    gz_err, gz_n = pz_err + stats.err_z, pz_n + stats.n_z
-    e_x, e_z = gx_err / gx_n, gz_err / gz_n
-    if config.confidence_delta is not None:
-        e_x = hoeffding_upper(e_x, gx_n, config.confidence_delta)
-        e_z = hoeffding_upper(e_z, gz_n, config.confidence_delta)
-        e_gate = hoeffding_upper(e_gate, n_pool, config.confidence_delta)
-    decision = gate_on_capacity(
-        e_x,
-        e_z,
-        e_gate,
-        q_hat,
-        config.g,
-        threshold=config.abort_threshold_capacity,
-        code=code,
-        enforce_code_budget=config.enforce_code_budget,
-    )
+    decision = _gate_block(config, code, stats, q_hat, e_pool, check_pool)
     base_record.update(
         c_s=decision.estimate.c_s,
         i_ab=decision.estimate.i_ab,
@@ -668,36 +650,27 @@ def _run_block_attempt(
         gate_proceed=decision.proceed,
     )
     if not decision.proceed:
-        base_record["status"] = "gate-abort"
-        return BlockRecord(**base_record), None
+        return BlockRecord(**base_record, status="gate-abort"), None
 
-    # encoding phase: no message material leaves Alice before this point
-    available = _available_slots(n_sent, disclosure.positions)
-    try:
-        enc_record = alice_encode_block(
-            chunk_bits,
-            code,
-            available,
-            config.n_forward_checks,
-            alice_rng,
-            block_index=counter,
-        )
-    except InsufficientPulsesError:
-        return BlockRecord(**base_record), None
+    n_fwd = config.n_forward_checks
+    if n_sent - n_checked < code.block_chips + n_fwd:
+        return BlockRecord(**base_record, status="deferred-insufficient-slots"), None
 
-    # every consumed slot draws its detection, but only the detected ones
-    # are modulated, flipped and measured
-    consumed = enc_record.consumed_positions
-    det_local = np.flatnonzero(channel_rng.random(consumed.size) < config.data_channel.survival)
-    det_positions = consumed[det_local]
-    returned = wire[det_positions] ^ modulation_at(enc_record, code, det_local)
-    det_codes = flip_codes(returned, config.data_channel.flip_prob, channel_rng)
-    bob_bases = bob_codes[det_positions] >> 1
-    outcomes = measure_codes(det_codes, bob_bases, channel_rng)
-
-    result = bob_decode_block(
-        det_positions, outcomes, bob_codes, enc_record, code, config.e_margin
+    # encoding phase: no message material leaves Alice before this point;
+    # only the data slots that fire Bob's detector are drawn
+    n_fwd_det, chip_idx = draw_data_detections(
+        code.block_chips, n_fwd, config.data_channel.survival, channel_rng
     )
+    enc_record = alice_encode_block(
+        chunk_bits, code, n_fwd_det, chip_idx, alice_rng, block_index=counter
+    )
+    prepared = bob_prepare_block(len(enc_record), bob_rng)
+    wire, _ = attack.apply(prepared, attack_rng)
+    returned = wire ^ modulation_at(enc_record, code)
+    det_codes = flip_codes(returned, config.data_channel.flip_prob, channel_rng)
+    outcomes = measure_codes(det_codes, prepared >> 1, channel_rng)
+
+    result = bob_decode_block(outcomes, prepared, enc_record, code, config.e_margin)
     base_record.update(
         status=result.status,
         e_fwd=result.e_fwd,

@@ -1,0 +1,134 @@
+"""Write one flat JSON benchmark report for the checkout this file is in.
+
+    python3 tools/bench_report.py --output BENCH_<n>.json [--seconds 8] [--seed 1]
+
+It runs perfbench/run.py for every workload, untraced and traced, then
+times a cold nominal `build_code` in a fresh process, a 10 KiB
+`qsdc send` at the default configuration, and the Tier-1 test suite,
+and records the machine: cores, Python, numpy and the git head.
+
+Every key of the output is a top-level scalar, so two reports diff with
+
+    jq -S . A.json > a; jq -S . B.json > b; diff a b
+
+Keys are `<workload>.<metric>` for the untraced end-to-end metrics,
+`<workload>.trace.<metric>` for the traced per-layer ones, and plain
+names for the rest.  A figure is from one run; compare two reports
+taken on the same machine under the same load.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("nominal_file", "marginal_link", "attack_abort", "capacity_scan")
+SEND_BYTES = 10 * 1024
+BUILD_SNIPPET = """
+import time
+from qsdc.wiretap_code import build_code
+t0 = time.perf_counter()
+build_code(1312, 656, 128, 830, 12345)
+print(time.perf_counter() - t0)
+"""
+
+
+def _env() -> dict:
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": f"{src}:{path}" if path else src}
+
+
+def _run(cmd: list[str], **kwargs) -> tuple[subprocess.CompletedProcess, float]:
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=ROOT, env=_env(), capture_output=True, text=True, **kwargs)
+    return proc, time.perf_counter() - t0
+
+
+def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One run.py call, flattened to `<workload>[.trace].<key>` entries."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc, _ = _run(cmd)
+    prefix = f"{workload}.trace" if trace else workload
+    if proc.returncode != 0:
+        return {f"{prefix}.error": proc.stderr.strip().splitlines()[-1:] or [f"exit {proc.returncode}"]}
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    flat = {f"{prefix}.{key}": summary[key] for key in ("correct", "attempted", "failed")}
+    for name, metric in summary["metrics"].items():
+        flat[f"{prefix}.{name}"] = metric["value"]
+    return flat
+
+
+def cold_build() -> dict:
+    proc, wall = _run([sys.executable, "-c", BUILD_SNIPPET])
+    return {"build_code.cold_s": float(proc.stdout.strip()), "build_code.process_s": wall}
+
+
+def send_10k(seed: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst = Path(tmp) / "in.bin", Path(tmp) / "out.bin"
+        src.write_bytes(random.Random(seed).randbytes(SEND_BYTES))
+        proc, wall = _run([sys.executable, "-m", "qsdc.cli", "send", "--input", str(src),
+                           "--output", str(dst), "--seed", str(seed)])
+        identical = dst.is_file() and dst.read_bytes() == src.read_bytes()
+    return {"send_10k.wall_s": wall, "send_10k.exit_code": proc.returncode,
+            "send_10k.identical": identical}
+
+
+def tier1() -> dict:
+    proc, wall = _run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                       "--continue-on-collection-errors"])
+    tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {f"tier1.{word}": int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)", tail)}
+    return {"tier1.wall_s": wall, "tier1.passed": 0, "tier1.failed": 0, **counts}
+
+
+def machine() -> dict:
+    import numpy
+
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+    dirty = subprocess.run(["git", "status", "--porcelain", "--", "src", "tests", "perfbench"],
+                           cwd=ROOT, capture_output=True, text=True)
+    return {
+        "git_head": head.stdout.strip() or None,
+        "git_dirty": bool(dirty.stdout.strip()) if head.returncode == 0 else None,
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "platform": platform.platform(),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--output", required=True, help="report path, e.g. BENCH_<n>.json")
+    parser.add_argument("--seconds", type=float, default=8.0, help="timed seconds per run")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    report = {"schema": 1, "seconds": args.seconds, "seed": args.seed, **machine()}
+    for workload in WORKLOADS:
+        for trace in (0, 1):
+            print(f"{workload} trace {trace}", file=sys.stderr)
+            report.update(perfbench(workload, args.seed, args.seconds, trace))
+    for name, step in (("cold build_code", cold_build), ("10 KiB send", lambda: send_10k(args.seed)),
+                       ("tier-1", tier1)):
+        print(name, file=sys.stderr)
+        report.update(step())
+    Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
