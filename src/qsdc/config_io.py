@@ -15,7 +15,6 @@ import dataclasses
 import io
 import typing
 from pathlib import Path
-from types import NoneType
 
 from qsdc.protocol import ProtocolConfig
 
@@ -47,14 +46,7 @@ def _parse_section(parser: configparser.ConfigParser, section: str) -> dict:
     for key, raw in parser.items(section):
         if key not in known:
             raise ValueError(f"unknown key '{key}' in section [{section}]")
-        kind = known[key]
-        args = typing.get_args(kind)
-        if NoneType in args:  # Optional[T]: empty or "none" reads as None
-            if raw.strip().lower() in ("", "none"):
-                out[key] = None
-                continue
-            (kind,) = set(args) - {NoneType}
-        out[key] = parser.getboolean(section, key) if kind is bool else kind(raw)
+        out[key] = known[key](raw)
     return out
 
 
@@ -83,8 +75,7 @@ def render_config(config: ProtocolConfig) -> str:
     parser = configparser.ConfigParser()
     for section, cls in _SECTIONS.items():
         obj = config if cls is ProtocolConfig else getattr(config, section)
-        values = {k: getattr(obj, k) for k in _scalar_fields(cls)}
-        parser[section] = {k: "" if v is None else str(v) for k, v in values.items()}
+        parser[section] = {k: str(getattr(obj, k)) for k in _scalar_fields(cls)}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

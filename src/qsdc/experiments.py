@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from qsdc.attacks import AttackKind, AttackModel
-from qsdc.protocol import NOMINAL, ProtocolConfig, SessionTranscript, realize_code, run_session
+from qsdc.protocol import FRAME_HEADER_BYTES, NOMINAL, ProtocolConfig, realize_code, run_session
 from qsdc.security import ErrorRates, half_bias_capacity
 from qsdc.states import loss_to_survival
 
@@ -31,7 +31,6 @@ def _mean_std(values: list[float]) -> tuple[Optional[float], Optional[float]]:
 class StabilityReport:
     rows: list[dict]
     summary: dict
-    transcript: SessionTranscript
 
 
 def run_stability(config: ProtocolConfig, n_blocks: int, seed: int) -> StabilityReport:
@@ -47,7 +46,7 @@ def run_stability(config: ProtocolConfig, n_blocks: int, seed: int) -> Stability
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
     code = realize_code(config.code)
-    payload_bytes = (n_blocks * code.k_m - 32) // 8
+    payload_bytes = (n_blocks * code.k_m - 8 * FRAME_HEADER_BYTES) // 8
     if payload_bytes < 1:
         raise ValueError("code too small to fit the framing header in one block")
     payload = np.random.default_rng(seed).integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
@@ -91,7 +90,7 @@ def run_stability(config: ProtocolConfig, n_blocks: int, seed: int) -> Stability
         "abort_reason": transcript.abort_reason,
         "delivered_ok": transcript.delivered == payload,
     }
-    return StabilityReport(rows=rows, summary=summary, transcript=transcript)
+    return StabilityReport(rows=rows, summary=summary)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Dense GF(2) linear algebra on uint8 arrays.
+"""Dense GF(2) linear algebra on uint8 arrays: row reduction, inversion,
+random invertible matrices and packed-row products.
 
 Matrices hold 0/1 values in uint8; addition is XOR.  Sizes here stay
 in the low thousands, so row-vectorised Gauss-Jordan is plenty fast.
 A matrix applied once per block is packed eight bits to a byte
-(PackedRows), so a product is the XOR of the rows the input selects.
+(PackedRows), so its product with a vector is the XOR of the rows the
+vector selects; that is the only product the package needs.
 """
 
 from __future__ import annotations
@@ -11,11 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2)."""
-    return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)

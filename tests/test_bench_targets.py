@@ -1,0 +1,45 @@
+"""The benchmark's per-layer spans name package functions by dotted path.
+
+perfbench/workload.py wraps each target in its WRAPPED table when it
+traces a run, and reports a layer whose targets are all gone as null.
+The table is read as data, without importing perfbench, so that a
+rename or deletion in the package fails here instead.
+"""
+
+import ast
+import functools
+import importlib
+from pathlib import Path
+
+WORKLOAD = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
+
+
+def _wrapped_table() -> dict:
+    for node in ast.parse(WORKLOAD.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no WRAPPED table in {WORKLOAD}")
+
+
+def _resolves(target: str) -> bool:
+    # qsdc.<module>.<attribute>[.<attribute>]
+    package, module, *attrs = target.split(".")
+    if package != "qsdc" or not attrs:
+        return False
+    obj = importlib.import_module(f"{package}.{module}")
+    try:
+        return callable(functools.reduce(getattr, attrs, obj))
+    except AttributeError:
+        return False
+
+
+def test_traced_targets_resolve_in_package():
+    table = _wrapped_table()
+    targets = [t for names in table.values() for t in names]
+    assert "qsdc.protocol.gate_on_capacity" in table["security.gate"]
+    # workload.py builds the keystream basis under its own span
+    targets.append("qsdc.spreading.keystream")
+    missing = [t for t in targets if not _resolves(t)]
+    assert not missing, f"traced names missing from the package: {missing}"

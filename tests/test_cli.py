@@ -222,12 +222,8 @@ def _off_default(obj):
         value = getattr(obj, f.name)
         if dataclasses.is_dataclass(value):
             changes[f.name] = _off_default(value)
-        elif isinstance(value, bool):
-            changes[f.name] = not value
         elif isinstance(value, int):
             changes[f.name] = value - 1
-        elif value is None:
-            changes[f.name] = 0.25
         else:
             changes[f.name] = value / 2 + 0.001
     return dataclasses.replace(obj, **changes)
@@ -238,12 +234,11 @@ def test_config_roundtrip(tmp_path):
         code=CodeParams(l=512, k_u=256, k_r=64, n_spread=16, seed=8),
         block_pulses=16 * 512,
         check_fraction=0.2,
-        confidence_delta=1e-6,
         check_channel=ChannelParams(7.0, 0.001),
     )
     # every field off its default: a field the INI cannot carry fails
     changed = _off_default(nominal_config())
-    assert len(_scalars(changed)) == 19
+    assert len(_scalars(changed)) == 17
     assert all(a != b for a, b in zip(_scalars(changed), _scalars(nominal_config())))
     for i, cfg in enumerate((config, changed)):
         path = tmp_path / f"cfg{i}.ini"
@@ -283,12 +278,10 @@ def test_config_unknown_key_rejected():
         parse_config("[protocol]\nblok_pulses = 10\n")
     with pytest.raises(ValueError):
         parse_config("[codes]\nl = 10\n")
-
-
-def test_config_confidence_delta_none_roundtrip():
-    cfg = nominal_config()
-    assert cfg.confidence_delta is None
-    assert parse_config(render_config(cfg)) == cfg
+    # the gate options that could only abort are gone from the schema
+    for key in ("confidence_delta = 0.01", "enforce_code_budget = true"):
+        with pytest.raises(ValueError, match="unknown key"):
+            parse_config(f"[protocol]\n{key}\n")
 
 
 def test_bad_config_is_io_error(tmp_path, capsys):
@@ -296,3 +289,13 @@ def test_bad_config_is_io_error(tmp_path, capsys):
     cfg.write_text("[protocol]\nnot_a_key = 3\n")
     rc = main(["stability", "--config", str(cfg), "--blocks", "1"])
     assert rc == EXIT_IO
+
+
+def test_config_checking_every_slot_is_io_error(tmp_path, capsys):
+    # a lossless check path with every received pulse checked leaves no
+    # slot for data: rejected as a bad config, not a crash
+    cfg = tmp_path / "all_checked.ini"
+    cfg.write_text("[protocol]\ncheck_fraction = 1.0\n\n[check_channel]\nloss_db = 0.0\n")
+    rc = main(["stability", "--config", str(cfg), "--blocks", "1"])
+    assert rc == EXIT_IO
+    assert "consumes every slot" in capsys.readouterr().err

@@ -73,6 +73,8 @@ def test_stability_rows_and_summary(fast_config):
     report = run_stability(fast_config, 12, seed=3)
     assert report.summary["n_blocks_requested"] == 12
     assert report.summary["n_rows"] >= 12
+    # the framed payload fills exactly the requested blocks
+    assert {r["block"] for r in report.rows} == set(range(12))
     assert report.summary["delivered_ok"]
     ok_rows = [r for r in report.rows if r["status"] == "ok"]
     assert len(ok_rows) == 12

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsdc.gf2 import gf2_invert, gf2_matmul, gf2_row_reduce, random_invertible
+from qsdc.gf2 import gf2_invert, gf2_row_reduce, random_invertible
+
+
+def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product over GF(2), the reference for the packed products."""
+    return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
 
 
 def gf2_rank(mat: np.ndarray) -> int:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsdc.gf2 import PackedRows, gf2_matmul
+from qsdc.gf2 import PackedRows
 from qsdc.ldpc import (
     LLR_CLAMP,
     TannerGraph,
@@ -14,6 +14,7 @@ from qsdc.ldpc import (
     systematic_generator,
 )
 from qsdc.wiretap_code import code_description
+from test_gf2 import gf2_matmul
 
 # h_sha256 of the nominal code, build_code(1312, 656, 128, 830, seed=12345)
 NOMINAL_H_SHA256 = "3657a253754e26e89b2dcb48d14885641fce070fdf8ca575c1c8efc47277cb51"

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 import qsdc.protocol
 from qsdc.attacks import AttackKind, AttackModel
-from qsdc.gf2 import gf2_matmul
 from qsdc.ldpc import ldpc_encode
 from qsdc.protocol import (
     BlockRecord,
@@ -32,7 +31,6 @@ from qsdc.protocol import (
     bob_prepare_block,
     draw_data_detections,
     gate_on_capacity,
-    hoeffding_upper,
     modulation_at,
     nominal_config,
     realize_code,
@@ -44,7 +42,8 @@ from qsdc.protocol import (
 )
 from qsdc.spreading import spread
 from qsdc.states import ChannelParams, flip_codes, measure_codes
-from qsdc.wiretap_code import uhf_map
+from qsdc.wiretap_code import check_security_condition, security_budgets, uhf_map
+from test_gf2 import gf2_matmul
 
 
 # --- the dense oracle: every slot of a block drawn ------------------------
@@ -147,9 +146,9 @@ def _dense_block_attempt(config, code, chunk_bits, seed, counter, attack):
     )
     if not stats.well_defined:
         return BlockRecord(**fields, status="deferred-empty-basis"), None
-    decision = _gate_block(config, code, stats, q_hat, (0, 0), (0, 0, 0, 0))
-    fields.update(c_s=decision.estimate.c_s, gate_proceed=decision.proceed)
-    if not decision.proceed:
+    proceed, estimate = _gate_block(config, stats, q_hat, (0, 0), (0, 0, 0, 0))
+    fields.update(c_s=estimate.c_s, gate_proceed=proceed)
+    if not proceed:
         return BlockRecord(**fields, status="gate-abort"), None
     try:
         layout = _dense_encode_block(
@@ -196,8 +195,11 @@ def test_config_validation():
         ProtocolConfig(forward_check_fraction=1.0)
     with pytest.raises(ValueError):
         ProtocolConfig(e_margin=0.0)
+    # checking every slot of a lossless check path leaves none for data
     with pytest.raises(ValueError):
-        ProtocolConfig(confidence_delta=1.5)
+        ProtocolConfig(check_fraction=1.0, check_channel=ChannelParams(0.0, 0.0))
+    assert ProtocolConfig(check_fraction=1.0).slots_per_block > 0
+    assert ProtocolConfig(check_channel=ChannelParams(0.0, 0.0)).slots_per_block > 0
 
 
 def test_nominal_config_values():
@@ -278,47 +280,39 @@ def test_bob_estimate_errors_undefined_bucket():
 
 
 def test_gate_passes_at_nominal_rates():
-    decision = gate_on_capacity(0.008, 0.008, 0.006, 0.00309, 2.5703957827688635)
-    assert decision.proceed
-    assert decision.estimate.c_s > 0
-    assert decision.estimate.i_ae > 0
+    proceed, estimate = gate_on_capacity(0.008, 0.008, 0.006, 0.00309, 2.5703957827688635)
+    assert proceed
+    assert estimate.c_s > 0
+    assert estimate.i_ae > 0
 
 
 def test_gate_aborts_under_attack_rates():
-    decision = gate_on_capacity(0.25, 0.25, 0.006, 0.00309, 2.57)
-    assert not decision.proceed
-    assert "capacity" in decision.reason
+    proceed, estimate = gate_on_capacity(0.25, 0.25, 0.006, 0.00309, 2.57)
+    assert not proceed
+    assert estimate.c_s <= 0.0
 
 
 def test_gate_survives_saturated_rates():
     # measured rates can exceed the formula domain; the gate must not crash
-    decision = gate_on_capacity(0.4, 0.4, 0.5, 0.00309, 2.57)
-    assert not decision.proceed
+    proceed, _ = gate_on_capacity(0.4, 0.4, 0.5, 0.00309, 2.57)
+    assert not proceed
 
 
 def test_gate_survives_rescale_rounding():
     # one rescaling of this pair sums to an ulp above 0.5, outside the
     # entropy-formula domain; the gate must still decide
-    decision = gate_on_capacity(0.27535131086748066, 0.2538143313219278, 0.006, 0.00309, 2.57)
-    assert not decision.proceed
+    proceed, _ = gate_on_capacity(0.27535131086748066, 0.2538143313219278, 0.006, 0.00309, 2.57)
+    assert not proceed
 
 
 def test_gate_code_budget_enforcement(fast_config):
+    # the code budget is recorded, never enforced: the gate decides on c_s
     code = realize_code(fast_config.code)
-    rates = (0.008, 0.008, 0.006)
-    relaxed = gate_on_capacity(*rates, 0.3, 1.1, code=code, enforce_code_budget=False)
-    strict = gate_on_capacity(*rates, 0.3, 1.1, code=code, enforce_code_budget=True)
-    assert relaxed.budgets["k_r_per_pulse"] == pytest.approx(32 / (8 * 256))
+    proceed, estimate = gate_on_capacity(0.008, 0.008, 0.006, 0.3, 1.1)
+    assert security_budgets(code)["k_r_per_pulse"] == pytest.approx(32 / (8 * 256))
     # i_ae at q_eve = 0.33 exceeds the small code's budget
-    assert not relaxed.budget_ok
-    assert relaxed.proceed and not strict.proceed
-
-
-def test_hoeffding_upper():
-    assert hoeffding_upper(0.0, 0, 0.01) == 0.5
-    assert hoeffding_upper(0.01, 1000, 0.01) > 0.01
-    assert hoeffding_upper(0.01, 10**9, 0.01) == pytest.approx(0.01, abs=1e-3)
-    assert hoeffding_upper(0.49, 10, 0.5) == 0.5  # clamped
+    assert not check_security_condition(code, estimate.i_ae)
+    assert proceed
 
 
 def test_encode_block_layout(fast_config, rng):
@@ -492,19 +486,6 @@ def test_session_zero_noise_perfect():
     assert tr.ok and tr.delivered == b"noiseless"
     for b in tr.blocks:
         assert b.e_x == 0.0 and b.e_z == 0.0 and b.e_fwd == 0.0
-
-
-def test_hoeffding_gate_is_more_conservative(fast_config):
-    import dataclasses
-
-    msg = bytes(range(32))
-    base = run_session(fast_config, msg, seed=41)
-    guarded_cfg = dataclasses.replace(fast_config, confidence_delta=1e-6)
-    guarded = run_session(guarded_cfg, msg, seed=41)
-    # with upper confidence bounds the reported capacity can only shrink
-    for lo, hi in zip(guarded.blocks, base.blocks):
-        if lo.c_s is not None and hi.c_s is not None:
-            assert lo.c_s <= hi.c_s + 1e-12
 
 
 def _two_sample_band(label, k1, n1, k2, n2, z=5.0):

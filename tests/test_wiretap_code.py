@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsdc.gf2 import gf2_matmul
 from qsdc.ldpc import ldpc_encode
 from qsdc.wiretap_code import (
     build_code,
@@ -15,6 +14,7 @@ from qsdc.wiretap_code import (
     uhf_invert,
     uhf_map,
 )
+from test_gf2 import gf2_matmul
 
 
 def test_build_code_shapes(small_code):
