@@ -1,11 +1,10 @@
-"""Dense GF(2) linear algebra on uint8 arrays: row reduction, inversion,
-random invertible matrices and packed-row products.
+"""GF(2) linear algebra on bit-packed rows: Gauss-Jordan reduction,
+inversion, random invertible matrices and the row-select product.
 
-Matrices hold 0/1 values in uint8; addition is XOR.  Sizes here stay
-in the low thousands, so row-vectorised Gauss-Jordan is plenty fast.
-A matrix applied once per block is packed eight bits to a byte
-(PackedRows), so its product with a vector is the XOR of the rows the
-vector selects; that is the only product the package needs.
+A matrix is PackedRows, its rows packed eight bits to a byte; addition
+is XOR.  An elimination step finds its pivot in one byte column and
+XORs whole packed rows.  The one product the package needs is x @ M,
+the XOR of the rows of M that x selects.
 """
 
 from __future__ import annotations
@@ -26,6 +25,18 @@ class PackedRows:
     def pack(cls, mat: np.ndarray) -> PackedRows:
         return cls(np.packbits(mat, axis=1), mat.shape[1])
 
+    def unpack(self) -> np.ndarray:
+        return np.unpackbits(self.rows, axis=1, count=self.n_cols)
+
+    def transpose(self) -> PackedRows:
+        """M.T, unpacking only 64 rows of M at a time."""
+        n_rows = self.rows.shape[0]
+        out = np.empty((self.n_cols, (n_rows + 7) // 8), dtype=np.uint8)
+        for start in range(0, n_rows, 64):
+            block = np.unpackbits(self.rows[start : start + 64], axis=1, count=self.n_cols)
+            out[:, start // 8 : (start + len(block) + 7) // 8] = np.packbits(block.T, axis=1)
+        return PackedRows(out, n_rows)
+
     def left_mul(self, x: np.ndarray) -> np.ndarray:
         """x @ M over GF(2): the XOR of the rows of M that the 1-bits of x select.
 
@@ -40,56 +51,51 @@ class PackedRows:
         return bits.reshape(x.shape[:-1] + (self.n_cols,))
 
 
-def gf2_row_reduce(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Gauss-Jordan elimination.
-
-    Returns (reduced matrix, pivot column indices, rank).  The reduced
-    matrix has an identity on the pivot columns of its first `rank`
-    rows.
-    """
-    a = np.array(mat, dtype=np.uint8, copy=True)
-    rows, cols = a.shape
+def _gauss_jordan(a: np.ndarray, n_cols: int, stop_at_gap: bool = False) -> np.ndarray:
+    """Reduce packed rows a in place over their first n_cols columns and
+    return the pivots; stop_at_gap stops at the first column without one."""
     pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    for c in range(n_cols):
+        if (r := len(pivots)) == a.shape[0]:
             break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
+        col = a[:, c >> 3] & (0x80 >> (c & 7))
+        hits = np.flatnonzero(col[r:])
+        if hits.size:
+            p = r + int(hits[0])
+            others = np.flatnonzero(col)  # col[r] is 0 unless p == r
             a[[r, p]] = a[[p, r]]
-        mask = a[:, c].astype(bool)
-        mask[r] = False
-        a[mask] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return a, np.array(pivots, dtype=np.int64), r
+            a[others[others != p]] ^= a[r]
+            pivots.append(c)
+        elif stop_at_gap:
+            break
+    return np.array(pivots, dtype=np.int64)
 
 
-def gf2_invert(mat: np.ndarray) -> np.ndarray:
+def row_reduce(mat: PackedRows) -> tuple[PackedRows, np.ndarray]:
+    """Reduced row echelon form and pivot columns; the rank is len(pivots)."""
+    a = mat.rows.copy()
+    return PackedRows(a, mat.n_cols), _gauss_jordan(a, mat.n_cols)
+
+
+def invert(mat: PackedRows) -> PackedRows:
     """Inverse of a square GF(2) matrix; raises ValueError if singular."""
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise ValueError(f"matrix must be square, got {mat.shape}")
-    aug = np.concatenate([mat.astype(np.uint8), np.eye(n, dtype=np.uint8)], axis=1)
-    reduced, pivots, rank = gf2_row_reduce(aug)
-    if rank < n or not np.array_equal(pivots[:n], np.arange(n)):
+    n, width = mat.n_cols, mat.rows.shape[1]
+    if mat.rows.shape[0] != n:
+        raise ValueError(f"matrix must be square, got {mat.rows.shape[0]} x {n}")
+    aug = np.concatenate([mat.rows, PackedRows.pack(np.eye(n, dtype=np.uint8)).rows], axis=1)
+    if _gauss_jordan(aug, n, stop_at_gap=True).size < n:
         raise ValueError("matrix is singular over GF(2)")
-    return reduced[:, n:]
+    return PackedRows(aug[:, width:].copy(), n)
 
 
-def random_invertible(n: int, rng: np.random.Generator, max_attempts: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a uniformly random invertible GF(2) matrix with its inverse.
+def random_invertible(n: int, rng: np.random.Generator, max_attempts: int = 64) -> tuple[PackedRows, PackedRows]:
+    """A uniformly random invertible GF(2) matrix and its inverse, as packed rows.
 
-    Rejection sampling; a uniform binary matrix is invertible with
-    probability ~0.289, so the attempt bound is generous.
-    """
+    By rejection: a uniform binary matrix is invertible with probability ~0.289."""
     for _ in range(max_attempts):
-        m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+        m = PackedRows.pack(rng.integers(0, 2, size=(n, n), dtype=np.uint8))
         try:
-            return m, gf2_invert(m)
+            return m, invert(m)
         except ValueError:
             continue
     raise RuntimeError(f"no invertible matrix found in {max_attempts} draws")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qsdc.gf2 import PackedRows, gf2_row_reduce
+from qsdc.gf2 import PackedRows, row_reduce
 
 LLR_CLAMP = 30.0
 _TANH_LIM = 1.0 - 1e-12
@@ -29,7 +29,7 @@ _TANH_LIM = 1.0 - 1e-12
 def peg_construct(
     n_checks: int, n_vars: int, var_degree: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Build an (n_checks x n_vars) parity-check matrix by edge growth.
+    """Build a parity-check matrix by edge growth: row v of the table lists variable v's checks.
 
     For every variable node, edges are placed one at a time on the
     check node at maximal graph distance from the variable (unreached
@@ -41,7 +41,7 @@ def peg_construct(
     The growing graph is held as packed bit rows, row c having bit c2
     set when some variable joins checks c and c2, so one breadth-first
     level is the OR of the frontier's rows.  No step depends on hash or
-    set order: h is a function of the arguments and the rng state.
+    set order: the table is a function of the arguments and the rng state.
     """
     if var_degree > n_checks:
         raise ValueError(f"var_degree {var_degree} exceeds check count {n_checks}")
@@ -81,13 +81,10 @@ def peg_construct(
                 linked[c2, c >> 3] |= 0x80 >> (c & 7)
             var_checks[v, j] = c
             check_degree[c] += 1
-
-    h = np.zeros((n_checks, n_vars), dtype=np.uint8)
-    h[var_checks, np.arange(n_vars)[:, None]] = 1
-    return h
+    return var_checks
 
 
-def systematic_generator(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def systematic_generator(h: PackedRows) -> tuple[PackedRows, np.ndarray]:
     """Derive a systematic generator for the null space of h.
 
     Returns (g, info_positions) with h @ g.T = 0 over GF(2) and
@@ -95,16 +92,18 @@ def systematic_generator(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     positions are the information bits verbatim.  Raises ValueError if
     h is rank deficient.
     """
-    m, n = h.shape
-    reduced, pivots, rank = gf2_row_reduce(h)
-    if rank < m:
-        raise ValueError(f"parity-check matrix rank {rank} < {m}")
-    info = np.setdiff1d(np.arange(n, dtype=np.int64), pivots)
+    m, n = h.rows.shape[0], h.n_cols
+    reduced, pivots = row_reduce(h)
+    if pivots.size < m:
+        raise ValueError(f"parity-check matrix rank {pivots.size} < {m}")
+    info = np.delete(np.arange(n), pivots)
     k = n - m
-    g = np.zeros((k, n), dtype=np.uint8)
-    g[np.arange(k), info] = 1
-    g[:, pivots] = reduced[:, info].T
-    return g, info
+    # g.T: e_j at row info[j] and reduced[:, info], the rows info of reduced.T, at the pivots
+    gt = np.zeros((n, (k + 7) // 8), dtype=np.uint8)
+    gt[pivots] = PackedRows(reduced.transpose().rows[info], m).transpose().rows
+    j = np.arange(k)
+    gt[info, j >> 3] = 0x80 >> (j & 7)
+    return PackedRows(gt, k).transpose(), info
 
 
 def ldpc_encode(u: np.ndarray, g: PackedRows) -> np.ndarray:
@@ -118,17 +117,30 @@ def ldpc_encode(u: np.ndarray, g: PackedRows) -> np.ndarray:
 class TannerGraph:
     """Flattened Tanner-graph edges of a parity-check matrix, grouped by check.
 
-    Checks without edges are left out: they constrain nothing, and the
-    per-check reductions need every group to be non-empty.
+    Built from a peg_construct table, with each check's variables in
+    ascending order.  Checks without edges are left out of the groups:
+    they constrain nothing, and the per-check reductions need every
+    group to be non-empty.
     """
 
-    def __init__(self, h: np.ndarray) -> None:
-        check_idx, var_idx = np.nonzero(h)  # row-major: already grouped by check
-        self.var_idx = var_idx
-        counts = np.bincount(check_idx, minlength=h.shape[0])
-        self.counts = counts[counts > 0]
+    def __init__(self, var_checks: np.ndarray, n_checks: int) -> None:
+        n_vars, degree = var_checks.shape
+        flat = var_checks.ravel()
+        # a stable sort keeps each check's variables in ascending order
+        self.var_idx = np.argsort(flat, kind="stable") // degree
+        counts = np.bincount(flat, minlength=n_checks)
+        self.checks = np.flatnonzero(counts)
+        self.counts = counts[self.checks]
         self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
-        self.n_vars = h.shape[1]
+        self.n_checks = n_checks
+        self.n_vars = n_vars
+
+    def parity_rows(self) -> PackedRows:
+        """H as packed rows, one per check."""
+        rows = np.zeros((self.n_checks, (self.n_vars + 7) // 8), dtype=np.uint8)
+        bits = (0x80 >> (self.var_idx & 7)).astype(np.uint8)
+        np.bitwise_or.at(rows, (np.repeat(self.checks, self.counts), self.var_idx >> 3), bits)
+        return PackedRows(rows, self.n_vars)
 
     def syndrome_ok(self, v_hat: np.ndarray) -> bool:
         """True iff the hard decision v_hat meets every parity check."""

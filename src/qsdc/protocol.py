@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -465,7 +465,7 @@ class SessionTranscript:
 
     def to_jsonl(self) -> str:
         """One line per block attempt, plus a trailing summary line."""
-        lines = [json.dumps({"record": "block", **asdict(b)}) for b in self.blocks]
+        lines = [json.dumps({"record": "block", **vars(b)}) for b in self.blocks]
         lines.append(
             json.dumps(
                 {

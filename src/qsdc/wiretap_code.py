@@ -12,8 +12,8 @@ n_spread chips per bit.  The receiver inverts the chain after
 belief-propagation decoding.
 
 Everything is reconstructible from (l, k_u, k_r, n_spread, seed); the
-exported description carries those plus matrix checksums so two
-parties can verify they built the same code.
+exported description carries those plus the sha256 of each matrix's
+bits, so two parties can verify they built the same code.
 """
 
 from __future__ import annotations
@@ -30,25 +30,22 @@ from qsdc.ldpc import TannerGraph, peg_construct, systematic_generator
 
 VAR_DEGREE = 3
 MAX_BUILD_ATTEMPTS = 16
+_PARAMS = ("l", "k_u", "k_r", "n_spread", "seed")  # what a code is rebuilt from
 
 
 @dataclass(frozen=True, eq=False)
 class WiretapCode:
-    """All public material of one code instance."""
+    """All public material of one code instance: H as its Tanner graph, the rest as packed rows."""
 
     l: int
     k_u: int
     k_r: int
     n_spread: int
     seed: int
-    h: np.ndarray
     edges: TannerGraph
-    g: np.ndarray
     info_positions: np.ndarray
-    uhf: np.ndarray
-    uhf_inv: np.ndarray
     # the per-block maps u -> u @ g, x -> uhf @ x and u -> uhf_inv @ u,
-    # packed once so that each is the XOR of the rows its input selects
+    # each the XOR of the rows its input selects: g, uhf.T and uhf_inv.T
     g_rows: PackedRows
     uhf_rows: PackedRows
     uhf_inv_rows: PackedRows
@@ -77,20 +74,16 @@ def build_code(l: int, k_u: int, k_r: int, n_spread: int, seed: int) -> WiretapC
     if VAR_DEGREE > m:
         raise ValueError(f"l - k_u = {m} is below the variable degree {VAR_DEGREE}")
 
-    h = g = info = None
     for attempt in range(MAX_BUILD_ATTEMPTS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0, attempt]))
-        h_try = peg_construct(m, l, VAR_DEGREE, rng)
+        edges = TannerGraph(peg_construct(m, l, VAR_DEGREE, rng), m)
         try:
-            g, info = systematic_generator(h_try)
+            g, info = systematic_generator(edges.parity_rows())
+            break
         except ValueError:
             continue
-        h = h_try
-        break
-    if h is None:
-        raise RuntimeError(
-            f"no full-rank parity-check matrix in {MAX_BUILD_ATTEMPTS} attempts"
-        )
+    else:
+        raise RuntimeError(f"no full-rank parity-check matrix in {MAX_BUILD_ATTEMPTS} attempts")
 
     uhf_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     uhf, uhf_inv = random_invertible(k_u, uhf_rng)
@@ -100,15 +93,11 @@ def build_code(l: int, k_u: int, k_r: int, n_spread: int, seed: int) -> WiretapC
         k_r=k_r,
         n_spread=n_spread,
         seed=seed,
-        h=h,
-        edges=TannerGraph(h),
-        g=g,
+        edges=edges,
         info_positions=info,
-        uhf=uhf,
-        uhf_inv=uhf_inv,
-        g_rows=PackedRows.pack(g),
-        uhf_rows=PackedRows.pack(uhf.T),
-        uhf_inv_rows=PackedRows.pack(uhf_inv.T),
+        g_rows=g,
+        uhf_rows=uhf.transpose(),
+        uhf_inv_rows=uhf_inv.transpose(),
     )
 
 
@@ -120,8 +109,7 @@ def uhf_map(message_bits: np.ndarray, random_bits: np.ndarray, code: WiretapCode
         raise ValueError(f"message length {m.shape} != ({code.k_m},)")
     if r.shape != (code.k_r,):
         raise ValueError(f"random-bit length {r.shape} != ({code.k_r},)")
-    x = np.concatenate([m, r])
-    return code.uhf_rows.left_mul(x)
+    return code.uhf_rows.left_mul(np.concatenate([m, r]))
 
 
 def uhf_invert(u: np.ndarray, code: WiretapCode) -> tuple[np.ndarray, np.ndarray]:
@@ -152,22 +140,22 @@ def security_budgets(code: WiretapCode) -> dict[str, float]:
     }
 
 
-def _checksum(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.packbits(arr.astype(np.uint8)).tobytes()).hexdigest()
+def _checksums(code: WiretapCode) -> dict[str, str]:
+    """sha256 of h, g and uhf, each flattened to one bit string; that is
+    the row bytes only when the column count is a multiple of 8."""
+    mats = {"h": code.edges.parity_rows(), "g": code.g_rows, "uhf": code.uhf_rows.transpose()}
+    return {
+        name: hashlib.sha256(np.packbits(mat.unpack()).tobytes()).hexdigest()
+        for name, mat in mats.items()
+    }
 
 
 def code_description(code: WiretapCode) -> str:
     """Serialise the code parameters plus matrix checksums."""
     cp = configparser.ConfigParser()
     cp["wiretap-code"] = {
-        "l": str(code.l),
-        "k_u": str(code.k_u),
-        "k_r": str(code.k_r),
-        "n_spread": str(code.n_spread),
-        "seed": str(code.seed),
-        "h_sha256": _checksum(code.h),
-        "g_sha256": _checksum(code.g),
-        "uhf_sha256": _checksum(code.uhf),
+        **{key: str(getattr(code, key)) for key in _PARAMS},
+        **{f"{name}_sha256": digest for name, digest in _checksums(code).items()},
     }
     out = io.StringIO()
     cp.write(out)
@@ -181,15 +169,9 @@ def code_from_description(text: str) -> WiretapCode:
     if "wiretap-code" not in cp:
         raise ValueError("missing [wiretap-code] section")
     sec = cp["wiretap-code"]
-    code = build_code(
-        l=int(sec["l"]),
-        k_u=int(sec["k_u"]),
-        k_r=int(sec["k_r"]),
-        n_spread=int(sec["n_spread"]),
-        seed=int(sec["seed"]),
-    )
-    for name, arr in (("h", code.h), ("g", code.g), ("uhf", code.uhf)):
+    code = build_code(**{key: int(sec[key]) for key in _PARAMS})
+    for name, digest in _checksums(code).items():
         want = sec.get(f"{name}_sha256")
-        if want is not None and want != _checksum(arr):
+        if want is not None and want != digest:
             raise ValueError(f"checksum mismatch for {name}: rebuilt code differs")
     return code

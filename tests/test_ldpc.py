@@ -13,11 +13,39 @@ from qsdc.ldpc import (
     peg_construct,
     systematic_generator,
 )
-from qsdc.wiretap_code import code_description
-from test_gf2 import gf2_matmul
+from qsdc.wiretap_code import build_code, code_description
+from test_gf2 import gf2_matmul, gf2_row_reduce
 
-# h_sha256 of the nominal code, build_code(1312, 656, 128, 830, seed=12345)
+# digests of the nominal code, build_code(1312, 656, 128, 830, seed=12345)
 NOMINAL_H_SHA256 = "3657a253754e26e89b2dcb48d14885641fce070fdf8ca575c1c8efc47277cb51"
+NOMINAL_G_SHA256 = "a9d072541545c1538e2b2a5e10f07c8135825975d3a5df0ed6cc96c725e98375"
+NOMINAL_UHF_SHA256 = "adb8864687bfa51e3b024983494a874b3976a431b4046e4b28b41b380b5ce352"
+# build_code(100, 50, 10, 4, seed=7): no width is a multiple of 8, so a
+# digest of padded row bytes would differ from the digest of the bits
+ODD_CODE_SHA256 = {
+    "h": "7da8029a0a2762b1f4d0117079acdc8269f19687bc541a872345f303a34e21ac",
+    "g": "1f9574e0869186fec816653838c206aa83b31c36644fdb4f5b33b694eaa68d37",
+    "uhf": "4bece5da8b036a1435e2f7c42bd7a3357f130d748db4a382dbd899129178e47f",
+}
+
+
+def dense_h(var_checks, n_checks):
+    """H with a 1 at (check, variable) for every entry of a peg_construct table."""
+    h = np.zeros((n_checks, var_checks.shape[0]), dtype=np.uint8)
+    h[var_checks, np.arange(var_checks.shape[0])[:, None]] = 1
+    return h
+
+
+def dense_systematic_generator(h):
+    """The generator systematic_generator must return, built densely."""
+    m, n = h.shape
+    reduced, pivots, rank = gf2_row_reduce(h)
+    assert rank == m
+    info = np.setdiff1d(np.arange(n), pivots)
+    g = np.zeros((n - m, n), dtype=np.uint8)
+    g[np.arange(n - m), info] = 1
+    g[:, pivots] = reduced[:, info].T
+    return g, info
 
 
 def _peg_reference(n_checks, n_vars, var_degree, rng):
@@ -80,8 +108,9 @@ def _llrs_from_codeword(v, scale=8.0):
 
 
 def test_peg_degrees_and_girth(rng):
-    h = peg_construct(64, 128, 3, rng)
-    assert h.shape == (64, 128)
+    table = peg_construct(64, 128, 3, rng)
+    assert table.shape == (128, 3)
+    h = dense_h(table, 64)
     assert (h.sum(axis=0) == 3).all()
     # check degrees stay balanced under min-degree selection
     cd = h.sum(axis=1)
@@ -100,12 +129,15 @@ def test_peg_equals_set_reference(n_checks, n_vars, var_degree):
     for seed in range(3):
         want = _peg_reference(n_checks, n_vars, var_degree, np.random.default_rng(seed))
         got = peg_construct(n_checks, n_vars, var_degree, np.random.default_rng(seed))
-        assert (got == want).all(), seed
+        assert (dense_h(got, n_checks) == want).all(), seed
 
 
 def test_peg_nominal_code_pinned(default_code):
-    h = default_code.h
-    assert f"h_sha256 = {NOMINAL_H_SHA256}\n" in code_description(default_code)
+    h = default_code.edges.parity_rows().unpack()
+    description = code_description(default_code)
+    assert f"h_sha256 = {NOMINAL_H_SHA256}\n" in description
+    assert f"g_sha256 = {NOMINAL_G_SHA256}\n" in description
+    assert f"uhf_sha256 = {NOMINAL_UHF_SHA256}\n" in description
     assert (h.sum(axis=0) == 3).all()
     # girth >= 6: two checks never share two variables
     overlap = h.astype(np.int64) @ h.T.astype(np.int64)
@@ -119,8 +151,15 @@ def test_peg_deterministic_given_rng_state():
     assert (h1 == h2).all()
 
 
+def test_odd_width_code_digests_pinned():
+    description = code_description(build_code(100, 50, 10, 4, seed=7))
+    for name, digest in ODD_CODE_SHA256.items():
+        assert f"{name}_sha256 = {digest}\n" in description
+
+
 def test_systematic_generator_annihilated_by_h(small_code):
-    h, g, info = small_code.h, small_code.g, small_code.info_positions
+    h = small_code.edges.parity_rows().unpack()
+    g, info = small_code.g_rows.unpack(), small_code.info_positions
     k = g.shape[0]
     assert (gf2_matmul(g, h.T) == 0).all()
     # info positions carry the message verbatim
@@ -131,7 +170,23 @@ def test_systematic_generator_rejects_rank_deficiency():
     h = np.zeros((4, 8), dtype=np.uint8)
     h[0] = h[1] = np.array([1, 1, 1, 0, 0, 0, 0, 0], dtype=np.uint8)
     with pytest.raises(ValueError):
-        systematic_generator(h)
+        systematic_generator(PackedRows.pack(h))
+
+
+@pytest.mark.parametrize("n_checks, n_vars", [(12, 24), (20, 43), (64, 128), (77, 150)])
+def test_systematic_generator_matches_dense_oracle(n_checks, n_vars):
+    for seed in range(4):
+        table = peg_construct(n_checks, n_vars, 3, np.random.default_rng(seed))
+        h = dense_h(table, n_checks)
+        if gf2_row_reduce(h)[2] < n_checks:
+            with pytest.raises(ValueError):
+                systematic_generator(PackedRows.pack(h))
+            continue
+        want_g, want_info = dense_systematic_generator(h)
+        g, info = systematic_generator(PackedRows.pack(h))
+        assert g.unpack().shape == want_g.shape
+        assert (g.unpack() == want_g).all()
+        assert np.array_equal(info, want_info)
 
 
 def test_encode_linear(small_code, rng):
@@ -209,31 +264,39 @@ def test_llr_clamp_constant():
 @given(st.integers(0, 2**32))
 def test_bp_roundtrip_property(seed):
     rng = np.random.default_rng(seed)
-    h = peg_construct(12, 24, 3, rng)
+    edges = TannerGraph(peg_construct(12, 24, 3, rng), 12)
     try:
-        g, info = systematic_generator(h)
+        g, info = systematic_generator(edges.parity_rows())
     except ValueError:
         return  # rank-deficient draw: construction rejects it upstream
     u = rng.integers(0, 2, 12, dtype=np.uint8)
-    v = ldpc_encode(u, PackedRows.pack(g))
-    u_hat, converged, _ = bp_decode(_llrs_from_codeword(v), TannerGraph(h), info)
+    v = ldpc_encode(u, g)
+    u_hat, converged, _ = bp_decode(_llrs_from_codeword(v), edges, info)
     assert converged and (u_hat == u).all()
 
 
 def test_tanner_graph_syndrome_matches_dense_parity(small_code, rng):
-    edges = small_code.edges
-    assert edges.var_idx.size == int(small_code.h.sum())
+    table = peg_construct(128, 256, 3, np.random.default_rng(np.random.SeedSequence([99, 0, 0])))
+    h = dense_h(table, 128)
+    edges = TannerGraph(table, 128)
+    # the edge order of a row-major scan of H, and the same H packed
+    assert np.array_equal(edges.var_idx, np.nonzero(h)[1])
+    assert (edges.parity_rows().unpack() == h).all()
+    # the small code was built from this table on its first attempt
+    assert np.array_equal(small_code.edges.var_idx, edges.var_idx)
     for _ in range(20):
         v = rng.integers(0, 2, small_code.l, dtype=np.uint8)
-        dense_ok = not ((small_code.h.astype(np.int64) @ v) % 2).any()
+        dense_ok = not ((h.astype(np.int64) @ v) % 2).any()
         assert edges.syndrome_ok(v) == dense_ok
     u = rng.integers(0, 2, small_code.k_u, dtype=np.uint8)
     assert edges.syndrome_ok(ldpc_encode(u, small_code.g_rows))
 
 
 def test_tanner_graph_skips_empty_checks():
-    h = np.array([[1, 1, 0], [0, 0, 0], [0, 1, 1]], dtype=np.uint8)
-    edges = TannerGraph(h)
-    assert edges.counts.tolist() == [2, 2]
-    assert edges.syndrome_ok(np.array([1, 1, 1], dtype=np.uint8))
+    # variable 0 on check 0, variables 1 and 2 on check 2; check 1 is empty
+    edges = TannerGraph(np.array([[0], [2], [2]]), 3)
+    assert edges.counts.tolist() == [1, 2]
+    assert (edges.parity_rows().unpack() == [[1, 0, 0], [0, 0, 0], [0, 1, 1]]).all()
+    assert edges.syndrome_ok(np.array([0, 1, 1], dtype=np.uint8))
     assert not edges.syndrome_ok(np.array([0, 0, 1], dtype=np.uint8))
+    assert not edges.syndrome_ok(np.array([1, 1, 1], dtype=np.uint8))

@@ -326,7 +326,7 @@ def test_encode_block_layout(fast_config, rng):
     assert record.fwd_values.size == 7 and set(np.unique(record.fwd_values)) <= {0, 1}
     assert np.array_equal(record.chip_idx, chip_idx)
     # the codeword satisfies every parity check
-    assert not gf2_matmul(code.h, record.codeword[:, None]).any()
+    assert not gf2_matmul(code.edges.parity_rows().unpack(), record.codeword[:, None]).any()
     # forward checks first, then the chips at their indices
     ops = modulation_at(record, code)
     assert np.array_equal(ops[:7], record.fwd_values)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsdc.ldpc import ldpc_encode
+from qsdc.gf2 import PackedRows
+from qsdc.ldpc import TannerGraph, ldpc_encode
 from qsdc.wiretap_code import (
     build_code,
     check_security_condition,
@@ -17,11 +18,20 @@ from qsdc.wiretap_code import (
 from test_gf2 import gf2_matmul
 
 
+def _array_bytes(obj) -> int:
+    """Bytes of every numpy array reachable through obj's attributes."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if hasattr(obj, "__dict__"):
+        return sum(_array_bytes(value) for value in vars(obj).values())
+    return 0
+
+
 def test_build_code_shapes(small_code):
     c = small_code
-    assert c.h.shape == (c.l - c.k_u, c.l)
-    assert c.g.shape == (c.k_u, c.l)
-    assert c.uhf.shape == (c.k_u, c.k_u)
+    assert (c.edges.n_checks, c.edges.n_vars) == (c.l - c.k_u, c.l)
+    assert c.g_rows.unpack().shape == (c.k_u, c.l)
+    assert c.uhf_rows.unpack().shape == c.uhf_inv_rows.unpack().shape == (c.k_u, c.k_u)
     assert c.k_m == c.k_u - c.k_r
     assert c.block_chips == c.n_spread * c.l
 
@@ -29,13 +39,25 @@ def test_build_code_shapes(small_code):
 def test_build_code_deterministic():
     a = build_code(64, 32, 8, 4, seed=5)
     b = build_code(64, 32, 8, 4, seed=5)
-    assert (a.h == b.h).all() and (a.g == b.g).all() and (a.uhf == b.uhf).all()
+    assert code_description(a) == code_description(b)
+    assert np.array_equal(a.edges.var_idx, b.edges.var_idx)
+    for name in ("g_rows", "uhf_rows", "uhf_inv_rows"):
+        assert (getattr(a, name).rows == getattr(b, name).rows).all()
 
 
 def test_build_code_seed_sensitivity():
     a = build_code(64, 32, 8, 4, seed=5)
     b = build_code(64, 32, 8, 4, seed=6)
-    assert (a.h != b.h).any() or (a.uhf != b.uhf).any()
+    assert not np.array_equal(a.edges.var_idx, b.edges.var_idx)
+    assert (a.uhf_rows.rows != b.uhf_rows.rows).any()
+
+
+def test_nominal_code_holds_only_packed_rows(default_code):
+    # g, uhf and uhf_inv as packed rows, H as its Tanner graph: about
+    # 0.26 MiB; the four dense 0/1 matrices alone would take 2.58 MiB
+    assert _array_bytes(default_code) <= 0.5 * 2**20
+    for value in vars(default_code).values():
+        assert isinstance(value, (int, PackedRows, TannerGraph)) or value.ndim == 1
 
 
 def test_build_code_validation():
@@ -51,21 +73,24 @@ def test_build_code_validation():
 
 def test_uhf_is_invertible(small_code):
     eye = np.eye(small_code.k_u, dtype=np.uint8)
-    assert (gf2_matmul(small_code.uhf, small_code.uhf_inv) == eye).all()
+    uhf_t, uhf_inv_t = small_code.uhf_rows.unpack(), small_code.uhf_inv_rows.unpack()
+    assert (gf2_matmul(uhf_t, uhf_inv_t) == eye).all()
 
 
 def test_packed_products_equal_gf2_matmul(small_code, default_code, rng):
     for code in (small_code, default_code):
+        g = code.g_rows.unpack()
+        uhf, uhf_inv = code.uhf_rows.unpack().T, code.uhf_inv_rows.unpack().T
         batch = rng.integers(0, 2, (2, 3, code.k_u), dtype=np.uint8)
         encoded = ldpc_encode(batch, code.g_rows)
         assert encoded.shape == (2, 3, code.l)
-        assert (encoded.reshape(6, code.l) == gf2_matmul(batch.reshape(6, code.k_u), code.g)).all()
+        assert (encoded.reshape(6, code.l) == gf2_matmul(batch.reshape(6, code.k_u), g)).all()
         for x in batch.reshape(6, code.k_u):
-            assert (ldpc_encode(x, code.g_rows) == gf2_matmul(x, code.g)).all()
+            assert (ldpc_encode(x, code.g_rows) == gf2_matmul(x, g)).all()
             u = uhf_map(x[: code.k_m], x[code.k_m :], code)
-            assert (u == gf2_matmul(code.uhf, x)).all()
+            assert (u == gf2_matmul(uhf, x)).all()
             m, r = uhf_invert(x, code)
-            assert (np.concatenate([m, r]) == gf2_matmul(code.uhf_inv, x)).all()
+            assert (np.concatenate([m, r]) == gf2_matmul(uhf_inv, x)).all()
         zero = np.zeros(code.k_u, dtype=np.uint8)
         assert not ldpc_encode(zero, code.g_rows).any()
 
@@ -122,9 +147,10 @@ def test_check_security_condition(default_code):
 def test_code_description_roundtrip(small_code):
     text = code_description(small_code)
     rebuilt = code_from_description(text)
-    assert (rebuilt.h == small_code.h).all()
-    assert (rebuilt.g == small_code.g).all()
-    assert (rebuilt.uhf == small_code.uhf).all()
+    assert code_description(rebuilt) == text
+    assert np.array_equal(rebuilt.edges.var_idx, small_code.edges.var_idx)
+    assert (rebuilt.g_rows.rows == small_code.g_rows.rows).all()
+    assert (rebuilt.uhf_rows.rows == small_code.uhf_rows.rows).all()
 
 
 def test_code_description_tamper_detection(small_code):

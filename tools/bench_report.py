@@ -3,7 +3,8 @@
     python3 tools/bench_report.py --output BENCH_<n>.json [--seconds 8] [--seed 1]
 
 It runs perfbench/run.py for every workload, untraced and traced, then
-times a cold nominal `build_code` in a fresh process, a 10 KiB
+times a cold nominal `build_code` in a fresh process, takes the
+tracemalloc peak of another in a second fresh process, times a 10 KiB
 `qsdc send` at the default configuration, and the Tier-1 test suite,
 and records the machine: cores, Python, numpy and the git head.
 
@@ -34,12 +35,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("nominal_file", "marginal_link", "attack_abort", "capacity_scan")
 SEND_BYTES = 10 * 1024
+# prints the build's seconds, or with the argument "traced" the peak
+# MiB that tracemalloc saw, which would slow the timed build
 BUILD_SNIPPET = """
-import time
+import sys, time, tracemalloc
 from qsdc.wiretap_code import build_code
+traced = sys.argv[1:] == ["traced"]
+if traced:
+    tracemalloc.start()
 t0 = time.perf_counter()
 build_code(1312, 656, 128, 830, 12345)
-print(time.perf_counter() - t0)
+elapsed = time.perf_counter() - t0
+print(tracemalloc.get_traced_memory()[1] / 2**20 if traced else elapsed)
 """
 
 
@@ -72,7 +79,9 @@ def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 def cold_build() -> dict:
     proc, wall = _run([sys.executable, "-c", BUILD_SNIPPET])
-    return {"build_code.cold_s": float(proc.stdout.strip()), "build_code.process_s": wall}
+    traced, _ = _run([sys.executable, "-c", BUILD_SNIPPET, "traced"])
+    return {"build_code.cold_s": float(proc.stdout.strip()), "build_code.process_s": wall,
+            "build_code.traced_peak_mb": float(traced.stdout.strip())}
 
 
 def send_10k(seed: int) -> dict:
