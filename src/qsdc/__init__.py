@@ -22,13 +22,7 @@ from qsdc.security import (
     secrecy_capacity,
     xi,
 )
-from qsdc.wiretap_code import (
-    WiretapCode,
-    build_code,
-    check_security_condition,
-    uhf_invert,
-    uhf_map,
-)
+from qsdc.wiretap_code import WiretapCode, build_code, uhf_invert, uhf_map
 from qsdc.spreading import compute_llrs, keystream, spread
 from qsdc.ldpc import bp_decode, ldpc_encode
 from qsdc.protocol import (
@@ -57,7 +51,6 @@ __all__ = [
     "xi",
     "WiretapCode",
     "build_code",
-    "check_security_condition",
     "uhf_invert",
     "uhf_map",
     "compute_llrs",

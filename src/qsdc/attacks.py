@@ -2,8 +2,8 @@
 
 Intercept-resend is simulated pulse by pulse.  The optimal collective
 attack is not simulated at the quantum level; it is realised as the
-classical disturbance channel matching its (e_x, e_z) fingerprint,
-with Eve's information accounted analytically in the session ledger.
+classical disturbance channel matching its (e_x, e_z) fingerprint;
+the send report gives Eve's analytic bound, i_ae at those rates.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsdc.security import binary_entropy
 from qsdc.states import measure_codes
 
 
@@ -70,7 +69,7 @@ class AttackModel:
         if self.kind == AttackKind.INTERCEPT_RESEND:
             wire, eve_bits, touched = eve_intercept_resend(codes, self.fraction, rng)
             return wire, {"intercepted": int(touched.sum()), "eve_bits": eve_bits}
-        return eve_optimal_collective(codes, self.e_x_target, self.e_z_target, rng)
+        return eve_optimal_collective(codes, self.e_x_target, self.e_z_target, rng), {}
 
 
 def eve_intercept_resend(
@@ -98,15 +97,12 @@ def eve_intercept_resend(
 
 def eve_optimal_collective(
     codes: np.ndarray, e_x_target: float, e_z_target: float, rng: np.random.Generator
-) -> tuple[np.ndarray, dict]:
+) -> np.ndarray:
     """Classical stand-in for the collective attack: basis-dependent flips.
 
     Z-prepared pulses are flipped with probability e_z_target and
     X-prepared pulses with e_x_target, reproducing the attack's check
-    statistics exactly (up to sampling noise).  Eve's optimal coherent
-    measurement cannot be simulated classically, so the returned ledger
-    carries the analytic per-detected-pulse information factor
-    h(e_x + e_z); the session multiplies it by her detection rate.
+    statistics exactly (up to sampling noise).  Returns the wire codes.
     """
     for name, v in (("e_x_target", e_x_target), ("e_z_target", e_z_target)):
         if not 0.0 <= v <= 0.5:
@@ -118,10 +114,4 @@ def eve_optimal_collective(
     basis = codes >> 1
     p_flip = np.where(basis == 0, e_z_target, e_x_target)
     flips = (rng.random(codes.shape[0]) < p_flip).astype(np.uint8)
-    ledger = {
-        "e_x_target": e_x_target,
-        "e_z_target": e_z_target,
-        "xi_half": e_x_target + e_z_target,
-        "info_per_detected_pulse": binary_entropy(e_x_target + e_z_target),
-    }
-    return codes ^ flips, ledger
+    return codes ^ flips

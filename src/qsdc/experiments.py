@@ -195,7 +195,7 @@ def run_e2e(
         report["abort_block"] = aborted.block_index
         report["abort_cause"] = transcript.abort_reason
     if attack.kind is AttackKind.OPTIMAL_COLLECTIVE:
-        # analytic ledger for Eve: the bound at her target disturbance
+        # Eve's analytic bound at her target disturbance
         rates = ErrorRates(
             e_x=attack.e_x_target, e_z=attack.e_z_target, e=config.data_channel.flip_prob
         )

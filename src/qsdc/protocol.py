@@ -47,14 +47,7 @@ from qsdc.ldpc import bp_decode, ldpc_encode
 from qsdc.security import ErrorRates, SecurityEstimate, half_bias_capacity
 from qsdc.spreading import compute_llrs, spread
 from qsdc.states import ChannelParams, flip_codes, measure_codes, random_state_codes
-from qsdc.wiretap_code import (
-    WiretapCode,
-    build_code,
-    check_security_condition,
-    security_budgets,
-    uhf_invert,
-    uhf_map,
-)
+from qsdc.wiretap_code import WiretapCode, build_code, uhf_invert, uhf_map
 
 
 @dataclass(frozen=True)
@@ -274,7 +267,7 @@ def _capped_rates(e_x: float, e_z: float, e: float) -> ErrorRates:
         scale = 0.5 / (e_x + e_z)
         e_x *= scale
         e_z *= scale
-    return ErrorRates(e_x=min(e_x, 0.5), e_z=min(e_z, 0.5), e=min(e, 0.5))
+    return ErrorRates(e_x=e_x, e_z=e_z, e=min(e, 0.5))
 
 
 def gate_on_capacity(
@@ -427,9 +420,6 @@ class BlockRecord:
     c_s: Optional[float] = None
     i_ab: Optional[float] = None
     i_ae: Optional[float] = None
-    budget_kr: Optional[float] = None
-    budget_ku: Optional[float] = None
-    budget_ok: Optional[bool] = None
     gate_proceed: Optional[bool] = None
     status: str = "deferred-no-detections"
     e_fwd: Optional[float] = None
@@ -442,11 +432,17 @@ class BlockRecord:
 
 @dataclass
 class SessionTranscript:
-    """Full account of one session: per-block records plus the outcome."""
+    """Full account of one session: per-block records plus the outcome.
+
+    code names the wiretap code the session ran on; the summary line
+    carries it, so a reader can set a block's i_ae against the code's
+    parameters, such as its random-bit rate k_r / (n_spread * l) per pulse.
+    """
 
     seed: int
     message_length: int
     repetition_rate_hz: float
+    code: CodeParams
     blocks: list[BlockRecord] = field(default_factory=list)
     delivered: bytes = b""
     security_abort: bool = False
@@ -471,6 +467,7 @@ class SessionTranscript:
                 {
                     "record": "summary",
                     "seed": self.seed,
+                    "code": vars(self.code),
                     "message_length": self.message_length,
                     "delivered_bytes": len(self.delivered),
                     "security_abort": self.security_abort,
@@ -590,17 +587,8 @@ def _run_block_attempt(
         return BlockRecord(**base_record, status="deferred-empty-basis"), None
 
     proceed, estimate = _gate_block(config, stats, q_hat, e_pool, check_pool)
-    # the code's random-bit budget is recorded against Eve's bound, never
-    # enforced (see the wiretap_code module docstring)
-    budgets = security_budgets(code)
     base_record.update(
-        c_s=estimate.c_s,
-        i_ab=estimate.i_ab,
-        i_ae=estimate.i_ae,
-        budget_kr=budgets["k_r_per_pulse"],
-        budget_ku=budgets["k_u_per_pulse"],
-        budget_ok=check_security_condition(code, estimate.i_ae),
-        gate_proceed=proceed,
+        c_s=estimate.c_s, i_ab=estimate.i_ab, i_ae=estimate.i_ae, gate_proceed=proceed
     )
     if not proceed:
         return BlockRecord(**base_record, status="gate-abort"), None
@@ -658,6 +646,7 @@ def run_session(
         seed=seed,
         message_length=len(message),
         repetition_rate_hz=config.repetition_rate_hz,
+        code=config.code,
     )
     if len(message) == 0:
         return transcript

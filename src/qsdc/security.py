@@ -169,11 +169,7 @@ def half_bias_capacity(rates: ErrorRates, q_bob: float, g: float) -> SecurityEst
     """
     i_ab = main_information(q_bob, 0.5, rates.e)
     i_ae = eve_information(_eve_detection_rate(q_bob, g), 0.5, rates)
-    c_s = q_bob * (
-        1.0
-        - binary_entropy(rates.e)
-        - g * binary_entropy(min(rates.e_x + rates.e_z, 0.5))
-    )
+    c_s = q_bob * (1.0 - binary_entropy(rates.e) - g * binary_entropy(rates.e_x + rates.e_z))
     return SecurityEstimate(p=0.5, i_ab=i_ab, i_ae=i_ae, c_s=c_s)
 
 

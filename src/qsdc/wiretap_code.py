@@ -1,11 +1,7 @@
 """Wiretap code: universal-hash preprocessing over a spread LDPC code.
 
 A block carries k_u information bits: k_m secret message bits plus
-k_r fresh uniform bits, whose rate per pulse is the budget for the
-information an eavesdropper can hold.  The protocol records that budget
-against Eve's bound on every block but does not enforce it: at the
-nominal point her bound is about eight times the budget, and the
-capacity gate alone decides.  The information word is whitened by an
+k_r fresh uniform bits.  The information word is whitened by an
 invertible random binary matrix (a universal hash family member fixed
 by the code seed), LDPC encoded to l coded bits, and spread by
 n_spread chips per bit.  The receiver inverts the chain after
@@ -119,25 +115,6 @@ def uhf_invert(u: np.ndarray, code: WiretapCode) -> tuple[np.ndarray, np.ndarray
         raise ValueError(f"information-word length {u.shape} != ({code.k_u},)")
     x = code.uhf_inv_rows.left_mul(u)
     return x[: code.k_m], x[code.k_m :]
-
-
-def check_security_condition(code: WiretapCode, i_ae: float) -> bool:
-    """True iff the per-pulse random-bit budget covers Eve's information.
-
-    The budget is k_r / (n_spread * l) bits per pulse (security_budgets);
-    the condition holds when i_ae does not exceed it.
-    """
-    if i_ae < 0.0:
-        raise ValueError(f"i_ae must be >= 0, got {i_ae}")
-    return i_ae <= security_budgets(code)["k_r_per_pulse"]
-
-
-def security_budgets(code: WiretapCode) -> dict[str, float]:
-    """Both per-pulse budget readings: sacrificial bits and total information bits."""
-    return {
-        "k_r_per_pulse": code.k_r / code.block_chips,
-        "k_u_per_pulse": code.k_u / code.block_chips,
-    }
 
 
 def _checksums(code: WiretapCode) -> dict[str, str]:

@@ -73,7 +73,7 @@ def test_intercept_resend_monotone_in_fraction(rng):
 
 def test_collective_identity_at_zero_targets(rng):
     codes = random_state_codes(5000, rng)
-    wire, info = eve_optimal_collective(codes, 0.0, 0.0, rng)
+    wire = eve_optimal_collective(codes, 0.0, 0.0, rng)
     assert (wire == codes).all()
 
 
@@ -83,7 +83,7 @@ def test_collective_hits_targets(rng):
     n = 200000
     e_x_t, e_z_t = 0.012, 0.006
     codes = random_state_codes(n, rng)
-    wire, info = eve_optimal_collective(codes, e_x_t, e_z_t, rng)
+    wire = eve_optimal_collective(codes, e_x_t, e_z_t, rng)
     z_prep = (codes >> 1) == 0
     x_prep = ~z_prep
     out_z = measure_codes(wire[z_prep], np.zeros(int(z_prep.sum()), dtype=np.uint8), rng)

@@ -42,7 +42,7 @@ from qsdc.protocol import (
 )
 from qsdc.spreading import spread
 from qsdc.states import ChannelParams, flip_codes, measure_codes
-from qsdc.wiretap_code import check_security_condition, security_budgets, uhf_map
+from qsdc.wiretap_code import uhf_map
 from test_gf2 import gf2_matmul
 
 
@@ -306,12 +306,13 @@ def test_gate_survives_rescale_rounding():
 
 
 def test_gate_code_budget_enforcement(fast_config):
-    # the code budget is recorded, never enforced: the gate decides on c_s
+    # the code's random-bit rate per pulse is no gate input: the gate
+    # decides on c_s alone, even where i_ae exceeds k_r per pulse
     code = realize_code(fast_config.code)
+    k_r_per_pulse = code.k_r / code.block_chips
+    assert k_r_per_pulse == pytest.approx(32 / (8 * 256))
     proceed, estimate = gate_on_capacity(0.008, 0.008, 0.006, 0.3, 1.1)
-    assert security_budgets(code)["k_r_per_pulse"] == pytest.approx(32 / (8 * 256))
-    # i_ae at q_eve = 0.33 exceeds the small code's budget
-    assert not check_security_condition(code, estimate.i_ae)
+    assert estimate.i_ae > k_r_per_pulse
     assert proceed
 
 
@@ -466,6 +467,14 @@ def test_session_transcript_jsonl(fast_config):
     assert parsed[-1]["delivered_bytes"] == 10
     assert all(p["record"] == "block" for p in parsed[:-1])
     assert parsed[0]["status"] == "ok"
+
+
+@pytest.mark.parametrize("message", [b"", b"code params"])
+def test_summary_names_the_code(fast_config, message):
+    tr = run_session(fast_config, message, seed=17)
+    assert tr.delivered == message
+    summary = json.loads(tr.to_jsonl().splitlines()[-1])
+    assert CodeParams(**summary["code"]) == fast_config.code
 
 
 def test_session_throughput_accounting(fast_config):
@@ -637,23 +646,25 @@ def test_nominal_attempt_memory_below_one_byte_per_slot(attack):
 
 # sha256 of to_jsonl() + delivered bytes.  They assume numpy's PCG64 bit
 # streams, and were re-recorded on purpose when the engine changed its
-# draw order to draw only observed slots.  A transcript records counts,
-# not the layout, chips or LLRs, so the honest session also pins the
+# draw order to draw only observed slots, and again when the block
+# records lost their code-budget fields and the summary gained the code
+# parameters (no draw moved; the LLR digest held).  A transcript records
+# counts, not the layout, chips or LLRs, so the honest session also pins the
 # sha256 of every LLR vector handed to bp_decode: a change to the
 # layout, keystream or codeword fails it even when the counts stay.
 _PINNED_SESSIONS = [
-    ("honest", None, 11, "b0c1639ad8089b23a096996515610f577f1bba9513bb4375290e38055fa2c50f"),
+    ("honest", None, 11, "8bcf741444132e28f7342d3db0bbdff3bf63d5f61f2f4cb0df9f78e49198cd8a"),
     (
         "intercept-resend 0.3",
         AttackModel.intercept_resend(0.3),
         12,
-        "dbcfd34903503f802519db1aff466cc3faf4ffbf43d51cc09dd1ec4cd51119cc",
+        "916271b57d53047e2ca693a460e4063f5358ee210114825f3f27e0c52724d098",
     ),
     (
         "collective (0.02, 0.01)",
         AttackModel.optimal_collective(0.02, 0.01),
         17,
-        "e598ed649e81141505afcb1e4a455a28ae097c41f1a6df73bcc011e5865b9864",
+        "9ae1033359bfa4eba0efc323b7d37adf354243f740682847fbefb086db0b69a0",
     ),
 ]
 
@@ -681,4 +692,4 @@ def test_transcripts_match_pinned_digests(fast_config, monkeypatch):
             assert llr_digest.hexdigest() == _PINNED_HONEST_LLRS
     tr = run_session(nominal_config(), b"nominal payload", seed=3)
     assert tr.delivered == b"nominal payload"
-    assert _digest(tr) == "d779bbe0e8e2d57168f06ab22361a7bc80035203ce43ddc23bfee8967cb920b2"
+    assert _digest(tr) == "3e6df53c3ebba243bfc397305cfb34855c8fba16bff413e9eb9bd4972e3d2bb8"

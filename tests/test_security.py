@@ -83,6 +83,9 @@ def test_xi_maximal_at_half():
 def test_xi_domain():
     with pytest.raises(ValueError):
         xi(0.5, 0.3, 0.3)
+    # the closed-form c_s relies on this: it takes h(e_x + e_z) unclamped
+    with pytest.raises(ValueError):
+        half_bias_capacity(ErrorRates(0.3, 0.3, 0.01), 0.003, G_NOMINAL)
 
 
 def test_xi_against_numeric_gram_spectrum():

@@ -1,4 +1,4 @@
-"""Wiretap code construction, whitening, security budget accounting."""
+"""Wiretap code construction, whitening, packed storage and its description."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from qsdc.gf2 import PackedRows
 from qsdc.ldpc import TannerGraph, ldpc_encode
 from qsdc.wiretap_code import (
     build_code,
-    check_security_condition,
     code_description,
     code_from_description,
-    security_budgets,
     uhf_invert,
     uhf_map,
 )
@@ -130,18 +128,6 @@ def test_uhf_mixes_random_bits(small_code, rng):
     r1 = np.zeros(small_code.k_r, dtype=np.uint8)
     r2 = np.ones(small_code.k_r, dtype=np.uint8)
     assert (uhf_map(m, r1, small_code) != uhf_map(m, r2, small_code)).any()
-
-
-def test_security_budgets(default_code):
-    budgets = security_budgets(default_code)
-    assert budgets["k_r_per_pulse"] == pytest.approx(128 / (830 * 1312), rel=1e-12)
-    assert budgets["k_u_per_pulse"] == pytest.approx(656 / (830 * 1312), rel=1e-12)
-
-
-def test_check_security_condition(default_code):
-    per_pulse = 128 / (830 * 1312)
-    assert check_security_condition(default_code, per_pulse * 0.99)
-    assert not check_security_condition(default_code, per_pulse * 1.01)
 
 
 def test_code_description_roundtrip(small_code):
