@@ -20,6 +20,7 @@ from pathlib import Path
 from qsdc.attacks import AttackModel
 from qsdc.config_io import load_config
 from qsdc.experiments import (
+    STABILITY_HEADER,
     SweepSpec,
     run_capacity_sweep,
     run_e2e,
@@ -151,16 +152,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_STABILITY_COLUMNS = ("block", "attempt", "e_x", "e_z", "e", "n_x", "n_z", "n_fwd", "c_s", "status")
-
-
 def _cmd_stability(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
     report = run_stability(config, args.blocks, args.seed)
-    lines = [",".join(_STABILITY_COLUMNS)]
+    lines = [",".join(STABILITY_HEADER)]
     for row in report.rows:
         cells = []
-        for col in _STABILITY_COLUMNS:
+        for col in STABILITY_HEADER:
             value = row[col]
             if value is None:
                 cells.append("")

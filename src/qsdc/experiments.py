@@ -33,6 +33,14 @@ class StabilityReport:
     summary: dict
 
 
+# the BlockRecord field behind each stability column, in column order
+_STABILITY_FIELDS = {
+    "block": "block_index", "attempt": "attempt", "e_x": "e_x", "e_z": "e_z", "e": "e_fwd",
+    "n_x": "n_x", "n_z": "n_z", "n_fwd": "n_fwd_detected", "c_s": "c_s", "status": "status",
+}
+STABILITY_HEADER = tuple(_STABILITY_FIELDS)
+
+
 def run_stability(config: ProtocolConfig, n_blocks: int, seed: int) -> StabilityReport:
     """Run n_blocks consecutive protocol blocks and tabulate the
     per-block error estimates.
@@ -52,22 +60,10 @@ def run_stability(config: ProtocolConfig, n_blocks: int, seed: int) -> Stability
     payload = np.random.default_rng(seed).integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
     transcript = run_session(config, payload, seed)
 
-    rows = []
-    for b in transcript.blocks:
-        rows.append(
-            {
-                "block": b.block_index,
-                "attempt": b.attempt,
-                "e_x": b.e_x,
-                "e_z": b.e_z,
-                "e": b.e_fwd,
-                "n_x": b.n_x,
-                "n_z": b.n_z,
-                "n_fwd": b.n_fwd_detected,
-                "c_s": b.c_s,
-                "status": b.status,
-            }
-        )
+    rows = [
+        {col: getattr(b, name) for col, name in _STABILITY_FIELDS.items()}
+        for b in transcript.blocks
+    ]
     ex_vals = [r["e_x"] for r in rows if r["e_x"] is not None]
     ez_vals = [r["e_z"] for r in rows if r["e_z"] is not None]
     e_vals = [r["e"] for r in rows if r["e"] is not None]

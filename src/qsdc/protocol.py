@@ -27,8 +27,8 @@ slots that fire Bob's detector.  Every recorded quantity keeps the
 distribution of a slot-by-slot simulation, and an attempt costs
 O(detections), not O(slots).
 
-All randomness is drawn from per-block generators derived from
-(session seed, block counter), so transcripts are reproducible and
+All randomness is drawn from per-attempt generators derived from
+(session seed, attempt serial number), so transcripts are reproducible and
 blocks can be simulated in parallel without shared state.
 """
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -423,11 +423,52 @@ class BlockRecord:
     gate_proceed: Optional[bool] = None
     status: str = "deferred-no-detections"
     e_fwd: Optional[float] = None
+    fwd_errors: int = 0
     n_fwd_detected: int = 0
     n_chip_detected: int = 0
     bp_iterations: int = 0
     bp_converged: Optional[bool] = None
     delivered_bits: int = 0
+
+
+@dataclass
+class _PooledCounts:
+    """Running sums of the counts of a session's attempts so far, on
+    which the capacity gate decides.
+
+    The channel and any eavesdropping are treated as stationary within
+    a session, so the gate pools: one block's ~300 disclosed pulses put
+    the nominal error rate only about 4 sigma below the abort point, and
+    a session of a hundred blocks gated block by block would flap.
+    Per-block rates are still logged unpooled, and the forward-check
+    margin in the decode step guards each block individually.
+    """
+
+    err_x: int = 0
+    n_x: int = 0
+    err_z: int = 0
+    n_z: int = 0
+    fwd_errors: int = 0
+    n_fwd_detected: int = 0
+
+    def add(self, record: BlockRecord) -> None:
+        """Pool an attempt's counts: the BlockRecord fields of these names."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(record, f.name))
+
+    def gate(
+        self, config: ProtocolConfig, stats: CheckStats, q_hat: float
+    ) -> tuple[bool, SecurityEstimate]:
+        """The capacity gate on this attempt's check counts pooled with the
+        earlier ones; gate_on_capacity's result.  The data-path rate pools
+        the earlier forward checks, or is flip_prob before there are any."""
+        e_x = (self.err_x + stats.err_x) / (self.n_x + stats.n_x)
+        e_z = (self.err_z + stats.err_z) / (self.n_z + stats.n_z)
+        n_fwd = self.n_fwd_detected
+        e = self.fwd_errors / n_fwd if n_fwd else config.data_channel.flip_prob
+        return gate_on_capacity(
+            e_x, e_z, e, q_hat, config.g, threshold=config.abort_threshold_capacity
+        )
 
 
 @dataclass
@@ -501,55 +542,30 @@ def _unframe_message(bit_chunks: list[np.ndarray]) -> bytes:
     return data[FRAME_HEADER_BYTES : FRAME_HEADER_BYTES + length]
 
 
-def _gate_block(
-    config: ProtocolConfig,
-    stats: CheckStats,
-    q_hat: float,
-    e_pool: tuple[int, int],
-    check_pool: tuple[int, int, int, int],
-) -> tuple[bool, SecurityEstimate]:
-    """The capacity gate on this attempt's check counts pooled with the
-    session's earlier ones (see _run_block_attempt)."""
-    err_pool, n_pool = e_pool
-    e_gate = err_pool / n_pool if n_pool else config.data_channel.flip_prob
-    px_err, px_n, pz_err, pz_n = check_pool
-    e_x = (px_err + stats.err_x) / (px_n + stats.n_x)
-    e_z = (pz_err + stats.err_z) / (pz_n + stats.n_z)
-    return gate_on_capacity(
-        e_x, e_z, e_gate, q_hat, config.g, threshold=config.abort_threshold_capacity
-    )
-
-
 def _run_block_attempt(
     config: ProtocolConfig,
     code: WiretapCode,
     chunk_bits: np.ndarray,
     seed: int,
-    counter: int,
+    serial: int,
     block_index: int,
     attempt: int,
     attack: AttackModel,
-    e_pool: tuple[int, int],
-    check_pool: tuple[int, int, int, int] = (0, 0, 0, 0),
+    pooled: _PooledCounts,
 ) -> tuple[BlockRecord, Optional[BlockDecodeResult]]:
     """Simulate one block attempt end to end; decode result is None when
     the block never reached the encoding step.
 
-    check_pool carries (err_x, n_x, err_z, n_z) accumulated over earlier
-    attempts in the session.  The channel and any eavesdropping are
-    treated as stationary within a session, so the capacity gate feeds on
-    the pooled counts: one block's ~300 disclosed pulses put the nominal
-    error rate only about 4 sigma below the abort point, and a session
-    of a hundred blocks would flap with non-negligible probability if
-    each block were gated on its own sample alone.  Per-block rates are
-    still logged unpooled, and the forward-check margin in the decode
-    step guards each block individually.
+    serial is the attempt's number in the session; it seeds the
+    attempt's generators and its keystream.  The capacity gate decides
+    on this attempt's check counts pooled with the session's earlier
+    ones in pooled.
 
     Slots nobody observes are only counted (see the module docstring):
     Bob's states, the attack, the flips and the measurements are drawn
     for the checked pulses and the detected data slots alone.
     """
-    ss = np.random.SeedSequence([seed, counter])
+    ss = np.random.SeedSequence([seed, serial])
     bob_rng, channel_rng, alice_rng, attack_rng = (
         np.random.default_rng(child) for child in ss.spawn(4)
     )
@@ -586,7 +602,7 @@ def _run_block_attempt(
     if not stats.well_defined:
         return BlockRecord(**base_record, status="deferred-empty-basis"), None
 
-    proceed, estimate = _gate_block(config, stats, q_hat, e_pool, check_pool)
+    proceed, estimate = pooled.gate(config, stats, q_hat)
     base_record.update(
         c_s=estimate.c_s, i_ab=estimate.i_ab, i_ae=estimate.i_ae, gate_proceed=proceed
     )
@@ -603,7 +619,7 @@ def _run_block_attempt(
         code.block_chips, n_fwd, config.data_channel.survival, channel_rng
     )
     enc_record = alice_encode_block(
-        chunk_bits, code, n_fwd_det, chip_idx, alice_rng, block_index=counter
+        chunk_bits, code, n_fwd_det, chip_idx, alice_rng, block_index=serial
     )
     prepared = bob_prepare_block(len(enc_record), bob_rng)
     wire, _ = attack.apply(prepared, attack_rng)
@@ -615,6 +631,7 @@ def _run_block_attempt(
     base_record.update(
         status=result.status,
         e_fwd=result.e_fwd,
+        fwd_errors=result.fwd_errors,
         n_fwd_detected=result.n_fwd_detected,
         n_chip_detected=result.n_chip_detected,
         bp_iterations=result.bp_iterations,
@@ -641,7 +658,6 @@ def run_session(
     sample.  The empty message yields an empty transcript.
     """
     attack = attack or AttackModel.none()
-    code = realize_code(config.code)
     transcript = SessionTranscript(
         seed=seed,
         message_length=len(message),
@@ -651,35 +667,19 @@ def run_session(
     if len(message) == 0:
         return transcript
 
+    code = realize_code(config.code)
     chunks = _frame_message(message, code.k_m)
     recovered: list[np.ndarray] = []
-    counter = 0
-    err_pool, n_pool = 0, 0
-    chk_err_x, chk_n_x, chk_err_z, chk_n_z = 0, 0, 0, 0
+    pooled = _PooledCounts()
     for block_index, chunk in enumerate(chunks):
         for attempt in range(config.max_block_retries + 1):
             record, result = _run_block_attempt(
-                config,
-                code,
-                chunk,
-                seed,
-                counter,
-                block_index,
-                attempt,
-                attack,
-                (err_pool, n_pool),
-                (chk_err_x, chk_n_x, chk_err_z, chk_n_z),
+                config, code, chunk, seed, len(transcript.blocks), block_index, attempt, attack,
+                pooled,
             )
-            counter += 1
             transcript.blocks.append(record)
             transcript.pulses_emitted += record.n_sent
-            chk_err_x += record.err_x
-            chk_n_x += record.n_x
-            chk_err_z += record.err_z
-            chk_n_z += record.n_z
-            if result is not None:
-                err_pool += result.fwd_errors
-                n_pool += result.n_fwd_detected
+            pooled.add(record)
             if record.status == "gate-abort":
                 transcript.security_abort = True
                 transcript.abort_reason = "capacity-gate"

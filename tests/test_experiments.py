@@ -8,6 +8,7 @@ import pytest
 
 from qsdc.attacks import AttackModel
 from qsdc.experiments import (
+    STABILITY_HEADER,
     SWEEP_HEADER,
     SweepSpec,
     run_capacity_sweep,
@@ -75,6 +76,7 @@ def test_stability_rows_and_summary(fast_config):
     assert report.summary["n_rows"] >= 12
     # the framed payload fills exactly the requested blocks
     assert {r["block"] for r in report.rows} == set(range(12))
+    assert all(tuple(r) == STABILITY_HEADER for r in report.rows)
     assert report.summary["delivered_ok"]
     ok_rows = [r for r in report.rows if r["status"] == "ok"]
     assert len(ok_rows) == 12

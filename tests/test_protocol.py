@@ -35,8 +35,8 @@ from qsdc.protocol import (
     nominal_config,
     realize_code,
     run_session,
+    _PooledCounts,
     _frame_message,
-    _gate_block,
     _run_block_attempt,
     _unframe_message,
 )
@@ -118,11 +118,11 @@ def _observed_record(layout, det_local):
     return record, np.concatenate([np.flatnonzero(is_fwd), np.flatnonzero(~is_fwd)])
 
 
-def _dense_block_attempt(config, code, chunk_bits, seed, counter, attack):
+def _dense_block_attempt(config, code, chunk_bits, seed, serial, attack):
     """One block attempt of a fresh session, every slot drawn: Bob's
     states and the attack on all n_sent slots, one detection draw per
     slot on each path, and the layout over the slots left unchecked."""
-    ss = np.random.SeedSequence([seed, counter])
+    ss = np.random.SeedSequence([seed, serial])
     bob_rng, channel_rng, alice_rng, attack_rng = (
         np.random.default_rng(child) for child in ss.spawn(4)
     )
@@ -146,14 +146,14 @@ def _dense_block_attempt(config, code, chunk_bits, seed, counter, attack):
     )
     if not stats.well_defined:
         return BlockRecord(**fields, status="deferred-empty-basis"), None
-    proceed, estimate = _gate_block(config, stats, q_hat, (0, 0), (0, 0, 0, 0))
+    proceed, estimate = _PooledCounts().gate(config, stats, q_hat)
     fields.update(c_s=estimate.c_s, gate_proceed=proceed)
     if not proceed:
         return BlockRecord(**fields, status="gate-abort"), None
     try:
         layout = _dense_encode_block(
             chunk_bits, code, _available_slots(n_sent, checked),
-            config.n_forward_checks, alice_rng, counter,
+            config.n_forward_checks, alice_rng, serial,
         )
     except InsufficientPulsesError:
         return BlockRecord(**fields, status="deferred-insufficient-slots"), None
@@ -169,9 +169,9 @@ def _dense_block_attempt(config, code, chunk_bits, seed, counter, attack):
         outcomes[order], bob_codes[det_positions][order], record, code, config.e_margin
     )
     fields.update(
-        status=result.status, e_fwd=result.e_fwd, n_fwd_detected=result.n_fwd_detected,
-        n_chip_detected=result.n_chip_detected, bp_iterations=result.bp_iterations,
-        bp_converged=result.bp_converged,
+        status=result.status, e_fwd=result.e_fwd, fwd_errors=result.fwd_errors,
+        n_fwd_detected=result.n_fwd_detected, n_chip_detected=result.n_chip_detected,
+        bp_iterations=result.bp_iterations, bp_converged=result.bp_converged,
     )
     return BlockRecord(**fields), result
 
@@ -428,9 +428,16 @@ def test_session_deterministic(fast_config):
     assert a.to_jsonl() != c.to_jsonl()
 
 
-def test_session_empty_message(fast_config):
-    tr = run_session(fast_config, b"", seed=5)
+def test_session_empty_message(fast_config, monkeypatch):
+    # no block is sent, so a code not yet in the cache is never built
+    def no_build(*args):
+        raise AssertionError("an empty message built the wiretap code")
+
+    monkeypatch.setattr(qsdc.protocol, "build_code", no_build)
+    config = dataclasses.replace(fast_config, code=dataclasses.replace(fast_config.code, seed=4242))
+    tr = run_session(config, b"", seed=5)
     assert tr.ok and tr.delivered == b"" and len(tr.blocks) == 0
+    assert tr.code == config.code
 
 
 def test_session_gate_abort_on_intercept_resend(fast_config):
@@ -440,6 +447,42 @@ def test_session_gate_abort_on_intercept_resend(fast_config):
     assert tr.delivered == b""
     assert tr.blocks[-1].status == "gate-abort"
     assert tr.blocks[-1].gate_proceed is False
+
+
+_POOLED = ("err_x", "n_x", "err_z", "n_z", "fwd_errors", "n_fwd_detected")
+
+
+@pytest.mark.parametrize(
+    "flip, message, seed, attack, min_retries",
+    [
+        (0.09, b"retries please" * 6, 202, None, 3),
+        (0.006, bytes(range(200)), 17, AttackModel.optimal_collective(0.02, 0.01), 0),
+    ],
+    ids=["honest with retries", "collective (0.02, 0.01)"],
+)
+def test_gate_decisions_recompute_from_jsonl(fast_config, flip, message, seed, attack, min_retries):
+    # each gate decision follows from the JSONL block lines alone: the
+    # earlier lines' integer counts summed, plus this line's counts and q_hat
+    config = dataclasses.replace(fast_config, data_channel=ChannelParams(5.0, flip))
+    tr = run_session(config, message, seed=seed, attack=attack)
+    assert tr.ok and tr.delivered == message
+    blocks = [json.loads(line) for line in tr.to_jsonl().splitlines()[:-1]]
+    assert sum(b["attempt"] > 0 for b in blocks) >= min_retries
+    pooled = dict.fromkeys(_POOLED, 0)
+    for b in blocks:
+        assert b["gate_proceed"] is not None
+        n_fwd = pooled["n_fwd_detected"]
+        proceed, estimate = gate_on_capacity(
+            (pooled["err_x"] + b["err_x"]) / (pooled["n_x"] + b["n_x"]),
+            (pooled["err_z"] + b["err_z"]) / (pooled["n_z"] + b["n_z"]),
+            pooled["fwd_errors"] / n_fwd if n_fwd else config.data_channel.flip_prob,
+            b["q_hat"],
+            config.g,
+            threshold=config.abort_threshold_capacity,
+        )
+        assert (estimate.c_s, proceed) == (b["c_s"], b["gate_proceed"])
+        assert b["e_fwd"] == b["fwd_errors"] / b["n_fwd_detected"]
+        pooled = {k: pooled[k] + b[k] for k in _POOLED}
 
 
 def test_session_decode_failure_after_retries():
@@ -545,7 +588,7 @@ def test_engine_matches_dense_oracle_statistics(fast_config, attack):
     needed = code.block_chips + fast_config.n_forward_checks
     n_attempts = 400
     sparse = [
-        _run_block_attempt(fast_config, code, chunk, 101, c, 0, 0, attack, (0, 0))
+        _run_block_attempt(fast_config, code, chunk, 101, c, 0, 0, attack, _PooledCounts())
         for c in range(n_attempts)
     ]
     dense = [
@@ -632,10 +675,10 @@ def test_nominal_attempt_memory_below_one_byte_per_slot(attack):
     config = nominal_config()
     code = realize_code(config.code)
     chunk = np.zeros(code.k_m, dtype=np.uint8)
-    _run_block_attempt(config, code, chunk, 5, 0, 0, 0, AttackModel.none(), (0, 0))
+    _run_block_attempt(config, code, chunk, 5, 0, 0, 0, AttackModel.none(), _PooledCounts())
     tracemalloc.start()
     try:
-        record, _ = _run_block_attempt(config, code, chunk, 5, 1, 0, 0, attack, (0, 0))
+        record, _ = _run_block_attempt(config, code, chunk, 5, 1, 0, 0, attack, _PooledCounts())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -648,23 +691,24 @@ def test_nominal_attempt_memory_below_one_byte_per_slot(attack):
 # streams, and were re-recorded on purpose when the engine changed its
 # draw order to draw only observed slots, and again when the block
 # records lost their code-budget fields and the summary gained the code
-# parameters (no draw moved; the LLR digest held).  A transcript records
+# parameters, and again when the block records gained fwd_errors (no
+# draw moved either time; the LLR digest held).  A transcript records
 # counts, not the layout, chips or LLRs, so the honest session also pins the
 # sha256 of every LLR vector handed to bp_decode: a change to the
 # layout, keystream or codeword fails it even when the counts stay.
 _PINNED_SESSIONS = [
-    ("honest", None, 11, "8bcf741444132e28f7342d3db0bbdff3bf63d5f61f2f4cb0df9f78e49198cd8a"),
+    ("honest", None, 11, "a1907588d793e2fafc2ab0ceb8cc2995b8ae44ee785e4e94da90656ca538ffdd"),
     (
         "intercept-resend 0.3",
         AttackModel.intercept_resend(0.3),
         12,
-        "916271b57d53047e2ca693a460e4063f5358ee210114825f3f27e0c52724d098",
+        "83c2340dee9d227a98db2a005c2b92103741509f7a557754845d047f8cfcbc8c",
     ),
     (
         "collective (0.02, 0.01)",
         AttackModel.optimal_collective(0.02, 0.01),
         17,
-        "9ae1033359bfa4eba0efc323b7d37adf354243f740682847fbefb086db0b69a0",
+        "9a830254e3cc606b9d5d4a15dcfae968cf972dbd35260246a5d14b31365d77b5",
     ),
 ]
 
@@ -692,4 +736,4 @@ def test_transcripts_match_pinned_digests(fast_config, monkeypatch):
             assert llr_digest.hexdigest() == _PINNED_HONEST_LLRS
     tr = run_session(nominal_config(), b"nominal payload", seed=3)
     assert tr.delivered == b"nominal payload"
-    assert _digest(tr) == "3e6df53c3ebba243bfc397305cfb34855c8fba16bff413e9eb9bd4972e3d2bb8"
+    assert _digest(tr) == "22b181e34e29adc45e45a7835b7df6e8ee54fe052b1393aa457e794e2b8d9547"

@@ -35,16 +35,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("nominal_file", "marginal_link", "attack_abort", "capacity_scan")
 SEND_BYTES = 10 * 1024
-# prints the build's seconds, or with the argument "traced" the peak
-# MiB that tracemalloc saw, which would slow the timed build
+# builds the default CodeParams() code and prints the build's seconds, or
+# with the argument "traced" the peak MiB that tracemalloc saw, which
+# would slow the timed build
 BUILD_SNIPPET = """
 import sys, time, tracemalloc
+from qsdc.protocol import CodeParams
 from qsdc.wiretap_code import build_code
+p = CodeParams()
 traced = sys.argv[1:] == ["traced"]
 if traced:
     tracemalloc.start()
 t0 = time.perf_counter()
-build_code(1312, 656, 128, 830, 12345)
+build_code(p.l, p.k_u, p.k_r, p.n_spread, p.seed)
 elapsed = time.perf_counter() - t0
 print(tracemalloc.get_traced_memory()[1] / 2**20 if traced else elapsed)
 """
