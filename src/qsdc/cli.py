@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 I/O or argument error, 3 security abort,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -46,7 +47,9 @@ def _add_rate_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--g", type=float, default=NOMINAL.g, help="Eve detection advantage")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="qsdc",
         description="Simulator and security calculator for a two-way QSDC link.",

@@ -169,7 +169,9 @@ def run_e2e(
     attack = attack or AttackModel.none()
     data = Path(input_path).read_bytes()
     transcript = run_session(config, data, seed, attack=attack)
-    code = realize_code(config.code)
+    # the message bits per block come from the parameters, so a send
+    # that needs no block builds no code
+    k_m = config.code.k_u - config.code.k_r
 
     retries = sum(1 for b in transcript.blocks if b.attempt > 0)
     report = {
@@ -182,7 +184,7 @@ def run_e2e(
         "security_abort": transcript.security_abort,
         "abort_reason": transcript.abort_reason,
         "throughput_bits_per_s": transcript.throughput_bits_per_s,
-        "block_rate_bits_per_s": code.k_m / config.slots_per_block * config.repetition_rate_hz,
+        "block_rate_bits_per_s": k_m / config.slots_per_block * config.repetition_rate_hz,
         "capacity_rate_bits_per_s": _nominal_capacity(config) * config.repetition_rate_hz,
         "attack": attack.kind.value,
     }

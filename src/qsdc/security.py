@@ -6,6 +6,12 @@ that her accessible information is bounded by the entropy of the joint
 state; the bound reduces to closed forms in the check error rates
 (e_x, e_z) measured on the forward path, the message error rate e seen
 by Bob, and the detection-rate asymmetry g between Eve and Bob.
+
+The rate functions take the encoding bias p (and binary_entropy its
+argument) as a scalar or an array.  Python and numpy scalars and 0-d
+arrays are evaluated with math and plain comparisons and give floats;
+arrays of one or more dimensions, such as the bias grid of
+secrecy_capacity, are evaluated elementwise with numpy.
 """
 
 from __future__ import annotations
@@ -83,20 +89,28 @@ class AttackOverlaps:
         return math.sqrt((self.alpha + self.beta) ** 2 + self.delta_mag**2)
 
 
+def _is_scalar(v: float | np.ndarray) -> bool:
+    # Python and numpy scalars and 0-d arrays take the math path
+    return not isinstance(v, np.ndarray) or v.ndim == 0
+
+
 def _check_unit(name: str, v: float | np.ndarray) -> None:
-    # the comparison is written so that NaN fails it too
-    if not np.all((0.0 <= v) & (v <= 1.0)):
+    # the comparisons are written so that NaN fails them too
+    inside = 0.0 <= v <= 1.0 if _is_scalar(v) else np.all((0.0 <= v) & (v <= 1.0))
+    if not inside:
         raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
 def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
     """Shannon entropy of a coin with bias x, in bits; x may be an array.
 
-    A scalar takes the math.log2 path, so scalar results do not depend
-    on which vectorised log2 numpy was built with.
+    A Python or numpy scalar or a 0-d array takes the math.log2 path and
+    returns a float, so scalar results do not depend on which vectorised
+    log2 numpy was built with; an array of one or more dimensions takes
+    the numpy path and returns an array.
     """
     _check_unit("binary_entropy argument", x)
-    if np.ndim(x) == 0:
+    if _is_scalar(x):
         x = float(x)
         if x == 0.0 or x == 1.0:
             return 0.0
@@ -124,8 +138,9 @@ def xi(p: float | np.ndarray, e_x: float, e_z: float) -> float | np.ndarray:
     a = (1.0 - 2.0 * p) ** 2
     d = 1.0 - 2.0 * s
     radicand = a + d * d * (1.0 - a)
-    out = np.where(p == 0.5, s, (1.0 - np.sqrt(radicand)) / 2.0)
-    return float(out) if out.ndim == 0 else out
+    if _is_scalar(p):
+        return float(s) if p == 0.5 else (1.0 - math.sqrt(radicand)) / 2.0
+    return np.where(p == 0.5, s, (1.0 - np.sqrt(radicand)) / 2.0)
 
 
 def eve_information(q_eve: float, p: float | np.ndarray, rates: ErrorRates) -> float | np.ndarray:

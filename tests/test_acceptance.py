@@ -183,10 +183,13 @@ def test_criterion_07_monte_carlo_reliability(default_code):
         r = rng.integers(0, 2, default_code.k_r, dtype=np.uint8)
         v = ldpc_encode(uhf_map(m, r, default_code), default_code.g_rows)
         n_chips = default_code.block_chips
-        detected = rng.random(n_chips) < 0.003
-        flips = rng.random(n_chips) < 0.006
-        idx = np.flatnonzero(detected)
-        noisy = spread(v, default_code, trial, idx) ^ flips[idx].astype(np.uint8)
+        # each chip is detected with probability 0.003 and flipped with
+        # 0.006, independently: draw the detected set as a uniform
+        # subset of binomial size, and flips only where they are seen
+        n_detected = rng.binomial(n_chips, 0.003)
+        idx = np.sort(rng.choice(n_chips, size=n_detected, replace=False, shuffle=False))
+        flips = rng.random(n_detected) < 0.006
+        noisy = spread(v, default_code, trial, idx) ^ flips.astype(np.uint8)
         llrs = compute_llrs(idx, noisy, default_code, 0.006, trial)
         u_hat, converged, _ = bp_decode(llrs, default_code.edges, default_code.info_positions)
         m_hat, _ = uhf_invert(u_hat, default_code)

@@ -1,6 +1,7 @@
 """Command line interface and config file handling."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qsdc
-from qsdc.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_SECURITY, main
+from qsdc.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_SECURITY, _build_parser, main
 from qsdc.config_io import load_config, parse_config, render_config, save_config
 from qsdc.protocol import CodeParams, ProtocolConfig, nominal_config
 from qsdc.states import ChannelParams
@@ -88,6 +89,72 @@ def test_capacity_interior_optimum(capsys):
     kv = _parse_kv(capsys.readouterr().out)
     assert float(kv["p_star"]) == pytest.approx(0.2512, abs=1e-4)
     assert float(kv["c_s_grid"]) > 0 > float(kv["c_s"])
+
+
+# the benchmark's capacity grid (e = 0.006, g = 10^0.41 given explicitly),
+# then edge points: no loss, a noiseless data path, e_x + e_z = 0.5 and
+# a direct detection rate
+_PIN_G = repr(10.0 ** (4.1 / 10.0))
+_PIN_CAPACITY_ARGVS = [
+    ["capacity", "--loss-db", repr(loss), "--e", "0.006", "--e-x", repr(e_x),
+     "--e-z", repr(e_z), "--g", _PIN_G]
+    for loss in (3.0, 10.0, 18.06, 25.1, 30.0, 40.0)
+    for e_x, e_z in ((0.008, 0.008), (0.02, 0.03), (0.06, 0.04), (0.1, 0.1), (0.25, 0.2))
+] + [
+    ["capacity", "--loss-db", "0"],
+    ["capacity", "--e", "0"],
+    ["capacity", "--e-x", "0.25", "--e-z", "0.25"],
+    ["capacity", "--e-x", "0.5", "--e-z", "0"],
+    ["capacity", "--q-bob", "0.003"],
+    ["capacity", "--q-bob", "1"],
+]
+# sha256 of the outputs: a change to any printed digit shows
+_CAPACITY_PIN = "2e9c340dcd659522915b1db2a07fcdaa5fa90d937e68268e62f26e85c0e2833c"
+_SWEEP_PIN = "41e29a1b8064aa235e0a8e37a41107c2994402c108ed9fac41bad6b6770a26b4"
+
+
+def test_capacity_output_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in _PIN_CAPACITY_ARGVS:
+        assert main(argv) == EXIT_OK
+        digest.update(" ".join(argv).encode() + b"\n" + capsys.readouterr().out.encode())
+    assert digest.hexdigest() == _CAPACITY_PIN
+
+
+def test_sweep_output_pinned(capsys):
+    assert main(["sweep"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _SWEEP_PIN
+
+
+def test_cached_parser_prints_what_a_fresh_one_prints(capsys):
+    # main builds its parser once per process, so no call may leave
+    # state behind that a later call sees
+    sequence = [
+        ["capacity", "--q-bob", "0.003"],
+        ["capacity"],
+        ["sweep"],
+        ["capacity", "--q-bob", "0.003", "--loss-db", "25.1"],
+        ["capacity", "--e", "oops"],
+        ["capacity"],
+    ]
+
+    def run(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    fresh = []
+    for argv in sequence:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    parser = _build_parser()
+    assert [run(argv) for argv in sequence] == fresh
+    assert _build_parser() is parser
+    assert [rc for rc, _, _ in fresh] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_IO, EXIT_IO, EXIT_OK]
+    assert fresh[1] == fresh[5]
 
 
 def test_cli_import_leaves_scipy_out():

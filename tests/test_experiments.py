@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import qsdc.protocol
 from qsdc.attacks import AttackModel
 from qsdc.experiments import (
     STABILITY_HEADER,
@@ -139,6 +140,21 @@ def test_e2e_empty_file(tmp_path, fast_config):
     assert report["byte_identical"]
     assert dst.read_bytes() == b""
     assert not report["security_abort"]
+
+
+def test_e2e_empty_file_builds_no_code(tmp_path, fast_config, monkeypatch):
+    src = tmp_path / "empty.bin"
+    dst = tmp_path / "out.bin"
+    src.write_bytes(b"")
+    expected = run_e2e(fast_config, src, dst, seed=6)
+
+    # the report's block rate needs k_m only, which the parameters give
+    def no_build(*args):
+        raise AssertionError("an empty send built the wiretap code")
+
+    monkeypatch.setattr(qsdc.protocol, "build_code", no_build)
+    config = dataclasses.replace(fast_config, code=dataclasses.replace(fast_config.code, seed=4243))
+    assert run_e2e(config, src, dst, seed=6) == expected
 
 
 def test_e2e_intercept_resend_aborts_block_zero(tmp_path, fast_config):

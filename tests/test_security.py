@@ -10,6 +10,7 @@ from scipy.stats import entropy as shannon_entropy
 from qsdc.security import (
     AttackOverlaps,
     ErrorRates,
+    _check_unit,
     binary_entropy,
     entropy_rho_abe,
     eve_information,
@@ -228,6 +229,35 @@ def test_formulas_accept_arrays():
         binary_entropy(np.array([0.2, 1.5]))
     with pytest.raises(ValueError):
         xi(np.array([0.5, -0.1]), 0.01, 0.01)
+
+
+_OUT_OF_UNIT = [
+    pytest.param(kind(v), id=f"{kind.__name__}({v})")
+    for kind in (float, np.float64, np.array)
+    for v in (math.nan, -0.01, 1.01)
+] + [pytest.param(-1, id="int(-1)"), pytest.param(2, id="int(2)")]
+
+
+@pytest.mark.parametrize("v", _OUT_OF_UNIT)
+def test_scalar_domain_checks_reject(v):
+    # scalars and 0-d arrays take the math path, which must reject what
+    # the numpy path rejects, NaN included
+    with pytest.raises(ValueError):
+        _check_unit("v", v)
+    with pytest.raises(ValueError):
+        binary_entropy(v)
+    with pytest.raises(ValueError):
+        xi(v, 0.01, 0.02)
+
+
+@pytest.mark.parametrize("kind", [float, np.float64, np.array])
+def test_scalar_kinds_agree(kind):
+    # every scalar kind gives the Python float's value, as a float
+    for p in (0.0, 0.3, 0.5, 1.0):
+        for got, want in ((binary_entropy(kind(p)), binary_entropy(p)),
+                          (xi(kind(p), 0.01, 0.02), xi(p, 0.01, 0.02))):
+            assert type(got) is float and got == want
+    assert binary_entropy(1) == binary_entropy(0) == 0.0
 
 
 def test_half_bias_capacity_caps_only_eve_rate():
