@@ -13,7 +13,14 @@ of the generator's packed rows that the information bits select.
 The decoder is flooding sum-product on log-likelihood ratios with the
 convention that positive LLR favours bit 0.  Messages are clamped to
 +-30 and the loop exits early once the hard decision satisfies every
-parity check.
+parity check.  It works on a padded check-slot table (`TannerGraph`),
+one column per check, so a check's product, its zero count and the
+parity of its hard decisions are each one reduction along the columns,
+and a variable's total is one reduction over its edges.  A product
+takes a check's factors in ascending variable order and multiplies the
+pads by exactly 1.0; a total adds a variable's messages in ascending
+check order.  Every message is therefore the same double, bit for bit,
+as on edges grouped check by check.
 """
 
 from __future__ import annotations
@@ -115,36 +122,61 @@ def ldpc_encode(u: np.ndarray, g: PackedRows) -> np.ndarray:
 
 
 class TannerGraph:
-    """Flattened Tanner-graph edges of a parity-check matrix, grouped by check.
+    """H as a padded check-slot table: one column per check, one row per slot.
 
-    Built from a peg_construct table, with each check's variables in
-    ascending order.  Checks without edges are left out of the groups:
-    they constrain nothing, and the per-check reductions need every
-    group to be non-empty.
+    Built from a peg_construct table.  Checks without edges are left
+    out: they constrain nothing.  Each remaining check is a column of
+    `slots`, holding its variables in ascending order from row 0 down,
+    and a check shorter than the longest is padded with the dummy
+    variable `n_vars` (`pad` marks those slots).  `var_edges[:, v]` are
+    the flat positions in the table of variable v's edges, in ascending
+    check order, and `checks[c]` is the row of H that column c stands for.
+
+    The decoder sets the messages on pads to 1.0 and gives the dummy a
+    total of 0.0, so a pad changes no product and no parity; and since
+    the orders above are the orders of a check-by-check edge list,
+    reducing along the table rounds exactly as reducing that list does.
     """
 
     def __init__(self, var_checks: np.ndarray, n_checks: int) -> None:
         n_vars, degree = var_checks.shape
         flat = var_checks.ravel()
         # a stable sort keeps each check's variables in ascending order
-        self.var_idx = np.argsort(flat, kind="stable") // degree
+        order = np.argsort(flat, kind="stable")
         counts = np.bincount(flat, minlength=n_checks)
         self.checks = np.flatnonzero(counts)
-        self.counts = counts[self.checks]
-        self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
+        counts = counts[self.checks]
+        group = np.repeat(np.arange(self.checks.size), counts)
+        slot = np.arange(flat.size) - (np.cumsum(counts) - counts)[group]
+        self.slots = np.full((counts.max(initial=0), self.checks.size), n_vars, dtype=np.intp)
+        var = order // degree
+        self.slots[slot, group] = var
+        self.pad = self.slots == n_vars
+        # the edges in check order, regrouped by variable: a stable sort
+        # keeps each variable's edges in ascending check order
+        by_var = np.argsort(var, kind="stable")
+        position = (slot * self.checks.size + group)[by_var]
+        self.var_edges = np.ascontiguousarray(position.reshape(n_vars, degree).T)
         self.n_checks = n_checks
         self.n_vars = n_vars
 
     def parity_rows(self) -> PackedRows:
         """H as packed rows, one per check."""
         rows = np.zeros((self.n_checks, (self.n_vars + 7) // 8), dtype=np.uint8)
-        bits = (0x80 >> (self.var_idx & 7)).astype(np.uint8)
-        np.bitwise_or.at(rows, (np.repeat(self.checks, self.counts), self.var_idx >> 3), bits)
+        edge = ~self.pad
+        var = self.slots[edge]
+        check = np.broadcast_to(self.checks, self.slots.shape)[edge]
+        np.bitwise_or.at(rows, (check, var >> 3), (0x80 >> (var & 7)).astype(np.uint8))
         return PackedRows(rows, self.n_vars)
 
     def syndrome_ok(self, v_hat: np.ndarray) -> bool:
         """True iff the hard decision v_hat meets every parity check."""
-        return not (np.add.reduceat(v_hat[self.var_idx], self.starts) & 1).any()
+        return _parity_ok(np.append(v_hat != 0, False).take(self.slots))
+
+
+def _parity_ok(ones: np.ndarray) -> bool:
+    """True iff every column of a slot table of hard-decided ones has even parity."""
+    return not np.logical_xor.reduce(ones, axis=0).any()
 
 
 def bp_decode(
@@ -169,34 +201,35 @@ def bp_decode(
     information word even when the decoder did not converge.
     """
     llr0 = np.clip(np.asarray(llrs, dtype=np.float64), -LLR_CLAMP, LLR_CLAMP)
-    v_hat = (llr0 < 0).astype(np.uint8)
-    if edges.syndrome_ok(v_hat):
-        return v_hat[info_positions].copy(), True, 0
-
-    q = llr0[edges.var_idx]
-    r = np.zeros_like(q)
-    converged = False
+    slots, pad, var_edges = edges.slots, edges.pad, edges.var_edges
+    # per-variable totals and the dummy's 0.0, which no parity can see;
+    # one gather into the slot table feeds the syndrome and the messages
+    totals = np.zeros(edges.n_vars + 1)
+    totals[:-1] = llr0
+    gathered = totals.take(slots)
+    converged = _parity_ok(gathered < 0)
+    r = np.zeros_like(gathered)
+    # zero counts in the narrowest type a check degree fits, uint8 here:
+    # counting bools into the default int64 costs about 3x as much
+    count = np.min_scalar_type(slots.shape[0])
     iterations = 0
-    for iterations in range(1, max_iters + 1):
-        t = np.tanh(q / 2.0)
-        tt = np.where(t == 0.0, 1.0, t)
-        prod = np.multiply.reduceat(tt, edges.starts)
-        zeros = np.add.reduceat((t == 0.0).astype(np.int64), edges.starts)
-        prod_e = np.repeat(prod, edges.counts)
-        zeros_e = np.repeat(zeros, edges.counts)
-        # exclusion product per edge; a zero message erases every other
-        # edge of its check, two zeros erase the whole check
-        excl = np.where(
-            t != 0.0,
-            np.where(zeros_e == 0, prod_e / tt, 0.0),
-            np.where(zeros_e == 1, prod_e, 0.0),
-        )
-        r = 2.0 * np.arctanh(np.clip(excl, -_TANH_LIM, _TANH_LIM))
-        np.clip(r, -LLR_CLAMP, LLR_CLAMP, out=r)
-        totals = llr0 + np.bincount(edges.var_idx, weights=r, minlength=edges.n_vars)
-        q = np.clip(totals[edges.var_idx] - r, -LLR_CLAMP, LLR_CLAMP)
-        v_hat = (totals < 0).astype(np.uint8)
-        if edges.syndrome_ok(v_hat):
-            converged = True
-            break
-    return v_hat[info_positions].copy(), converged, iterations
+    while not converged and iterations < max_iters:
+        iterations += 1
+        q = np.subtract(gathered, r, out=gathered)
+        np.minimum(np.maximum(q, -LLR_CLAMP, out=q), LLR_CLAMP, out=q)
+        # halving by 0.5 rounds exactly as dividing by 2 does
+        t = np.tanh(np.multiply(q, 0.5, out=q), out=q)
+        np.copyto(t, 1.0, where=pad)
+        # exclusion product per edge: zero messages leave the product, and
+        # an edge is erased as soon as some other edge of its check is zero
+        zero = t == 0.0
+        n_zero = np.add.reduce(zero.view(np.uint8), axis=0, dtype=count)
+        np.copyto(t, 1.0, where=zero)
+        np.divide(np.multiply.reduce(t, axis=0), t, out=r)
+        np.copyto(r, 0.0, where=n_zero != zero.view(np.uint8))
+        np.minimum(np.maximum(r, -_TANH_LIM, out=r), _TANH_LIM, out=r)
+        np.multiply(2.0, np.arctanh(r, out=r), out=r)
+        np.add(llr0, np.add.reduce(r.take(var_edges), axis=0), out=totals[:-1])
+        gathered = totals.take(slots)
+        converged = _parity_ok(gathered < 0)
+    return (totals[info_positions] < 0).astype(np.uint8), converged, iterations

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qsdc.gf2 import PackedRows
 from qsdc.ldpc import (
+    _TANH_LIM,
     LLR_CLAMP,
     TannerGraph,
     bp_decode,
@@ -238,26 +239,35 @@ def test_bp_decode_corrects_flips(small_code, rng):
         assert (u_hat == u).all()
 
 
+def _low_snr_llrs(rng, n):
+    """Consistent Gaussian LLRs of the all-zero codeword, mean 0.5: far below BP's threshold."""
+    return rng.normal(0.5, 1.0, n)
+
+
 def test_bp_decode_hopeless_input_reports_failure(small_code, rng):
-    # adversarial all-zero LLRs cannot converge to a unique codeword
-    llrs = np.zeros(small_code.l)
-    u_hat, converged, iters = bp_decode(llrs, small_code.edges, small_code.info_positions)
-    assert u_hat.shape == (small_code.k_u,)
-    assert isinstance(converged, bool)
-
-
-def test_bp_decode_respects_max_iters(small_code):
-    llrs = np.zeros(small_code.l)
-    llrs[0] = 1.0  # inconsistent with nothing, but cannot fix the rest
-    _, converged, iters = bp_decode(
-        llrs, small_code.edges, small_code.info_positions, max_iters=7
+    u_hat, converged, iters = bp_decode(
+        _low_snr_llrs(rng, small_code.l), small_code.edges, small_code.info_positions
     )
-    if not converged:
-        assert iters == 7
+    assert converged is False and iters == 100
+    assert u_hat.shape == (small_code.k_u,) and u_hat.dtype == np.uint8
+
+
+def test_bp_decode_respects_max_iters(small_code, rng):
+    u_hat, converged, iters = bp_decode(
+        _low_snr_llrs(rng, small_code.l), small_code.edges, small_code.info_positions, max_iters=7
+    )
+    assert converged is False and iters == 7
+    assert u_hat.shape == (small_code.k_u,) and u_hat.dtype == np.uint8
 
 
 def test_llr_clamp_constant():
     assert LLR_CLAMP == 30.0
+
+
+def test_check_messages_stay_inside_the_clamp():
+    # bp_decode clips no check message to LLR_CLAMP: the clip of the
+    # exclusion product to +-_TANH_LIM already keeps each one inside
+    assert 2.0 * np.arctanh(_TANH_LIM) < LLR_CLAMP
 
 
 @settings(max_examples=20, deadline=None)
@@ -275,15 +285,29 @@ def test_bp_roundtrip_property(seed):
     assert converged and (u_hat == u).all()
 
 
+def _slot_table(h):
+    """The check-slot table of dense H: each non-empty row's columns, padded with n_vars."""
+    rows = [np.flatnonzero(row) for row in h if row.any()]
+    table = np.full((max(map(len, rows)), len(rows)), h.shape[1])
+    for c, row in enumerate(rows):
+        table[: row.size, c] = row
+    return table
+
+
 def test_tanner_graph_syndrome_matches_dense_parity(small_code, rng):
     table = peg_construct(128, 256, 3, np.random.default_rng(np.random.SeedSequence([99, 0, 0])))
     h = dense_h(table, 128)
     edges = TannerGraph(table, 128)
-    # the edge order of a row-major scan of H, and the same H packed
-    assert np.array_equal(edges.var_idx, np.nonzero(h)[1])
+    # each check's variables in ascending order, the same H packed, and
+    # each variable's edges in ascending check order
+    assert np.array_equal(edges.slots, _slot_table(h))
+    assert np.array_equal(edges.pad, edges.slots == 256)
     assert (edges.parity_rows().unpack() == h).all()
+    assert (edges.slots.ravel()[edges.var_edges] == np.arange(256)).all()
+    var_checks = edges.checks[edges.var_edges % edges.checks.size]
+    assert np.array_equal(var_checks.T, np.nonzero(h.T)[1].reshape(256, 3))
     # the small code was built from this table on its first attempt
-    assert np.array_equal(small_code.edges.var_idx, edges.var_idx)
+    assert np.array_equal(small_code.edges.slots, edges.slots)
     for _ in range(20):
         v = rng.integers(0, 2, small_code.l, dtype=np.uint8)
         dense_ok = not ((h.astype(np.int64) @ v) % 2).any()
@@ -295,8 +319,149 @@ def test_tanner_graph_syndrome_matches_dense_parity(small_code, rng):
 def test_tanner_graph_skips_empty_checks():
     # variable 0 on check 0, variables 1 and 2 on check 2; check 1 is empty
     edges = TannerGraph(np.array([[0], [2], [2]]), 3)
-    assert edges.counts.tolist() == [1, 2]
+    assert edges.checks.tolist() == [0, 2]
+    assert edges.slots.tolist() == [[0, 1], [3, 2]]
+    assert edges.pad.tolist() == [[False, False], [True, False]]
+    assert edges.var_edges.tolist() == [[0, 1, 3]]
     assert (edges.parity_rows().unpack() == [[1, 0, 0], [0, 0, 0], [0, 1, 1]]).all()
     assert edges.syndrome_ok(np.array([0, 1, 1], dtype=np.uint8))
     assert not edges.syndrome_ok(np.array([0, 0, 1], dtype=np.uint8))
     assert not edges.syndrome_ok(np.array([1, 1, 1], dtype=np.uint8))
+
+
+class _ReferenceTannerGraph:
+    """Flattened Tanner-graph edges grouped by check, as _reference_bp_decode reads them."""
+
+    def __init__(self, var_checks: np.ndarray, n_checks: int) -> None:
+        n_vars, degree = var_checks.shape
+        flat = var_checks.ravel()
+        # a stable sort keeps each check's variables in ascending order
+        self.var_idx = np.argsort(flat, kind="stable") // degree
+        counts = np.bincount(flat, minlength=n_checks)
+        self.checks = np.flatnonzero(counts)
+        self.counts = counts[self.checks]
+        self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
+        self.n_checks = n_checks
+        self.n_vars = n_vars
+
+    def syndrome_ok(self, v_hat: np.ndarray) -> bool:
+        """True iff the hard decision v_hat meets every parity check."""
+        return not (np.add.reduceat(v_hat[self.var_idx], self.starts) & 1).any()
+
+
+def _reference_bp_decode(llrs, edges, info_positions, max_iters=100):
+    """Flooding sum-product on edges grouped by check, the oracle for bp_decode."""
+    llr0 = np.clip(np.asarray(llrs, dtype=np.float64), -LLR_CLAMP, LLR_CLAMP)
+    v_hat = (llr0 < 0).astype(np.uint8)
+    if edges.syndrome_ok(v_hat):
+        return v_hat[info_positions].copy(), True, 0
+
+    q = llr0[edges.var_idx]
+    r = np.zeros_like(q)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        t = np.tanh(q / 2.0)
+        tt = np.where(t == 0.0, 1.0, t)
+        prod = np.multiply.reduceat(tt, edges.starts)
+        zeros = np.add.reduceat((t == 0.0).astype(np.int64), edges.starts)
+        prod_e = np.repeat(prod, edges.counts)
+        zeros_e = np.repeat(zeros, edges.counts)
+        # exclusion product per edge; a zero message erases every other
+        # edge of its check, two zeros erase the whole check
+        excl = np.where(
+            t != 0.0,
+            np.where(zeros_e == 0, prod_e / tt, 0.0),
+            np.where(zeros_e == 1, prod_e, 0.0),
+        )
+        r = 2.0 * np.arctanh(np.clip(excl, -_TANH_LIM, _TANH_LIM))
+        np.clip(r, -LLR_CLAMP, LLR_CLAMP, out=r)
+        totals = llr0 + np.bincount(edges.var_idx, weights=r, minlength=edges.n_vars)
+        q = np.clip(totals[edges.var_idx] - r, -LLR_CLAMP, LLR_CLAMP)
+        v_hat = (totals < 0).astype(np.uint8)
+        if edges.syndrome_ok(v_hat):
+            converged = True
+            break
+    return v_hat[info_positions].copy(), converged, iterations
+
+
+def _reference_graph(edges):
+    """The oracle's graph of the H that edges packs, each variable's checks ascending."""
+    h = edges.parity_rows().unpack()
+    return _ReferenceTannerGraph(np.nonzero(h.T)[1].reshape(edges.n_vars, -1), edges.n_checks)
+
+
+LLR_FAMILIES = ("gaussian", "erasures", "signed_zeros", "underflow", "beyond_clamp", "noise")
+
+
+def _family_llrs(family, rng, n):
+    """Channel LLRs of the all-zero codeword that stress one corner of the decoder."""
+    mean = rng.uniform(0.5, 4.0)
+    llrs = rng.normal(mean, np.sqrt(2.0 * mean), n)
+    if family == "erasures":
+        llrs[rng.random(n) < 0.6] = 0.0
+    elif family == "signed_zeros":
+        # -0.0 and 0.0 both give tanh == 0, a zero message
+        llrs[rng.random(n) < 0.3] = -0.0
+        llrs[rng.random(n) < 0.2] = 0.0
+    elif family == "underflow":
+        # a check's product of tanh(~1e-150) underflows to zero
+        llrs = np.sign(llrs) * 10.0 ** rng.uniform(-160.0, -140.0, n)
+    elif family == "beyond_clamp":
+        llrs *= 20.0
+    elif family == "noise":
+        llrs = rng.normal(0.0, 1.0, n)
+    return llrs
+
+
+def _assert_decoders_agree(edges, llrs, max_iters):
+    everything = np.arange(edges.n_vars)
+    want = _reference_bp_decode(llrs, _reference_graph(edges), everything, max_iters)
+    got = bp_decode(llrs, edges, everything, max_iters)
+    assert got[0].dtype == want[0].dtype
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+    assert type(got[1]) is bool
+
+
+# variable degree 2; check 2 is empty, check 0 has degree 2 and check 5 degree 1
+IRREGULAR_VAR_CHECKS = np.array([[0, 1], [3, 0], [1, 3], [4, 1], [3, 4], [5, 4], [1, 3]])
+
+
+@pytest.mark.parametrize("code_name", ["default_code", "small_code", "toy_code", "irregular"])
+@pytest.mark.parametrize("max_iters", [1, 2, 5, 100])
+def test_bp_decode_matches_reference_decoder(code_name, max_iters, request):
+    if code_name == "irregular":
+        edges = TannerGraph(IRREGULAR_VAR_CHECKS, 6)
+    else:
+        edges = request.getfixturevalue(code_name).edges
+    rng = np.random.default_rng([max_iters, edges.n_vars])
+    draws = 2 if edges.n_vars > 1000 else 8
+    for family in LLR_FAMILIES:
+        for _ in range(draws):
+            _assert_decoders_agree(edges, _family_llrs(family, rng, edges.n_vars), max_iters)
+
+
+def test_irregular_graph_layout():
+    edges = TannerGraph(IRREGULAR_VAR_CHECKS, 6)
+    assert edges.checks.tolist() == [0, 1, 3, 4, 5]
+    assert (~edges.pad).sum(axis=0).tolist() == [2, 4, 4, 3, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 40),
+    st.integers(1, 40),
+    st.integers(1, 4),
+    st.sampled_from(LLR_FAMILIES),
+    st.sampled_from([1, 2, 5, 100]),
+    st.integers(0, 2**32),
+)
+def test_bp_decode_matches_reference_on_random_codes(
+    n_checks, extra_vars, var_degree, family, max_iters, seed
+):
+    rng = np.random.default_rng(seed)
+    var_degree = min(var_degree, n_checks)
+    n_vars = n_checks + extra_vars
+    edges = TannerGraph(peg_construct(n_checks, n_vars, var_degree, rng), n_checks)
+    _assert_decoders_agree(edges, _family_llrs(family, rng, n_vars), max_iters)

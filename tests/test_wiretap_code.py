@@ -38,7 +38,7 @@ def test_build_code_deterministic():
     a = build_code(64, 32, 8, 4, seed=5)
     b = build_code(64, 32, 8, 4, seed=5)
     assert code_description(a) == code_description(b)
-    assert np.array_equal(a.edges.var_idx, b.edges.var_idx)
+    assert np.array_equal(a.edges.slots, b.edges.slots)
     for name in ("g_rows", "uhf_rows", "uhf_inv_rows"):
         assert (getattr(a, name).rows == getattr(b, name).rows).all()
 
@@ -46,7 +46,7 @@ def test_build_code_deterministic():
 def test_build_code_seed_sensitivity():
     a = build_code(64, 32, 8, 4, seed=5)
     b = build_code(64, 32, 8, 4, seed=6)
-    assert not np.array_equal(a.edges.var_idx, b.edges.var_idx)
+    assert not np.array_equal(a.edges.slots, b.edges.slots)
     assert (a.uhf_rows.rows != b.uhf_rows.rows).any()
 
 
@@ -134,7 +134,7 @@ def test_code_description_roundtrip(small_code):
     text = code_description(small_code)
     rebuilt = code_from_description(text)
     assert code_description(rebuilt) == text
-    assert np.array_equal(rebuilt.edges.var_idx, small_code.edges.var_idx)
+    assert np.array_equal(rebuilt.edges.slots, small_code.edges.slots)
     assert (rebuilt.g_rows.rows == small_code.g_rows.rows).all()
     assert (rebuilt.uhf_rows.rows == small_code.uhf_rows.rows).all()
 
