@@ -8,17 +8,12 @@ attack/experiment harnesses with a command line front end.
 
 from qsdc.states import ChannelParams
 from qsdc.security import (
-    AttackOverlaps,
     ErrorRates,
     SecurityEstimate,
     binary_entropy,
-    entropy_rho_abe,
     eve_information,
-    gram_eigenvalues,
-    gram_matrix,
     half_bias_capacity,
     main_information,
-    optimal_attack_overlaps,
     secrecy_capacity,
     xi,
 )
@@ -36,17 +31,12 @@ from qsdc.attacks import AttackModel
 
 __all__ = [
     "ChannelParams",
-    "AttackOverlaps",
     "ErrorRates",
     "SecurityEstimate",
     "binary_entropy",
-    "entropy_rho_abe",
     "eve_information",
-    "gram_eigenvalues",
-    "gram_matrix",
     "half_bias_capacity",
     "main_information",
-    "optimal_attack_overlaps",
     "secrecy_capacity",
     "xi",
     "WiretapCode",

@@ -60,16 +60,13 @@ class AttackModel:
             e_z_target=e_z_target,
         )
 
-    def apply(
-        self, codes: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, dict]:
-        """Transform the pulse stream; returns (wire codes, attack info)."""
+    def apply(self, codes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Transform the pulse stream; returns the wire codes."""
         if self.kind == AttackKind.NONE:
-            return codes, {}
+            return codes
         if self.kind == AttackKind.INTERCEPT_RESEND:
-            wire, eve_bits, touched = eve_intercept_resend(codes, self.fraction, rng)
-            return wire, {"intercepted": int(touched.sum()), "eve_bits": eve_bits}
-        return eve_optimal_collective(codes, self.e_x_target, self.e_z_target, rng), {}
+            return eve_intercept_resend(codes, self.fraction, rng)[0]
+        return eve_optimal_collective(codes, self.e_x_target, self.e_z_target, rng)
 
 
 def eve_intercept_resend(

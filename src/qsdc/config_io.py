@@ -1,4 +1,4 @@
-"""Load and save protocol configurations as INI text.
+"""Load and render protocol configurations as INI text.
 
 The config dataclasses are the schema: each dataclass-typed field of
 ProtocolConfig is a section of that dataclass's fields, and the other
@@ -79,7 +79,3 @@ def render_config(config: ProtocolConfig) -> str:
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
-
-
-def save_config(config: ProtocolConfig, path: str | Path) -> None:
-    Path(path).write_text(render_config(config))

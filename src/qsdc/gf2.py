@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# random_invertible's draws before it gives up; all 64 fail with
+# probability about 0.711^64, or 3e-10
+MAX_INVERTIBLE_DRAWS = 64
+
 
 @dataclass(frozen=True, eq=False)
 class PackedRows:
@@ -88,14 +92,14 @@ def invert(mat: PackedRows) -> PackedRows:
     return PackedRows(aug[:, width:].copy(), n)
 
 
-def random_invertible(n: int, rng: np.random.Generator, max_attempts: int = 64) -> tuple[PackedRows, PackedRows]:
+def random_invertible(n: int, rng: np.random.Generator) -> tuple[PackedRows, PackedRows]:
     """A uniformly random invertible GF(2) matrix and its inverse, as packed rows.
 
     By rejection: a uniform binary matrix is invertible with probability ~0.289."""
-    for _ in range(max_attempts):
+    for _ in range(MAX_INVERTIBLE_DRAWS):
         m = PackedRows.pack(rng.integers(0, 2, size=(n, n), dtype=np.uint8))
         try:
             return m, invert(m)
         except ValueError:
             continue
-    raise RuntimeError(f"no invertible matrix found in {max_attempts} draws")
+    raise RuntimeError(f"no invertible matrix found in {MAX_INVERTIBLE_DRAWS} draws")

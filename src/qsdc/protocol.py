@@ -28,8 +28,10 @@ distribution of a slot-by-slot simulation, and an attempt costs
 O(detections), not O(slots).
 
 All randomness is drawn from per-attempt generators derived from
-(session seed, attempt serial number), so transcripts are reproducible and
-blocks can be simulated in parallel without shared state.
+(session seed, attempt serial number), so transcripts are reproducible.
+The attempts of a session still run in order: the capacity gate pools
+the check counts of every earlier attempt (_PooledCounts), so each
+attempt's gate decision depends on the attempts before it.
 """
 
 from __future__ import annotations
@@ -585,7 +587,7 @@ def _run_block_attempt(
 
     n_checked = int(alice_rng.binomial(n_received, config.check_fraction))
     prepared = bob_prepare_block(n_checked, bob_rng)
-    wire, _ = attack.apply(prepared, attack_rng)
+    wire = attack.apply(prepared, attack_rng)
     arriving = flip_codes(wire, config.check_channel.flip_prob, channel_rng)
     stats = bob_estimate_errors(alice_sample_check(arriving, alice_rng), prepared)
     q_hat = n_received / n_sent
@@ -622,7 +624,7 @@ def _run_block_attempt(
         chunk_bits, code, n_fwd_det, chip_idx, alice_rng, block_index=serial
     )
     prepared = bob_prepare_block(len(enc_record), bob_rng)
-    wire, _ = attack.apply(prepared, attack_rng)
+    wire = attack.apply(prepared, attack_rng)
     returned = wire ^ modulation_at(enc_record, code)
     det_codes = flip_codes(returned, config.data_channel.flip_prob, channel_rng)
     outcomes = measure_codes(det_codes, prepared >> 1, channel_rng)

@@ -21,6 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# points of each stage of secrecy_capacity's bias search
+GRID_POINTS = 501
+
 
 @dataclass(frozen=True)
 class ErrorRates:
@@ -49,44 +52,6 @@ class SecurityEstimate:
     i_ab: float
     i_ae: float
     c_s: float
-
-
-@dataclass(frozen=True)
-class AttackOverlaps:
-    """Reduced description of a collective attack on the forward path.
-
-    alpha and beta are the imaginary parts of the ancilla overlaps that
-    correlate Eve with the undisturbed states; delta_mag is the modulus
-    of the cross-overlap difference.  Only the two combinations
-    delta1 = |alpha - beta| and delta2 = sqrt((alpha+beta)^2 + delta^2)
-    enter the joint-state spectrum.
-    """
-
-    alpha: float
-    beta: float
-    delta_mag: float
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError(
-                f"overlap magnitudes must be >= 0, got alpha={self.alpha}, beta={self.beta}"
-            )
-        if self.delta_mag < 0.0:
-            raise ValueError(f"delta_mag must be >= 0, got {self.delta_mag}")
-        if self.delta1 + self.delta2 > 1.0 + 1e-12:
-            raise ValueError(
-                "delta1 + delta2 must not exceed 1 "
-                f"(got {self.delta1 + self.delta2}); the Gram spectrum would "
-                "leave [0, 1]"
-            )
-
-    @property
-    def delta1(self) -> float:
-        return abs(self.alpha - self.beta)
-
-    @property
-    def delta2(self) -> float:
-        return math.sqrt((self.alpha + self.beta) ** 2 + self.delta_mag**2)
 
 
 def _is_scalar(v: float | np.ndarray) -> bool:
@@ -188,96 +153,29 @@ def half_bias_capacity(rates: ErrorRates, q_bob: float, g: float) -> SecurityEst
     return SecurityEstimate(p=0.5, i_ab=i_ab, i_ae=i_ae, c_s=c_s)
 
 
-def secrecy_capacity(
-    rates: ErrorRates, q_bob: float, g: float, grid_points: int = 501
-) -> SecurityEstimate:
+def secrecy_capacity(rates: ErrorRates, q_bob: float, g: float) -> SecurityEstimate:
     """Maximise I(A:B) - I(A:E) over the encoding bias p.
 
-    The objective is evaluated on a uniform grid over [0, 1]
-    (odd-sized, so p = 0.5 is on it), then on a second grid of the same
-    size between the best point's neighbours; a refined point replaces
-    the first only if it is strictly better.  Returns the rates at the
+    The objective is symmetric under p <-> 1 - p, so only [0, 1/2] is
+    searched: first on a uniform grid of GRID_POINTS points (both ends
+    on it), then on a second grid of the same size between the best
+    point's neighbours; a refined point replaces the first only if it
+    is strictly better.  At p = 0 the objective is exactly 0, so an
+    insecure point reports c_s = 0 at p = 0.  Returns the rates at the
     maximiser, with c_s = i_ab - i_ae.
     """
-    if grid_points < 3 or grid_points % 2 == 0:
-        raise ValueError("grid_points must be odd and >= 3")
     q_eve = _eve_detection_rate(q_bob, g)
 
     def objective(p: np.ndarray) -> np.ndarray:
         return main_information(q_bob, p, rates.e) - eve_information(q_eve, p, rates)
 
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 0.5, GRID_POINTS)
     best = int(np.argmax(objective(grid)))
     lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid_points - 1)]
+    hi = grid[min(best + 1, GRID_POINTS - 1)]
     # the coarse best goes first so that it wins ties
-    fine = np.concatenate([[grid[best]], np.linspace(lo, hi, grid_points)])
+    fine = np.concatenate([[grid[best]], np.linspace(lo, hi, GRID_POINTS)])
     p_star = float(fine[np.argmax(objective(fine))])
     i_ab = main_information(q_bob, p_star, rates.e)
     i_ae = eve_information(q_eve, p_star, rates)
     return SecurityEstimate(p=p_star, i_ab=i_ab, i_ae=i_ae, c_s=i_ab - i_ae)
-
-
-def gram_matrix(p: float, ov: AttackOverlaps) -> np.ndarray:
-    """Gram matrix of the purified joint state of one encoded pulse.
-
-    The 4x4 Hermitian matrix has trace 1; its spectrum determines the
-    entropy available to Eve.  delta_mag enters as a real overlap since
-    its phase does not affect the spectrum.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    c = math.sqrt(p * (1.0 - p))
-    a = ov.alpha
-    b = ov.beta
-    d = ov.delta_mag
-    gm = np.array(
-        [
-            [p, 0.0, 2.0j * a * c, c * d],
-            [0.0, p, -c * d, -2.0j * b * c],
-            [-2.0j * a * c, -c * d, 1.0 - p, 0.0],
-            [c * d, 2.0j * b * c, 0.0, 1.0 - p],
-        ],
-        dtype=complex,
-    )
-    return gm / 2.0
-
-
-def gram_eigenvalues(p: float, ov: AttackOverlaps) -> np.ndarray:
-    """Closed-form spectrum of gram_matrix, descending.
-
-    lambda = 1/4 +- (1/2) sqrt(p(1-p)(delta1 +- delta2)^2 + (p - 1/2)^2)
-    over the four sign choices.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    offset = (p - 0.5) ** 2
-    pq = p * (1.0 - p)
-    eigs = []
-    for s_outer in (1.0, -1.0):
-        for s_inner in (1.0, -1.0):
-            root = math.sqrt(pq * (ov.delta1 + s_inner * ov.delta2) ** 2 + offset)
-            eigs.append(0.25 + s_outer * 0.5 * root)
-    return np.sort(np.array(eigs))[::-1]
-
-
-def entropy_rho_abe(p: float, rates: ErrorRates) -> float:
-    """Entropy of the joint state under the optimal attack, 1 + h(xi).
-
-    This is the maximum of -sum(lambda log2 lambda) over all overlaps
-    consistent with the observed (e_x, e_z), attained at delta1 = 0 and
-    delta2 = 1 - 2e_x - 2e_z.
-    """
-    return 1.0 + binary_entropy(xi(p, rates.e_x, rates.e_z))
-
-
-def optimal_attack_overlaps(rates: ErrorRates) -> AttackOverlaps:
-    """Overlaps of the entropy-maximising attack for given check rates.
-
-    Zero ancilla asymmetry (alpha = beta = 0) and a cross overlap whose
-    modulus is |1 - 2e_x - 2e_z| saturate the entropy bound.
-    """
-    s = rates.e_x + rates.e_z
-    if s > 0.5:
-        raise ValueError(f"e_x + e_z must be <= 0.5, got {s}")
-    return AttackOverlaps(alpha=0.0, beta=0.0, delta_mag=abs(1.0 - 2.0 * s))

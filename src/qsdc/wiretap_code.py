@@ -7,9 +7,10 @@ by the code seed), LDPC encoded to l coded bits, and spread by
 n_spread chips per bit.  The receiver inverts the chain after
 belief-propagation decoding.
 
-Everything is reconstructible from (l, k_u, k_r, n_spread, seed); the
-exported description carries those plus the sha256 of each matrix's
-bits, so two parties can verify they built the same code.
+build_code is deterministic in (l, k_u, k_r, n_spread, seed);
+code_description records those plus the sha256 of each matrix's bits,
+so two parties that build from the same parameters can compare
+descriptions to verify they built the same code.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from qsdc.ldpc import TannerGraph, peg_construct, systematic_generator
 
 VAR_DEGREE = 3
 MAX_BUILD_ATTEMPTS = 16
-_PARAMS = ("l", "k_u", "k_r", "n_spread", "seed")  # what a code is rebuilt from
+_PARAMS = ("l", "k_u", "k_r", "n_spread", "seed")  # what build_code builds a code from
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,18 +138,3 @@ def code_description(code: WiretapCode) -> str:
     out = io.StringIO()
     cp.write(out)
     return out.getvalue()
-
-
-def code_from_description(text: str) -> WiretapCode:
-    """Rebuild a code from its description, verifying the checksums."""
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
-    if "wiretap-code" not in cp:
-        raise ValueError("missing [wiretap-code] section")
-    sec = cp["wiretap-code"]
-    code = build_code(**{key: int(sec[key]) for key in _PARAMS})
-    for name, digest in _checksums(code).items():
-        want = sec.get(f"{name}_sha256")
-        if want is not None and want != digest:
-            raise ValueError(f"checksum mismatch for {name}: rebuilt code differs")
-    return code

@@ -17,18 +17,16 @@ from qsdc.experiments import SweepSpec, run_capacity_sweep, run_e2e, run_stabili
 from qsdc.ldpc import bp_decode, ldpc_encode
 from qsdc.protocol import nominal_config, run_session
 from qsdc.security import (
-    AttackOverlaps,
     ErrorRates,
     binary_entropy,
     eve_information,
-    gram_eigenvalues,
-    gram_matrix,
     half_bias_capacity,
     secrecy_capacity,
     xi,
 )
 from qsdc.spreading import compute_llrs, spread
 from qsdc.wiretap_code import uhf_invert, uhf_map
+from gram_spectrum import AttackOverlaps, gram_eigenvalues, gram_matrix
 
 
 def _parse_kv(output: str) -> dict:

@@ -12,7 +12,7 @@ import pytest
 
 import qsdc
 from qsdc.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_SECURITY, _build_parser, main
-from qsdc.config_io import load_config, parse_config, render_config, save_config
+from qsdc.config_io import load_config, parse_config, render_config
 from qsdc.protocol import CodeParams, ProtocolConfig, nominal_config
 from qsdc.states import ChannelParams
 
@@ -91,6 +91,21 @@ def test_capacity_interior_optimum(capsys):
     assert float(kv["c_s_grid"]) > 0 > float(kv["c_s"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--e-x", "0.25", "--e-z", "0.2"], ["--loss-db", "40", "--e-x", "0.1", "--e-z", "0.1"]],
+)
+def test_capacity_grid_is_zero_where_no_bias_is_secure(argv, capsys):
+    # the objective is exactly 0 at p = 0 and negative at every other
+    # bias, so the search must report 0, not a rounding residue above it
+    assert main(["capacity", *argv]) == EXIT_OK
+    kv = _parse_kv(capsys.readouterr().out)
+    assert float(kv["c_s"]) < 0
+    assert float(kv["c_s_grid"]) == 0.0
+    assert float(kv["p_star"]) == 0.0
+    assert kv["secure"] == "no"
+
+
 # the benchmark's capacity grid (e = 0.006, g = 10^0.41 given explicitly),
 # then edge points: no loss, a noiseless data path, e_x + e_z = 0.5 and
 # a direct detection rate
@@ -109,7 +124,7 @@ _PIN_CAPACITY_ARGVS = [
     ["capacity", "--q-bob", "1"],
 ]
 # sha256 of the outputs: a change to any printed digit shows
-_CAPACITY_PIN = "2e9c340dcd659522915b1db2a07fcdaa5fa90d937e68268e62f26e85c0e2833c"
+_CAPACITY_PIN = "72e1025f38d313cab9b20a66683dd8d296a27713500887ffad6d55bbf325f372"
 _SWEEP_PIN = "41e29a1b8064aa235e0a8e37a41107c2994402c108ed9fac41bad6b6770a26b4"
 
 
@@ -309,7 +324,7 @@ def test_config_roundtrip(tmp_path):
     assert all(a != b for a, b in zip(_scalars(changed), _scalars(nominal_config())))
     for i, cfg in enumerate((config, changed)):
         path = tmp_path / f"cfg{i}.ini"
-        save_config(cfg, path)
+        path.write_text(render_config(cfg))
         assert load_config(path) == cfg
         assert parse_config(render_config(cfg)) == cfg
 

@@ -1,9 +1,60 @@
 """The package's public export list."""
 
+import ast
+from pathlib import Path
+
 import qsdc
+
+ROOT = Path(__file__).resolve().parent.parent
+# code that may call the public API, apart from the tests
+_CALLER_DIRS = ("src/qsdc", "tools", "perfbench")
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """ids of the string constants that are module, class or function docstrings."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, owners)
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def _names_used(path: Path) -> set[str]:
+    """Identifiers a file's code refers to: names, attributes, imports,
+    and the dotted parts of its string constants other than docstrings
+    (a use such as getattr(module, "name"))."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    skip = _docstrings(tree)
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip:
+            used.update(node.value.split("."))
+    return used
 
 
 def test_every_export_resolves():
     assert len(set(qsdc.__all__)) == len(qsdc.__all__)
     missing = [name for name in qsdc.__all__ if not hasattr(qsdc, name)]
     assert not missing
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # the public API is what the package itself, the tools and the
+    # benchmark call; what only tests use lives with the tests
+    used: set[str] = set()
+    for folder in _CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path != ROOT / "src/qsdc/__init__.py":
+                used |= _names_used(path)
+    unused = [name for name in qsdc.__all__ if name not in used]
+    assert not unused, f"exported but called only by tests: {unused}"

@@ -128,7 +128,7 @@ def _dense_block_attempt(config, code, chunk_bits, seed, serial, attack):
     )
     n_sent = config.slots_per_block
     bob_codes = bob_prepare_block(n_sent, bob_rng)
-    wire, _ = attack.apply(bob_codes, attack_rng)
+    wire = attack.apply(bob_codes, attack_rng)
     received = np.flatnonzero(channel_rng.random(n_sent) < config.check_channel.survival)
     fields = dict(block_index=0, attempt=0, n_sent=n_sent, n_received_check=received.size)
     if received.size == 0:
@@ -305,7 +305,7 @@ def test_gate_survives_rescale_rounding():
     assert not proceed
 
 
-def test_gate_code_budget_enforcement(fast_config):
+def test_gate_ignores_code_random_bit_rate(fast_config):
     # the code's random-bit rate per pulse is no gate input: the gate
     # decides on c_s alone, even where i_ae exceeds k_r per pulse
     code = realize_code(fast_config.code)

@@ -8,19 +8,21 @@ from hypothesis import given, strategies as st
 from scipy.stats import entropy as shannon_entropy
 
 from qsdc.security import (
-    AttackOverlaps,
     ErrorRates,
     _check_unit,
     binary_entropy,
-    entropy_rho_abe,
     eve_information,
-    gram_eigenvalues,
-    gram_matrix,
     half_bias_capacity,
     main_information,
-    optimal_attack_overlaps,
     secrecy_capacity,
     xi,
+)
+from gram_spectrum import (
+    AttackOverlaps,
+    entropy_rho_abe,
+    gram_eigenvalues,
+    gram_matrix,
+    optimal_attack_overlaps,
 )
 
 NOMINAL = ErrorRates(e_x=0.008, e_z=0.008, e=0.006)

