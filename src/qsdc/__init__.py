@@ -17,16 +17,10 @@ from qsdc.security import (
     secrecy_capacity,
     xi,
 )
-from qsdc.wiretap_code import WiretapCode, build_code, uhf_invert, uhf_map
+from qsdc.wiretap_code import CodeParams, WiretapCode, build_code, uhf_invert, uhf_map
 from qsdc.spreading import compute_llrs, keystream, spread
 from qsdc.ldpc import bp_decode, ldpc_encode
-from qsdc.protocol import (
-    CodeParams,
-    ProtocolConfig,
-    SessionTranscript,
-    nominal_config,
-    run_session,
-)
+from qsdc.protocol import ProtocolConfig, SessionTranscript, nominal_config, run_session
 from qsdc.attacks import AttackModel
 
 __all__ = [

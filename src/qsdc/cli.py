@@ -109,12 +109,8 @@ def _attack_from_args(args: argparse.Namespace) -> AttackModel:
     return AttackModel.optimal_collective(args.attack_ex, args.attack_ez)
 
 
-def _exit_code(security_abort: bool, abort_reason: str | None) -> int:
-    if security_abort:
-        return EXIT_SECURITY
-    if abort_reason is not None:
-        return EXIT_DECODE
-    return EXIT_OK
+def _exit_code(abort_reason: str | None) -> int:
+    return {None: EXIT_OK, "capacity-gate": EXIT_SECURITY}.get(abort_reason, EXIT_DECODE)
 
 
 def _write_output(text: str, output: str) -> None:
@@ -173,7 +169,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     _write_output("\n".join(lines) + "\n", args.output)
     for key, value in report.summary.items():
         print(f"{key} {value}", file=sys.stderr)
-    return _exit_code(report.summary["security_abort"], report.summary["abort_reason"])
+    return _exit_code(report.summary["abort_reason"])
 
 
 def _cmd_send(args: argparse.Namespace) -> int:
@@ -191,7 +187,7 @@ def _cmd_send(args: argparse.Namespace) -> int:
     print(text)
     if args.report is not None:
         Path(args.report).write_text(text + "\n")
-    return _exit_code(report["security_abort"], report["abort_reason"])
+    return _exit_code(report["abort_reason"])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from qsdc.attacks import AttackKind, AttackModel
-from qsdc.protocol import FRAME_HEADER_BYTES, NOMINAL, ProtocolConfig, realize_code, run_session
+from qsdc.protocol import FRAME_HEADER_BYTES, NOMINAL, ProtocolConfig, run_session
 from qsdc.security import ErrorRates, half_bias_capacity
 from qsdc.states import loss_to_survival
 
@@ -53,8 +53,7 @@ def run_stability(config: ProtocolConfig, n_blocks: int, seed: int) -> Stability
     """
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
-    code = realize_code(config.code)
-    payload_bytes = (n_blocks * code.k_m - 8 * FRAME_HEADER_BYTES) // 8
+    payload_bytes = (n_blocks * config.code.k_m - 8 * FRAME_HEADER_BYTES) // 8
     if payload_bytes < 1:
         raise ValueError("code too small to fit the framing header in one block")
     payload = np.random.default_rng(seed).integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
@@ -169,9 +168,6 @@ def run_e2e(
     attack = attack or AttackModel.none()
     data = Path(input_path).read_bytes()
     transcript = run_session(config, data, seed, attack=attack)
-    # the message bits per block come from the parameters, so a send
-    # that needs no block builds no code
-    k_m = config.code.k_u - config.code.k_r
 
     retries = sum(1 for b in transcript.blocks if b.attempt > 0)
     report = {
@@ -184,7 +180,9 @@ def run_e2e(
         "security_abort": transcript.security_abort,
         "abort_reason": transcript.abort_reason,
         "throughput_bits_per_s": transcript.throughput_bits_per_s,
-        "block_rate_bits_per_s": k_m / config.slots_per_block * config.repetition_rate_hz,
+        "block_rate_bits_per_s": (
+            config.code.k_m / config.slots_per_block * config.repetition_rate_hz
+        ),
         "capacity_rate_bits_per_s": _nominal_capacity(config) * config.repetition_rate_hz,
         "attack": attack.kind.value,
     }

@@ -42,22 +42,15 @@ class PackedRows:
         return PackedRows(out, n_rows)
 
     def left_mul(self, x: np.ndarray) -> np.ndarray:
-        """x @ M over GF(2): the XOR of the rows of M that the 1-bits of x select.
-
-        x may be a single vector or a batch of them along leading axes.
-        """
-        x = np.asarray(x)
-        select = (x.reshape(-1, x.shape[-1]) & 1).astype(bool)
-        out = np.empty((select.shape[0], self.rows.shape[1]), dtype=np.uint8)
-        for i, sel in enumerate(select):
-            out[i] = np.bitwise_xor.reduce(self.rows[sel], axis=0)
-        bits = np.unpackbits(out, axis=1, count=self.n_cols)
-        return bits.reshape(x.shape[:-1] + (self.n_cols,))
+        """x @ M over GF(2) for one vector x: the XOR of the rows of M that
+        the 1-bits of x select."""
+        select = (np.asarray(x) & 1).astype(bool)
+        return np.unpackbits(np.bitwise_xor.reduce(self.rows[select], axis=0), count=self.n_cols)
 
 
-def _gauss_jordan(a: np.ndarray, n_cols: int, stop_at_gap: bool = False) -> np.ndarray:
+def _gauss_jordan(a: np.ndarray, n_cols: int) -> np.ndarray:
     """Reduce packed rows a in place over their first n_cols columns and
-    return the pivots; stop_at_gap stops at the first column without one."""
+    return the pivots."""
     pivots = []
     for c in range(n_cols):
         if (r := len(pivots)) == a.shape[0]:
@@ -70,8 +63,6 @@ def _gauss_jordan(a: np.ndarray, n_cols: int, stop_at_gap: bool = False) -> np.n
             a[[r, p]] = a[[p, r]]
             a[others[others != p]] ^= a[r]
             pivots.append(c)
-        elif stop_at_gap:
-            break
     return np.array(pivots, dtype=np.int64)
 
 
@@ -87,7 +78,7 @@ def invert(mat: PackedRows) -> PackedRows:
     if mat.rows.shape[0] != n:
         raise ValueError(f"matrix must be square, got {mat.rows.shape[0]} x {n}")
     aug = np.concatenate([mat.rows, PackedRows.pack(np.eye(n, dtype=np.uint8)).rows], axis=1)
-    if _gauss_jordan(aug, n, stop_at_gap=True).size < n:
+    if _gauss_jordan(aug, n).size < n:
         raise ValueError("matrix is singular over GF(2)")
     return PackedRows(aug[:, width:].copy(), n)
 

@@ -114,10 +114,10 @@ def systematic_generator(h: PackedRows) -> tuple[PackedRows, np.ndarray]:
 
 
 def ldpc_encode(u: np.ndarray, g: PackedRows) -> np.ndarray:
-    """Codeword(s) u @ G over GF(2), G as packed rows; u may be a single vector or a batch."""
+    """Codeword u @ G over GF(2) of one information word u, G as packed rows."""
     u = np.asarray(u)
-    if u.shape[-1] != g.rows.shape[0]:
-        raise ValueError(f"input length {u.shape[-1]} != k_u {g.rows.shape[0]}")
+    if u.shape != (g.rows.shape[0],):
+        raise ValueError(f"information-word shape {u.shape} != ({g.rows.shape[0]},)")
     return g.left_mul(u)
 
 

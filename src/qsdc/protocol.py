@@ -49,25 +49,14 @@ from qsdc.ldpc import bp_decode, ldpc_encode
 from qsdc.security import ErrorRates, SecurityEstimate, half_bias_capacity
 from qsdc.spreading import compute_llrs, spread
 from qsdc.states import ChannelParams, flip_codes, measure_codes, random_state_codes
-from qsdc.wiretap_code import WiretapCode, build_code, uhf_invert, uhf_map
-
-
-@dataclass(frozen=True)
-class CodeParams:
-    """Wiretap-code parameters; the code itself is rebuilt on demand."""
-
-    l: int = 1312
-    k_u: int = 656
-    k_r: int = 128
-    n_spread: int = 830
-    seed: int = 12345
+from qsdc.wiretap_code import CodeParams, WiretapCode, build_code, uhf_invert, uhf_map
 
 
 @functools.lru_cache(maxsize=8)
 def realize_code(params: CodeParams) -> WiretapCode:
     """Build the configured code, or fetch it from the process-wide cache
     of the eight most recently used."""
-    return build_code(params.l, params.k_u, params.k_r, params.n_spread, params.seed)
+    return build_code(params)
 
 
 @dataclass(frozen=True)
@@ -93,10 +82,9 @@ class ProtocolConfig:
     max_block_retries: int = 8
 
     def __post_init__(self) -> None:
-        if self.block_pulses < self.code.n_spread * self.code.l:
+        if self.block_pulses < self.code.block_chips:
             raise ValueError(
-                f"block_pulses {self.block_pulses} below chip footprint "
-                f"{self.code.n_spread * self.code.l}"
+                f"block_pulses {self.block_pulses} below chip footprint {self.code.block_chips}"
             )
         if not 0.0 < self.check_fraction <= 1.0:
             raise ValueError(f"check_fraction must be in (0, 1], got {self.check_fraction}")
@@ -125,7 +113,7 @@ class ProtocolConfig:
 
     @property
     def n_forward_checks(self) -> int:
-        chips = self.code.n_spread * self.code.l
+        chips = self.code.block_chips
         return math.ceil(chips * self.forward_check_fraction / (1.0 - self.forward_check_fraction))
 
     @property
@@ -196,18 +184,6 @@ class EncodeRecord:
 
     def __len__(self) -> int:
         return int(self.fwd_values.size + self.chip_idx.size)
-
-
-@dataclass(frozen=True)
-class BlockDecodeResult:
-    message_bits: np.ndarray
-    status: str
-    e_fwd: Optional[float]
-    fwd_errors: int
-    n_fwd_detected: int
-    n_chip_detected: int
-    bp_iterations: int
-    bp_converged: bool
 
 
 def bob_prepare_block(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -357,7 +333,7 @@ def bob_decode_block(
     record: EncodeRecord,
     code: WiretapCode,
     e_margin: float,
-) -> BlockDecodeResult:
+) -> tuple[np.ndarray, dict]:
     """Recover one block from Bob's detected return pulses.
 
     outcomes and prepared (Bob's state codes) are in record order.
@@ -365,6 +341,8 @@ def bob_decode_block(
     the modulation op on each detected slot; disclosed forward check
     bits give the running error estimate, the rest are de-spread into
     LLRs and belief-propagation decoded, and the whitening is inverted.
+    Returns the decoded message bits and the decode step's BlockRecord
+    fields, as keyword arguments.
     """
     est = (outcomes ^ (prepared & 1)).astype(np.uint8)
     n_fwd_det = record.fwd_values.size
@@ -384,8 +362,7 @@ def bob_decode_block(
         status = "fail-no-converge"
     else:
         status = "ok"
-    return BlockDecodeResult(
-        message_bits=m_hat,
+    return m_hat, dict(
         status=status,
         e_fwd=e_fwd,
         fwd_errors=fwd_errors,
@@ -488,13 +465,16 @@ class SessionTranscript:
     code: CodeParams
     blocks: list[BlockRecord] = field(default_factory=list)
     delivered: bytes = b""
-    security_abort: bool = False
     abort_reason: Optional[str] = None
     pulses_emitted: int = 0
 
     @property
     def ok(self) -> bool:
-        return not self.security_abort and self.abort_reason is None
+        return self.abort_reason is None
+
+    @property
+    def security_abort(self) -> bool:
+        return self.abort_reason == "capacity-gate"
 
     @property
     def throughput_bits_per_s(self) -> float:
@@ -554,9 +534,10 @@ def _run_block_attempt(
     attempt: int,
     attack: AttackModel,
     pooled: _PooledCounts,
-) -> tuple[BlockRecord, Optional[BlockDecodeResult]]:
-    """Simulate one block attempt end to end; decode result is None when
-    the block never reached the encoding step.
+) -> tuple[BlockRecord, Optional[np.ndarray]]:
+    """Simulate one block attempt end to end: its record and Bob's
+    decoded message bits, which are None when the block never reached
+    the encoding step.
 
     serial is the attempt's number in the session; it seeds the
     attempt's generators and its keystream.  The capacity gate decides
@@ -591,16 +572,7 @@ def _run_block_attempt(
     arriving = flip_codes(wire, config.check_channel.flip_prob, channel_rng)
     stats = bob_estimate_errors(alice_sample_check(arriving, alice_rng), prepared)
     q_hat = n_received / n_sent
-    base_record.update(
-        n_checked=n_checked,
-        n_z=stats.n_z,
-        n_x=stats.n_x,
-        err_z=stats.err_z,
-        err_x=stats.err_x,
-        e_z=stats.e_z,
-        e_x=stats.e_x,
-        q_hat=q_hat,
-    )
+    base_record.update(vars(stats), n_checked=n_checked, q_hat=q_hat)
     if not stats.well_defined:
         return BlockRecord(**base_record, status="deferred-empty-basis"), None
 
@@ -629,18 +601,9 @@ def _run_block_attempt(
     det_codes = flip_codes(returned, config.data_channel.flip_prob, channel_rng)
     outcomes = measure_codes(det_codes, prepared >> 1, channel_rng)
 
-    result = bob_decode_block(outcomes, prepared, enc_record, code, config.e_margin)
-    base_record.update(
-        status=result.status,
-        e_fwd=result.e_fwd,
-        fwd_errors=result.fwd_errors,
-        n_fwd_detected=result.n_fwd_detected,
-        n_chip_detected=result.n_chip_detected,
-        bp_iterations=result.bp_iterations,
-        bp_converged=result.bp_converged,
-        delivered_bits=code.k_m if result.status == "ok" else 0,
-    )
-    return BlockRecord(**base_record), result
+    message_bits, decoded = bob_decode_block(outcomes, prepared, enc_record, code, config.e_margin)
+    base_record.update(decoded, delivered_bits=code.k_m if decoded["status"] == "ok" else 0)
+    return BlockRecord(**base_record), message_bits
 
 
 def run_session(
@@ -675,7 +638,7 @@ def run_session(
     pooled = _PooledCounts()
     for block_index, chunk in enumerate(chunks):
         for attempt in range(config.max_block_retries + 1):
-            record, result = _run_block_attempt(
+            record, message_bits = _run_block_attempt(
                 config, code, chunk, seed, len(transcript.blocks), block_index, attempt, attack,
                 pooled,
             )
@@ -683,11 +646,10 @@ def run_session(
             transcript.pulses_emitted += record.n_sent
             pooled.add(record)
             if record.status == "gate-abort":
-                transcript.security_abort = True
                 transcript.abort_reason = "capacity-gate"
                 return transcript
             if record.status == "ok":
-                recovered.append(result.message_bits)
+                recovered.append(message_bits)
                 break
         else:
             transcript.abort_reason = "decode-failure"

@@ -7,8 +7,10 @@ by the code seed), LDPC encoded to l coded bits, and spread by
 n_spread chips per bit.  The receiver inverts the chain after
 belief-propagation decoding.
 
-build_code is deterministic in (l, k_u, k_r, n_spread, seed);
-code_description records those plus the sha256 of each matrix's bits,
+CodeParams names a code by those five numbers and rejects any that no
+code can be built from; a WiretapCode is its CodeParams plus the
+matrices.  build_code is deterministic in the CodeParams, and
+code_description records them plus the sha256 of each matrix's bits,
 so two parties that build from the same parameters can compare
 descriptions to verify they built the same code.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,25 +29,31 @@ from qsdc.ldpc import TannerGraph, peg_construct, systematic_generator
 
 VAR_DEGREE = 3
 MAX_BUILD_ATTEMPTS = 16
-_PARAMS = ("l", "k_u", "k_r", "n_spread", "seed")  # what build_code builds a code from
 
 
-@dataclass(frozen=True, eq=False)
-class WiretapCode:
-    """All public material of one code instance: H as its Tanner graph, the rest as packed rows."""
+@dataclass(frozen=True)
+class CodeParams:
+    """The parameters that name a wiretap code, validated on construction:
+    k_r random and k_u - k_r message bits per block, l coded bits, n_spread
+    chips per coded bit and the seed every matrix is drawn from."""
 
-    l: int
-    k_u: int
-    k_r: int
-    n_spread: int
-    seed: int
-    edges: TannerGraph
-    info_positions: np.ndarray
-    # the per-block maps u -> u @ g, x -> uhf @ x and u -> uhf_inv @ u,
-    # each the XOR of the rows its input selects: g, uhf.T and uhf_inv.T
-    g_rows: PackedRows
-    uhf_rows: PackedRows
-    uhf_inv_rows: PackedRows
+    l: int = 1312
+    k_u: int = 656
+    k_r: int = 128
+    n_spread: int = 830
+    seed: int = 12345
+
+    def __post_init__(self) -> None:
+        if not 0 < self.k_r < self.k_u < self.l:
+            raise ValueError(
+                f"need 0 < k_r < k_u < l, got k_r={self.k_r}, k_u={self.k_u}, l={self.l}"
+            )
+        if self.n_spread < 1:
+            raise ValueError(f"n_spread must be >= 1, got {self.n_spread}")
+        if VAR_DEGREE > self.l - self.k_u:
+            raise ValueError(
+                f"l - k_u = {self.l - self.k_u} is below the variable degree {VAR_DEGREE}"
+            )
 
     @property
     def k_m(self) -> int:
@@ -56,24 +64,32 @@ class WiretapCode:
         return self.n_spread * self.l
 
 
-def build_code(l: int, k_u: int, k_r: int, n_spread: int, seed: int) -> WiretapCode:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class WiretapCode(CodeParams):
+    """All public material of one code instance: H as its Tanner graph, the rest as packed rows.
+
+    Two codes compare equal when their parameters do."""
+
+    edges: TannerGraph
+    info_positions: np.ndarray
+    # the per-block maps u -> u @ g, x -> uhf @ x and u -> uhf_inv @ u,
+    # each the XOR of the rows its input selects: g, uhf.T and uhf_inv.T
+    g_rows: PackedRows
+    uhf_rows: PackedRows
+    uhf_inv_rows: PackedRows
+
+
+def build_code(params: CodeParams) -> WiretapCode:
     """Construct the code deterministically from its parameters.
 
     The parity-check matrix is redrawn with a derived seed when the
     Gauss-Jordan reduction finds it rank deficient, up to
     MAX_BUILD_ATTEMPTS times.
     """
-    if not 0 < k_r < k_u < l:
-        raise ValueError(f"need 0 < k_r < k_u < l, got k_r={k_r}, k_u={k_u}, l={l}")
-    if n_spread < 1:
-        raise ValueError(f"n_spread must be >= 1, got {n_spread}")
-    m = l - k_u
-    if VAR_DEGREE > m:
-        raise ValueError(f"l - k_u = {m} is below the variable degree {VAR_DEGREE}")
-
+    m = params.l - params.k_u
     for attempt in range(MAX_BUILD_ATTEMPTS):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0, attempt]))
-        edges = TannerGraph(peg_construct(m, l, VAR_DEGREE, rng), m)
+        rng = np.random.default_rng(np.random.SeedSequence([params.seed, 0, attempt]))
+        edges = TannerGraph(peg_construct(m, params.l, VAR_DEGREE, rng), m)
         try:
             g, info = systematic_generator(edges.parity_rows())
             break
@@ -82,14 +98,10 @@ def build_code(l: int, k_u: int, k_r: int, n_spread: int, seed: int) -> WiretapC
     else:
         raise RuntimeError(f"no full-rank parity-check matrix in {MAX_BUILD_ATTEMPTS} attempts")
 
-    uhf_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    uhf, uhf_inv = random_invertible(k_u, uhf_rng)
+    uhf_rng = np.random.default_rng(np.random.SeedSequence([params.seed, 1]))
+    uhf, uhf_inv = random_invertible(params.k_u, uhf_rng)
     return WiretapCode(
-        l=l,
-        k_u=k_u,
-        k_r=k_r,
-        n_spread=n_spread,
-        seed=seed,
+        **vars(params),
         edges=edges,
         info_positions=info,
         g_rows=g,
@@ -132,7 +144,7 @@ def code_description(code: WiretapCode) -> str:
     """Serialise the code parameters plus matrix checksums."""
     cp = configparser.ConfigParser()
     cp["wiretap-code"] = {
-        **{key: str(getattr(code, key)) for key in _PARAMS},
+        **{f.name: str(getattr(code, f.name)) for f in fields(CodeParams)},
         **{f"{name}_sha256": digest for name, digest in _checksums(code).items()},
     }
     out = io.StringIO()

@@ -1,26 +1,26 @@
 import numpy as np
 import pytest
 
-from qsdc.protocol import CodeParams, ProtocolConfig
+from qsdc.protocol import ProtocolConfig
 from qsdc.states import ChannelParams
-from qsdc.wiretap_code import build_code
+from qsdc.wiretap_code import CodeParams, build_code
 
 
 @pytest.fixture(scope="session")
 def default_code():
     # nominal operating-point code: 830 chips/bit against ~25 dB loss
-    return build_code(1312, 656, 128, 830, seed=12345)
+    return build_code(CodeParams(1312, 656, 128, 830, seed=12345))
 
 
 @pytest.fixture(scope="session")
 def small_code():
-    return build_code(256, 128, 32, 8, seed=99)
+    return build_code(CodeParams(256, 128, 32, 8, seed=99))
 
 
 @pytest.fixture(scope="session")
 def toy_code():
     # small enough for exhaustive ML over all 2^4 codewords
-    return build_code(8, 4, 1, 4, seed=7)
+    return build_code(CodeParams(8, 4, 1, 4, seed=7))
 
 
 @pytest.fixture(scope="session")

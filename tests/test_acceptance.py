@@ -154,7 +154,7 @@ def test_criterion_06_codec_roundtrip_and_toy_ml(small_code, toy_code):
     all_u = np.array(
         [[int(b) for b in f"{i:04b}"] for i in range(2**toy_code.k_u)], dtype=np.uint8
     )
-    all_v = ldpc_encode(all_u, toy_code.g_rows)
+    all_v = np.array([ldpc_encode(u, toy_code.g_rows) for u in all_u])
     for trial in range(1000):
         u = all_u[rng.integers(all_u.shape[0])]
         v = ldpc_encode(u, toy_code.g_rows)

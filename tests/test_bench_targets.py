@@ -1,15 +1,22 @@
-"""The benchmark's per-layer spans name package functions by dotted path.
+"""The benchmark harness against the package it measures.
 
 perfbench/workload.py wraps each target in its WRAPPED table when it
 traces a run, and reports a layer whose targets are all gone as null.
 The table is read as data, without importing perfbench, so that a
-rename or deletion in the package fails here instead.
+rename or deletion in the package fails here instead.  Each workload
+also runs once, untimed, so that a break in anything else the harness
+reads from the package fails here too.
 """
 
 import ast
 import functools
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 WORKLOAD = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
 
@@ -43,3 +50,17 @@ def test_traced_targets_resolve_in_package():
     targets.append("qsdc.spreading.keystream")
     missing = [t for t in targets if not _resolves(t)]
     assert not missing, f"traced names missing from the package: {missing}"
+
+
+@pytest.mark.parametrize(
+    "workload", ["nominal_file", "marginal_link", "attack_abort", "capacity_scan"]
+)
+def test_workload_runs_one_round_correctly(workload):
+    # --seconds 0: the warm-up and one round of operations, all checked
+    proc = subprocess.run(
+        [sys.executable, str(WORKLOAD), "--workload", workload, "--seed", "1", "--seconds", "0"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, proc.stderr

@@ -381,3 +381,22 @@ def test_config_checking_every_slot_is_io_error(tmp_path, capsys):
     rc = main(["stability", "--config", str(cfg), "--blocks", "1"])
     assert rc == EXIT_IO
     assert "consumes every slot" in capsys.readouterr().err
+
+
+def test_unbuildable_code_config_is_io_error(tmp_path, capsys):
+    # k_r above k_u names no code: rejected when the file is read, even by
+    # a send whose empty input would never build one
+    text = "[code]\nk_r = 700\n"
+    with pytest.raises(ValueError, match="k_r < k_u"):
+        parse_config(text)
+    cfg = tmp_path / "bad_code.ini"
+    cfg.write_text(text)
+    src = tmp_path / "empty.bin"
+    src.write_bytes(b"")
+    report = tmp_path / "report.json"
+    rc = main(["send", "--config", str(cfg), "--input", str(src),
+               "--output", str(tmp_path / "out.bin"), "--report", str(report)])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_IO
+    assert out == "" and not report.exists()
+    assert "k_r < k_u" in err

@@ -14,14 +14,14 @@ from qsdc.ldpc import (
     peg_construct,
     systematic_generator,
 )
-from qsdc.wiretap_code import build_code, code_description
+from qsdc.wiretap_code import CodeParams, build_code, code_description
 from test_gf2 import gf2_matmul, gf2_row_reduce
 
-# digests of the nominal code, build_code(1312, 656, 128, 830, seed=12345)
+# digests of the nominal code, build_code(CodeParams(1312, 656, 128, 830, seed=12345))
 NOMINAL_H_SHA256 = "3657a253754e26e89b2dcb48d14885641fce070fdf8ca575c1c8efc47277cb51"
 NOMINAL_G_SHA256 = "a9d072541545c1538e2b2a5e10f07c8135825975d3a5df0ed6cc96c725e98375"
 NOMINAL_UHF_SHA256 = "adb8864687bfa51e3b024983494a874b3976a431b4046e4b28b41b380b5ce352"
-# build_code(100, 50, 10, 4, seed=7): no width is a multiple of 8, so a
+# build_code(CodeParams(100, 50, 10, 4, seed=7)): no width is a multiple of 8, so a
 # digest of padded row bytes would differ from the digest of the bits
 ODD_CODE_SHA256 = {
     "h": "7da8029a0a2762b1f4d0117079acdc8269f19687bc541a872345f303a34e21ac",
@@ -153,7 +153,7 @@ def test_peg_deterministic_given_rng_state():
 
 
 def test_odd_width_code_digests_pinned():
-    description = code_description(build_code(100, 50, 10, 4, seed=7))
+    description = code_description(build_code(CodeParams(100, 50, 10, 4, seed=7)))
     for name, digest in ODD_CODE_SHA256.items():
         assert f"{name}_sha256 = {digest}\n" in description
 
@@ -196,14 +196,6 @@ def test_encode_linear(small_code, rng):
     a = rng.integers(0, 2, k, dtype=np.uint8)
     b = rng.integers(0, 2, k, dtype=np.uint8)
     assert (ldpc_encode(a ^ b, g) == (ldpc_encode(a, g) ^ ldpc_encode(b, g))).all()
-
-
-def test_encode_batch_matches_single(small_code, rng):
-    g = small_code.g_rows
-    batch = rng.integers(0, 2, (5, small_code.k_u), dtype=np.uint8)
-    enc = ldpc_encode(batch, g)
-    for i in range(5):
-        assert (enc[i] == ldpc_encode(batch[i], g)).all()
 
 
 def test_bp_decode_noiseless_zero_iterations(small_code, rng):

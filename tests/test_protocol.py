@@ -165,15 +165,11 @@ def _dense_block_attempt(config, code, chunk_bits, seed, serial, attack):
     det_codes = flip_codes(returned, config.data_channel.flip_prob, channel_rng)
     outcomes = measure_codes(det_codes, bob_codes[det_positions] >> 1, channel_rng)
     record, order = _observed_record(layout, det_local)
-    result = bob_decode_block(
+    message_bits, decoded = bob_decode_block(
         outcomes[order], bob_codes[det_positions][order], record, code, config.e_margin
     )
-    fields.update(
-        status=result.status, e_fwd=result.e_fwd, fwd_errors=result.fwd_errors,
-        n_fwd_detected=result.n_fwd_detected, n_chip_detected=result.n_chip_detected,
-        bp_iterations=result.bp_iterations, bp_converged=result.bp_converged,
-    )
-    return BlockRecord(**fields), result
+    fields.update(decoded)
+    return BlockRecord(**fields), message_bits
 
 
 # --- tests ----------------------------------------------------------------
@@ -383,11 +379,11 @@ def test_decode_block_perfect_channel(fast_config, rng):
     prepared = rng.integers(0, 4, len(record), dtype=np.uint8)
     wire = prepared ^ modulation_at(record, code)
     outcomes = wire & 1  # measuring in the preparation basis, no noise
-    result = bob_decode_block(outcomes, prepared, record, code, e_margin=0.03)
-    assert result.status == "ok"
-    assert (result.message_bits == msg).all()
-    assert result.e_fwd == 0.0
-    assert result.n_chip_detected == code.block_chips
+    message_bits, decoded = bob_decode_block(outcomes, prepared, record, code, e_margin=0.03)
+    assert decoded["status"] == "ok"
+    assert (message_bits == msg).all()
+    assert decoded["e_fwd"] == 0.0
+    assert decoded["n_chip_detected"] == code.block_chips
 
 
 def test_decode_block_error_margin_abort(fast_config, rng):
@@ -398,8 +394,8 @@ def test_decode_block_error_margin_abort(fast_config, rng):
     wire = prepared ^ modulation_at(record, code)
     # 10% flips exceed the 3% margin
     outcomes = (wire & 1) ^ (rng.random(wire.size) < 0.10).astype(np.uint8)
-    result = bob_decode_block(outcomes, prepared, record, code, e_margin=0.03)
-    assert result.status == "abort-error-margin"
+    _, decoded = bob_decode_block(outcomes, prepared, record, code, e_margin=0.03)
+    assert decoded["status"] == "abort-error-margin"
 
 
 @given(st.binary(min_size=0, max_size=200))
@@ -557,17 +553,17 @@ def _pooled_counts(attempts, needed):
     def add(key, k, n):
         c[key] = (c[key][0] + k, c[key][1] + n)
 
-    for record, result in attempts:
+    for record, message_bits in attempts:
         add("check", record.n_received_check, record.n_sent)
         add("checked", record.n_checked, record.n_received_check)
         add("err_x", record.err_x, record.n_x)
         add("err_z", record.err_z, record.n_z)
         add("ok", record.status == "ok", 1)
-        if result is not None:
-            detected = result.n_fwd_detected + result.n_chip_detected
+        if message_bits is not None:
+            detected = record.n_fwd_detected + record.n_chip_detected
             add("data", detected, needed)
-            add("fwd_share", result.n_fwd_detected, detected)
-            add("fwd_err", result.fwd_errors, result.n_fwd_detected)
+            add("fwd_share", record.n_fwd_detected, detected)
+            add("fwd_err", record.fwd_errors, record.n_fwd_detected)
     return c
 
 

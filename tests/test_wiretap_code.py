@@ -1,6 +1,7 @@
 """Wiretap code construction, whitening, packed storage and its description."""
 
 import configparser
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qsdc.gf2 import PackedRows
 from qsdc.ldpc import TannerGraph, ldpc_encode
 from qsdc.wiretap_code import (
-    _PARAMS,
+    CodeParams,
     _checksums,
     build_code,
     code_description,
@@ -38,8 +39,8 @@ def test_build_code_shapes(small_code):
 
 
 def test_build_code_deterministic():
-    a = build_code(64, 32, 8, 4, seed=5)
-    b = build_code(64, 32, 8, 4, seed=5)
+    a = build_code(CodeParams(64, 32, 8, 4, seed=5))
+    b = build_code(CodeParams(64, 32, 8, 4, seed=5))
     assert code_description(a) == code_description(b)
     assert np.array_equal(a.edges.slots, b.edges.slots)
     for name in ("g_rows", "uhf_rows", "uhf_inv_rows"):
@@ -47,8 +48,8 @@ def test_build_code_deterministic():
 
 
 def test_build_code_seed_sensitivity():
-    a = build_code(64, 32, 8, 4, seed=5)
-    b = build_code(64, 32, 8, 4, seed=6)
+    a = build_code(CodeParams(64, 32, 8, 4, seed=5))
+    b = build_code(CodeParams(64, 32, 8, 4, seed=6))
     assert not np.array_equal(a.edges.slots, b.edges.slots)
     assert (a.uhf_rows.rows != b.uhf_rows.rows).any()
 
@@ -61,15 +62,17 @@ def test_nominal_code_holds_only_packed_rows(default_code):
         assert isinstance(value, (int, PackedRows, TannerGraph)) or value.ndim == 1
 
 
-def test_build_code_validation():
+def test_code_params_validation():
     with pytest.raises(ValueError):
-        build_code(64, 64, 8, 4, seed=1)  # k_u must be < l
+        CodeParams(64, 64, 8, 4, seed=1)  # k_u must be < l
     with pytest.raises(ValueError):
-        build_code(64, 32, 32, 4, seed=1)  # k_r must be < k_u
+        CodeParams(64, 32, 32, 4, seed=1)  # k_r must be < k_u
     with pytest.raises(ValueError):
-        build_code(64, 32, 0, 4, seed=1)
+        CodeParams(64, 32, 0, 4, seed=1)
     with pytest.raises(ValueError):
-        build_code(64, 32, 8, 0, seed=1)
+        CodeParams(64, 32, 8, 0, seed=1)
+    with pytest.raises(ValueError):
+        CodeParams(64, 62, 8, 4, seed=1)  # two checks for degree-3 variables
 
 
 def test_uhf_is_invertible(small_code):
@@ -82,11 +85,7 @@ def test_packed_products_equal_gf2_matmul(small_code, default_code, rng):
     for code in (small_code, default_code):
         g = code.g_rows.unpack()
         uhf, uhf_inv = code.uhf_rows.unpack().T, code.uhf_inv_rows.unpack().T
-        batch = rng.integers(0, 2, (2, 3, code.k_u), dtype=np.uint8)
-        encoded = ldpc_encode(batch, code.g_rows)
-        assert encoded.shape == (2, 3, code.l)
-        assert (encoded.reshape(6, code.l) == gf2_matmul(batch.reshape(6, code.k_u), g)).all()
-        for x in batch.reshape(6, code.k_u):
+        for x in rng.integers(0, 2, (6, code.k_u), dtype=np.uint8):
             assert (ldpc_encode(x, code.g_rows) == gf2_matmul(x, g)).all()
             u = uhf_map(x[: code.k_m], x[code.k_m :], code)
             assert (u == gf2_matmul(uhf, x)).all()
@@ -107,7 +106,7 @@ def test_uhf_roundtrip(small_code, rng):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32))
 def test_uhf_roundtrip_property(seed):
-    code = build_code(32, 16, 4, 2, seed=21)
+    code = build_code(CodeParams(32, 16, 4, 2, seed=21))
     rng = np.random.default_rng(seed)
     m = rng.integers(0, 2, code.k_m, dtype=np.uint8)
     r = rng.integers(0, 2, code.k_r, dtype=np.uint8)
@@ -140,7 +139,8 @@ def code_from_description(text: str):
     if "wiretap-code" not in cp:
         raise ValueError("missing [wiretap-code] section")
     sec = cp["wiretap-code"]
-    code = build_code(**{key: int(sec[key]) for key in _PARAMS})
+    params = {f.name: int(sec[f.name]) for f in dataclasses.fields(CodeParams)}
+    code = build_code(CodeParams(**params))
     for name, digest in _checksums(code).items():
         want = sec.get(f"{name}_sha256")
         if want is not None and want != digest:

@@ -17,6 +17,13 @@ Keys are `<workload>.<metric>` for the untraced end-to-end metrics,
 `<workload>.trace.<metric>` for the traced per-layer ones, and plain
 names for the rest.  A figure is from one run; compare two reports
 taken on the same machine under the same load.
+
+Around each perfbench call a speed probe times a fixed pure-Python loop
+and a fixed numpy kernel, neither of which uses qsdc, as
+`<workload>[.trace].probe_before.py_s`, `...probe_before.numpy_s`,
+`...probe_after.py_s` and `...probe_after.numpy_s`, each the best of
+PROBE_REPEATS runs.  A workload that ran slower while its probe did too
+ran on a slower machine, not slower code.
 """
 
 from __future__ import annotations
@@ -40,19 +47,19 @@ WORKLOADS = ("nominal_file", "marginal_link", "attack_abort", "capacity_scan")
 # from the git head
 TREE_PATHS = ("src", "tests", "perfbench", "tools")
 SEND_BYTES = 10 * 1024
+PROBE_REPEATS = 3
 # builds the default CodeParams() code and prints the build's seconds, or
 # with the argument "traced" the peak MiB that tracemalloc saw, which
 # would slow the timed build
 BUILD_SNIPPET = """
 import sys, time, tracemalloc
-from qsdc.protocol import CodeParams
-from qsdc.wiretap_code import build_code
+from qsdc.wiretap_code import CodeParams, build_code
 p = CodeParams()
 traced = sys.argv[1:] == ["traced"]
 if traced:
     tracemalloc.start()
 t0 = time.perf_counter()
-build_code(p.l, p.k_u, p.k_r, p.n_spread, p.seed)
+build_code(p)
 elapsed = time.perf_counter() - t0
 print(tracemalloc.get_traced_memory()[1] / 2**20 if traced else elapsed)
 """
@@ -70,16 +77,50 @@ def _run(cmd: list[str], **kwargs) -> tuple[subprocess.CompletedProcess, float]:
     return proc, time.perf_counter() - t0
 
 
+def _py_loop() -> int:
+    total = 0
+    for i in range(1_000_000):
+        total += i * i % 7
+    return total
+
+
+def _numpy_kernel() -> float:
+    import numpy
+
+    x = numpy.linspace(0.0, 1.0, 1 << 17)
+    for _ in range(20):
+        x = numpy.sin(x) * 0.5 + x * 0.25
+    return float(x.sum())
+
+
+def speed_probe(prefix: str) -> dict:
+    """Best-of-PROBE_REPEATS seconds of the fixed loop and the fixed kernel."""
+    flat = {}
+    for name, probe in (("py_s", _py_loop), ("numpy_s", _numpy_kernel)):
+        times = []
+        for _ in range(PROBE_REPEATS):
+            t0 = time.perf_counter()
+            probe()
+            times.append(time.perf_counter() - t0)
+        flat[f"{prefix}.{name}"] = min(times)
+    return flat
+
+
 def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One run.py call, flattened to `<workload>[.trace].<key>` entries."""
+    """One run.py call, flattened to `<workload>[.trace].<key>` entries,
+    with the speed probe before and after it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc, _ = _run(cmd)
     prefix = f"{workload}.trace" if trace else workload
+    flat = speed_probe(f"{prefix}.probe_before")
+    proc, _ = _run(cmd)
+    flat.update(speed_probe(f"{prefix}.probe_after"))
     if proc.returncode != 0:
-        return {f"{prefix}.error": proc.stderr.strip().splitlines()[-1:] or [f"exit {proc.returncode}"]}
+        tail = proc.stderr.strip().splitlines()[-1:]
+        flat[f"{prefix}.error"] = tail or [f"exit {proc.returncode}"]
+        return flat
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
-    flat = {f"{prefix}.{key}": summary[key] for key in ("correct", "attempted", "failed")}
+    flat.update({f"{prefix}.{key}": summary[key] for key in ("correct", "attempted", "failed")})
     for name, metric in summary["metrics"].items():
         flat[f"{prefix}.{name}"] = metric["value"]
     return flat
