@@ -80,8 +80,6 @@ def eve_intercept_resend(
     uniform and the resent eigenstate disturbs later checks with
     probability 1/4.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     n = codes.shape[0]
     touched = rng.random(n) < fraction
     wire = codes.copy()
@@ -101,13 +99,6 @@ def eve_optimal_collective(
     X-prepared pulses with e_x_target, reproducing the attack's check
     statistics exactly (up to sampling noise).  Returns the wire codes.
     """
-    for name, v in (("e_x_target", e_x_target), ("e_z_target", e_z_target)):
-        if not 0.0 <= v <= 0.5:
-            raise ValueError(f"{name} must be in [0, 0.5], got {v}")
-    if e_x_target + e_z_target > 0.5:
-        raise ValueError(
-            f"targets must satisfy e_x + e_z <= 0.5, got {e_x_target + e_z_target}"
-        )
     basis = codes >> 1
     p_flip = np.where(basis == 0, e_z_target, e_x_target)
     flips = (rng.random(codes.shape[0]) < p_flip).astype(np.uint8)

@@ -187,9 +187,7 @@ def run_e2e(
         "attack": attack.kind.value,
     }
     if not transcript.ok:
-        aborted = transcript.blocks[-1]
-        report["abort_block"] = aborted.block_index
-        report["abort_cause"] = transcript.abort_reason
+        report["abort_block"] = transcript.blocks[-1].block_index
     if attack.kind is AttackKind.OPTIMAL_COLLECTIVE:
         # Eve's analytic bound at her target disturbance
         rates = ErrorRates(

@@ -7,7 +7,9 @@ measurements; Bob estimates the forward error rates and both sides
 evaluate the capacity gate; if the link is secure Alice modulates the
 remaining slots with codeword chips interleaved with random check
 bits, and Bob measures the returning pulses in his preparation bases
-and decodes.
+and decodes.  Each step is passed only what its party sees: Bob's
+decode step receives Alice's disclosed forward-check values, the
+detected chip indices and the block serial, never her codeword.
 
 Loss accounting follows the effective-detection model: the configured
 check channel gives the probability that a slot fires Alice's check
@@ -97,12 +99,17 @@ class ProtocolConfig:
             raise ValueError(
                 f"forward_check_fraction must be in [0, 1), got {self.forward_check_fraction}"
             )
-        if self.e_margin <= 0.0:
+        # the comparisons below are written so that NaN fails them too
+        if not self.e_margin > 0.0:
             raise ValueError(f"e_margin must be > 0, got {self.e_margin}")
-        if self.g_back_channel_db < 0.0:
-            raise ValueError(f"g_back_channel_db must be >= 0, got {self.g_back_channel_db}")
-        if self.repetition_rate_hz <= 0.0:
-            raise ValueError(f"repetition_rate_hz must be > 0, got {self.repetition_rate_hz}")
+        if not math.isfinite(self.abort_threshold_capacity):
+            raise ValueError(
+                f"abort_threshold_capacity must be finite, got {self.abort_threshold_capacity}"
+            )
+        if not 0.0 <= self.g_back_channel_db < math.inf:
+            raise ValueError(f"g_back_channel_db {self.g_back_channel_db} is not in [0, inf)")
+        if not 0.0 < self.repetition_rate_hz < math.inf:
+            raise ValueError(f"repetition_rate_hz {self.repetition_rate_hz} is not in (0, inf)")
         if self.max_block_retries < 0:
             raise ValueError(f"max_block_retries must be >= 0, got {self.max_block_retries}")
 
@@ -135,57 +142,6 @@ def nominal_config() -> ProtocolConfig:
 NOMINAL = nominal_config()
 
 
-@dataclass(frozen=True)
-class CheckDisclosure:
-    """Alice's published check measurements: the basis and the outcome
-    of each checked pulse, in the order of Bob's records of them."""
-
-    bases: np.ndarray
-    outcomes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.bases.shape != self.outcomes.shape:
-            raise ValueError("disclosure arrays must have identical shape")
-
-    def __len__(self) -> int:
-        return int(self.bases.size)
-
-
-@dataclass(frozen=True)
-class CheckStats:
-    """Per-basis error estimates from one block's disclosure."""
-
-    e_x: Optional[float]
-    e_z: Optional[float]
-    n_x: int
-    n_z: int
-    err_x: int
-    err_z: int
-
-    @property
-    def well_defined(self) -> bool:
-        return self.n_x > 0 and self.n_z > 0
-
-
-@dataclass(frozen=True)
-class EncodeRecord:
-    """Alice's account of one encoded block at the slots Bob detects.
-
-    The detected slots are listed forward checks first, then chips in
-    ascending chip order.  fwd_values (the check values Alice discloses)
-    and chip_idx are the public layout bob_decode_block reads; the
-    codeword stays with Alice.
-    """
-
-    block_index: int
-    codeword: np.ndarray
-    fwd_values: np.ndarray
-    chip_idx: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.fwd_values.size + self.chip_idx.size)
-
-
 def bob_prepare_block(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n uniformly random preparation states.
 
@@ -197,41 +153,40 @@ def bob_prepare_block(n: int, rng: np.random.Generator) -> np.ndarray:
     return random_state_codes(n, rng)
 
 
-def alice_sample_check(codes: np.ndarray, rng: np.random.Generator) -> CheckDisclosure:
+def alice_sample_check(
+    codes: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """Measure the pulses Alice diverted to her check module.
 
     codes are the checked pulses as they arrive at her bench (channel
     noise already applied).  Each is measured in a uniformly random
-    basis and disclosed; checked pulses are consumed and never
-    modulated.
+    basis; returns the bases and outcomes she discloses.  Checked pulses
+    are consumed and never modulated.
     """
     bases = rng.integers(0, 2, size=codes.shape[0], dtype=np.uint8)
-    return CheckDisclosure(bases=bases, outcomes=measure_codes(codes, bases, rng))
+    return bases, measure_codes(codes, bases, rng)
 
 
-def bob_estimate_errors(disclosure: CheckDisclosure, prepared: np.ndarray) -> CheckStats:
-    """Compare the disclosure with Bob's records of the checked pulses,
-    bucketed by basis.
+def bob_estimate_errors(bases: np.ndarray, outcomes: np.ndarray, prepared: np.ndarray) -> dict:
+    """Compare Alice's disclosed check bases and outcomes with Bob's
+    records of the checked pulses, bucketed by basis; returns the check
+    step's BlockRecord fields, as keyword arguments.
 
     Only pulses Alice happened to measure in Bob's preparation basis
     are comparable; a bucket with no such pulses leaves that estimate
     undefined (None).
     """
-    matched = (prepared >> 1) == disclosure.bases
-    errors = disclosure.outcomes != (prepared & 1)
-    z_bucket = matched & (disclosure.bases == 0)
-    x_bucket = matched & (disclosure.bases == 1)
+    matched = (prepared >> 1) == bases
+    errors = outcomes != (prepared & 1)
+    z_bucket = matched & (bases == 0)
+    x_bucket = matched & (bases == 1)
     n_z = int(z_bucket.sum())
     n_x = int(x_bucket.sum())
     err_z = int((errors & z_bucket).sum())
     err_x = int((errors & x_bucket).sum())
-    return CheckStats(
-        e_x=err_x / n_x if n_x else None,
-        e_z=err_z / n_z if n_z else None,
-        n_x=n_x,
-        n_z=n_z,
-        err_x=err_x,
-        err_z=err_z,
+    return dict(
+        n_z=n_z, n_x=n_x, err_z=err_z, err_x=err_x,
+        e_z=err_z / n_z if n_z else None, e_x=err_x / n_x if n_x else None,
     )
 
 
@@ -298,61 +253,55 @@ def alice_encode_block(
     chip_idx: np.ndarray,
     rng: np.random.Generator,
     block_index: int,
-) -> EncodeRecord:
+) -> tuple[np.ndarray, np.ndarray]:
     """Encode one block and lay it out on the slots Bob detects.
 
     Fresh random bits are drawn and (message || random) is whitened and
     LDPC encoded.  Alice's uniformly random forward-check values are
     drawn for the n_fwd_detected detected check slots only: the others
-    are never observed.  modulation_at gives her modulation op on every
-    detected slot.
+    are never observed.  Returns the forward-check values she discloses
+    and her 0/1 modulation op on every detected slot: the check values
+    first, then the chips at chip_idx.  The codeword stays with her.
     """
     message_bits = np.asarray(message_bits, dtype=np.uint8)
     random_bits = rng.integers(0, 2, size=code.k_r, dtype=np.uint8)
     u = uhf_map(message_bits, random_bits, code)
     v = ldpc_encode(u, code.g_rows)
     fwd_values = rng.integers(0, 2, size=n_fwd_detected, dtype=np.uint8)
-    return EncodeRecord(
-        block_index=block_index,
-        codeword=v,
-        fwd_values=fwd_values,
-        chip_idx=np.asarray(chip_idx, dtype=np.int64),
-    )
-
-
-def modulation_at(record: EncodeRecord, code: WiretapCode) -> np.ndarray:
-    """Alice's 0/1 modulation op on each detected slot, in record order:
-    the check value on a forward-check slot, the chip on a chip slot."""
-    chips = spread(record.codeword, code, record.block_index, record.chip_idx)
-    return np.concatenate([record.fwd_values, chips])
+    return fwd_values, np.concatenate([fwd_values, spread(v, code, block_index, chip_idx)])
 
 
 def bob_decode_block(
     outcomes: np.ndarray,
     prepared: np.ndarray,
-    record: EncodeRecord,
+    fwd_values: np.ndarray,
+    chip_idx: np.ndarray,
     code: WiretapCode,
+    block_index: int,
     e_margin: float,
 ) -> tuple[np.ndarray, dict]:
     """Recover one block from Bob's detected return pulses.
 
-    outcomes and prepared (Bob's state codes) are in record order.
-    Measured outcomes are XORed with Bob's prepared bits to estimate
-    the modulation op on each detected slot; disclosed forward check
-    bits give the running error estimate, the rest are de-spread into
-    LLRs and belief-propagation decoded, and the whitening is inverted.
-    Returns the decoded message bits and the decode step's BlockRecord
-    fields, as keyword arguments.
+    Bob receives only what Alice discloses and the public layout: her
+    forward-check values, the detected chip indices and the block
+    serial that keys the spreading.  outcomes and prepared (Bob's state
+    codes) list the detected slots forward checks first, then the chips
+    in chip_idx order.  Measured outcomes are XORed with Bob's prepared
+    bits to estimate the modulation op on each detected slot; the
+    forward checks give the running error estimate, the rest are
+    de-spread into LLRs and belief-propagation decoded, and the
+    whitening is inverted.  Returns the decoded message bits and the
+    decode step's BlockRecord fields, as keyword arguments.
     """
     est = (outcomes ^ (prepared & 1)).astype(np.uint8)
-    n_fwd_det = record.fwd_values.size
-    fwd_errors = int((est[:n_fwd_det] != record.fwd_values).sum())
+    n_fwd_det = fwd_values.size
+    fwd_errors = int((est[:n_fwd_det] != fwd_values).sum())
     e_fwd = fwd_errors / n_fwd_det if n_fwd_det else None
     # Laplace-smoothed estimate keeps the LLR weight finite per block
     e_llr = (fwd_errors + 1.0) / (n_fwd_det + 2.0) if n_fwd_det else 0.1
     e_llr = min(max(e_llr, 1e-4), 0.49)
 
-    llrs = compute_llrs(record.chip_idx, est[n_fwd_det:], code, e_llr, record.block_index)
+    llrs = compute_llrs(chip_idx, est[n_fwd_det:], code, e_llr, block_index)
     u_hat, converged, iterations = bp_decode(llrs, code.edges, code.info_positions)
     m_hat, _ = uhf_invert(u_hat, code)
 
@@ -367,7 +316,7 @@ def bob_decode_block(
         e_fwd=e_fwd,
         fwd_errors=fwd_errors,
         n_fwd_detected=n_fwd_det,
-        n_chip_detected=int(record.chip_idx.size),
+        n_chip_detected=int(chip_idx.size),
         bp_iterations=iterations,
         bp_converged=converged,
     )
@@ -436,13 +385,14 @@ class _PooledCounts:
             setattr(self, f.name, getattr(self, f.name) + getattr(record, f.name))
 
     def gate(
-        self, config: ProtocolConfig, stats: CheckStats, q_hat: float
+        self, config: ProtocolConfig, counts: dict, q_hat: float
     ) -> tuple[bool, SecurityEstimate]:
-        """The capacity gate on this attempt's check counts pooled with the
-        earlier ones; gate_on_capacity's result.  The data-path rate pools
-        the earlier forward checks, or is flip_prob before there are any."""
-        e_x = (self.err_x + stats.err_x) / (self.n_x + stats.n_x)
-        e_z = (self.err_z + stats.err_z) / (self.n_z + stats.n_z)
+        """The capacity gate on this attempt's check counts (the fields
+        bob_estimate_errors returns) pooled with the earlier ones;
+        gate_on_capacity's result.  The data-path rate pools the earlier
+        forward checks, or is flip_prob before there are any."""
+        e_x = (self.err_x + counts["err_x"]) / (self.n_x + counts["n_x"])
+        e_z = (self.err_z + counts["err_z"]) / (self.n_z + counts["n_z"])
         n_fwd = self.n_fwd_detected
         e = self.fwd_errors / n_fwd if n_fwd else config.data_channel.flip_prob
         return gate_on_capacity(
@@ -570,13 +520,13 @@ def _run_block_attempt(
     prepared = bob_prepare_block(n_checked, bob_rng)
     wire = attack.apply(prepared, attack_rng)
     arriving = flip_codes(wire, config.check_channel.flip_prob, channel_rng)
-    stats = bob_estimate_errors(alice_sample_check(arriving, alice_rng), prepared)
+    counts = bob_estimate_errors(*alice_sample_check(arriving, alice_rng), prepared)
     q_hat = n_received / n_sent
-    base_record.update(vars(stats), n_checked=n_checked, q_hat=q_hat)
-    if not stats.well_defined:
+    base_record.update(counts, n_checked=n_checked, q_hat=q_hat)
+    if not (counts["n_x"] and counts["n_z"]):
         return BlockRecord(**base_record, status="deferred-empty-basis"), None
 
-    proceed, estimate = pooled.gate(config, stats, q_hat)
+    proceed, estimate = pooled.gate(config, counts, q_hat)
     base_record.update(
         c_s=estimate.c_s, i_ab=estimate.i_ab, i_ae=estimate.i_ae, gate_proceed=proceed
     )
@@ -592,16 +542,15 @@ def _run_block_attempt(
     n_fwd_det, chip_idx = draw_data_detections(
         code.block_chips, n_fwd, config.data_channel.survival, channel_rng
     )
-    enc_record = alice_encode_block(
-        chunk_bits, code, n_fwd_det, chip_idx, alice_rng, block_index=serial
-    )
-    prepared = bob_prepare_block(len(enc_record), bob_rng)
+    fwd_values, ops = alice_encode_block(chunk_bits, code, n_fwd_det, chip_idx, alice_rng, serial)
+    prepared = bob_prepare_block(ops.size, bob_rng)
     wire = attack.apply(prepared, attack_rng)
-    returned = wire ^ modulation_at(enc_record, code)
-    det_codes = flip_codes(returned, config.data_channel.flip_prob, channel_rng)
+    det_codes = flip_codes(wire ^ ops, config.data_channel.flip_prob, channel_rng)
     outcomes = measure_codes(det_codes, prepared >> 1, channel_rng)
 
-    message_bits, decoded = bob_decode_block(outcomes, prepared, enc_record, code, config.e_margin)
+    message_bits, decoded = bob_decode_block(
+        outcomes, prepared, fwd_values, chip_idx, code, serial, config.e_margin
+    )
     base_record.update(decoded, delivered_bits=code.k_m if decoded["status"] == "ok" else 0)
     return BlockRecord(**base_record), message_bits
 

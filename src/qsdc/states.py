@@ -27,7 +27,7 @@ class ChannelParams:
     flip_prob: float
 
     def __post_init__(self) -> None:
-        if self.loss_db < 0:
+        if not self.loss_db >= 0.0:  # NaN fails this too
             raise ValueError(f"loss_db must be >= 0, got {self.loss_db}")
         if not 0.0 <= self.flip_prob <= 0.5:
             raise ValueError(f"flip_prob must be in [0, 0.5], got {self.flip_prob}")

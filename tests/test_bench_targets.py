@@ -5,7 +5,8 @@ traces a run, and reports a layer whose targets are all gone as null.
 The table is read as data, without importing perfbench, so that a
 rename or deletion in the package fails here instead.  Each workload
 also runs once, untimed, so that a break in anything else the harness
-reads from the package fails here too.
+reads from the package fails here too, and one traced nominal round
+must time every layer of the nominal hot path above zero.
 """
 
 import ast
@@ -52,15 +53,42 @@ def test_traced_targets_resolve_in_package():
     assert not missing, f"traced names missing from the package: {missing}"
 
 
-@pytest.mark.parametrize(
-    "workload", ["nominal_file", "marginal_link", "attack_abort", "capacity_scan"]
-)
-def test_workload_runs_one_round_correctly(workload):
+def _one_round(workload: str, trace: int) -> dict:
     # --seconds 0: the warm-up and one round of operations, all checked
     proc = subprocess.run(
-        [sys.executable, str(WORKLOAD), "--workload", workload, "--seed", "1", "--seconds", "0"],
+        [
+            sys.executable, str(WORKLOAD), "--workload", workload, "--seed", "1",
+            "--seconds", "0", "--trace", str(trace),
+        ],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0, proc.stderr
+    return result
+
+
+@pytest.mark.parametrize(
+    "workload", ["nominal_file", "marginal_link", "attack_abort", "capacity_scan"]
+)
+def test_workload_runs_one_round_correctly(workload):
+    _one_round(workload, trace=0)
+
+
+_NOMINAL_HOT_PATH = (
+    "protocol.check_ms",
+    "protocol.layout_ms",
+    "states.prepare_ms",
+    "security.gate_ms",
+    "spreading.spread_ms",
+    "spreading.llr_ms",
+    "ldpc.bp_ms",
+)
+
+
+def test_traced_nominal_round_times_every_hot_path_layer():
+    # a traced function that is still defined but no longer called on the
+    # hot path reads 0 here, where the name check above still passes
+    layers = _one_round("nominal_file", trace=1)["layers"]
+    idle = [name for name in _NOMINAL_HOT_PATH if not (layers[name]["value"] or 0) > 0]
+    assert not idle, f"layers timed at null or 0: {idle}"

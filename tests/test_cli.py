@@ -347,10 +347,29 @@ def test_config_partial_section_keeps_defaults():
     assert partial.data_channel == nominal.data_channel
 
 
-@pytest.mark.parametrize("value", ["-3", "twelve"])
-def test_bad_partial_section_value_is_io_error(tmp_path, capsys, value):
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        pytest.param("data_channel", "loss_db", "-3", id="-3"),
+        pytest.param("data_channel", "loss_db", "twelve", id="twelve"),
+        # NaN fails every range check; an infinite threshold would switch
+        # the gate off, and an infinite g or rate makes the report invalid JSON
+        ("data_channel", "loss_db", "nan"),
+        ("protocol", "e_margin", "nan"),
+        ("protocol", "abort_threshold_capacity", "nan"),
+        ("protocol", "abort_threshold_capacity", "-inf"),
+        ("protocol", "g_back_channel_db", "nan"),
+        ("protocol", "g_back_channel_db", "inf"),
+        ("protocol", "repetition_rate_hz", "nan"),
+        ("protocol", "repetition_rate_hz", "inf"),
+    ],
+)
+def test_bad_partial_section_value_is_io_error(tmp_path, capsys, section, key, value):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(f"[data_channel]\nloss_db = {value}\n")
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    # rejected when the config is read, not by whatever fails later in a run
+    with pytest.raises(ValueError):
+        load_config(cfg)
     rc = main(["stability", "--config", str(cfg), "--blocks", "1"])
     assert rc == EXIT_IO
 

@@ -20,9 +20,7 @@ from qsdc.attacks import AttackKind, AttackModel
 from qsdc.ldpc import ldpc_encode
 from qsdc.protocol import (
     BlockRecord,
-    CheckDisclosure,
     CodeParams,
-    EncodeRecord,
     ProtocolConfig,
     alice_encode_block,
     alice_sample_check,
@@ -31,7 +29,6 @@ from qsdc.protocol import (
     bob_prepare_block,
     draw_data_detections,
     gate_on_capacity,
-    modulation_at,
     nominal_config,
     realize_code,
     run_session,
@@ -104,18 +101,15 @@ def _dense_ops(layout, code):
 
 
 def _observed_record(layout, det_local):
-    """The engine's EncodeRecord of a dense layout at the detected
-    consumed-slot indices det_local (ascending), and the order that
-    lists the detections as the record does."""
+    """What the engine discloses of a dense layout at the detected
+    consumed-slot indices det_local (ascending): the detected forward-check
+    values and chip indices, and the order that lists the detections as
+    the engine does, forward checks first."""
     rank = np.searchsorted(layout.fwd_local, det_local)
     is_fwd = np.isin(det_local, layout.fwd_local)
-    record = EncodeRecord(
-        block_index=layout.block_index,
-        codeword=layout.codeword,
-        fwd_values=layout.fwd_values[rank[is_fwd]],
-        chip_idx=det_local[~is_fwd] - rank[~is_fwd],
-    )
-    return record, np.concatenate([np.flatnonzero(is_fwd), np.flatnonzero(~is_fwd)])
+    fwd_values = layout.fwd_values[rank[is_fwd]]
+    chip_idx = det_local[~is_fwd] - rank[~is_fwd]
+    return fwd_values, chip_idx, np.concatenate([np.flatnonzero(is_fwd), np.flatnonzero(~is_fwd)])
 
 
 def _dense_block_attempt(config, code, chunk_bits, seed, serial, attack):
@@ -137,16 +131,13 @@ def _dense_block_attempt(config, code, chunk_bits, seed, serial, attack):
     arriving = flip_codes(wire[received], config.check_channel.flip_prob, channel_rng)
     selected = alice_rng.random(received.size) < config.check_fraction
     checked = received[selected]
-    disclosure = alice_sample_check(arriving[selected], alice_rng)
-    stats = bob_estimate_errors(disclosure, bob_codes[checked])
+    bases, check_outcomes = alice_sample_check(arriving[selected], alice_rng)
+    counts = bob_estimate_errors(bases, check_outcomes, bob_codes[checked])
     q_hat = received.size / n_sent
-    fields.update(
-        n_checked=checked.size, n_z=stats.n_z, n_x=stats.n_x, err_z=stats.err_z,
-        err_x=stats.err_x, e_z=stats.e_z, e_x=stats.e_x, q_hat=q_hat,
-    )
-    if not stats.well_defined:
+    fields.update(counts, n_checked=checked.size, q_hat=q_hat)
+    if not (counts["n_x"] and counts["n_z"]):
         return BlockRecord(**fields, status="deferred-empty-basis"), None
-    proceed, estimate = _PooledCounts().gate(config, stats, q_hat)
+    proceed, estimate = _PooledCounts().gate(config, counts, q_hat)
     fields.update(c_s=estimate.c_s, gate_proceed=proceed)
     if not proceed:
         return BlockRecord(**fields, status="gate-abort"), None
@@ -164,9 +155,10 @@ def _dense_block_attempt(config, code, chunk_bits, seed, serial, attack):
     returned = wire[det_positions] ^ _dense_ops(layout, code)[det_local]
     det_codes = flip_codes(returned, config.data_channel.flip_prob, channel_rng)
     outcomes = measure_codes(det_codes, bob_codes[det_positions] >> 1, channel_rng)
-    record, order = _observed_record(layout, det_local)
+    fwd_values, chip_idx, order = _observed_record(layout, det_local)
     message_bits, decoded = bob_decode_block(
-        outcomes[order], bob_codes[det_positions][order], record, code, config.e_margin
+        outcomes[order], bob_codes[det_positions][order], fwd_values, chip_idx, code,
+        layout.block_index, config.e_margin,
     )
     fields.update(decoded)
     return BlockRecord(**fields), message_bits
@@ -225,54 +217,40 @@ def test_bob_prepare_block(rng):
 
 def test_alice_sample_check_structure(rng):
     codes = rng.integers(0, 4, 5000, dtype=np.uint8)
-    disc = alice_sample_check(codes, rng)
-    assert len(disc) == codes.size
-    assert set(np.unique(disc.bases)) <= {0, 1}
+    bases, outcomes = alice_sample_check(codes, rng)
+    assert bases.shape == outcomes.shape == codes.shape
+    assert set(np.unique(bases)) <= {0, 1}
     # a pulse measured in its own basis gives its bit; about half are
-    matched = (codes >> 1) == disc.bases
-    assert (disc.outcomes[matched] == (codes[matched] & 1)).all()
+    matched = (codes >> 1) == bases
+    assert (outcomes[matched] == (codes[matched] & 1)).all()
     assert abs(matched.sum() - 2500) < 5 * np.sqrt(5000 * 0.25)
 
 
 def test_alice_sample_check_empty(rng):
     # nothing checked: an empty disclosure, and both estimates undefined
-    disc = alice_sample_check(np.empty(0, dtype=np.uint8), rng)
-    assert len(disc) == 0
-    stats = bob_estimate_errors(disc, np.empty(0, dtype=np.uint8))
-    assert stats.e_x is None and stats.e_z is None and not stats.well_defined
-
-
-def test_check_disclosure_validation():
-    with pytest.raises(ValueError):
-        CheckDisclosure(
-            bases=np.array([0, 1, 1], dtype=np.uint8),
-            outcomes=np.array([0, 1], dtype=np.uint8),
-        )
+    bases, outcomes = alice_sample_check(np.empty(0, dtype=np.uint8), rng)
+    assert bases.size == outcomes.size == 0
+    counts = bob_estimate_errors(bases, outcomes, np.empty(0, dtype=np.uint8))
+    assert counts["e_x"] is None and counts["e_z"] is None
+    assert counts["n_x"] == counts["n_z"] == 0
 
 
 def test_bob_estimate_errors_hand_case():
     # bob prepared: Z0 Z1 XP XM Z0; alice measured bases Z Z X Z X
     bob_codes = np.array([0b00, 0b01, 0b10, 0b11, 0b00], dtype=np.uint8)
-    disc = CheckDisclosure(
-        bases=np.array([0, 0, 1, 0, 1], dtype=np.uint8),
-        outcomes=np.array([0, 0, 1, 1, 0], dtype=np.uint8),
-    )
-    stats = bob_estimate_errors(disc, bob_codes)
+    bases = np.array([0, 0, 1, 0, 1], dtype=np.uint8)
+    outcomes = np.array([0, 0, 1, 1, 0], dtype=np.uint8)
+    counts = bob_estimate_errors(bases, outcomes, bob_codes)
     # matched: pos 0 (ok), 1 (err: outcome 0 vs bit 1), 2 (err: 1 vs 0); pos 3/4 unmatched
-    assert stats.n_z == 2 and stats.err_z == 1
-    assert stats.n_x == 1 and stats.err_x == 1
-    assert stats.e_z == 0.5 and stats.e_x == 1.0
-    assert stats.well_defined
+    assert counts == dict(n_z=2, n_x=1, err_z=1, err_x=1, e_z=0.5, e_x=1.0)
 
 
 def test_bob_estimate_errors_undefined_bucket():
     bob_codes = np.array([0b00], dtype=np.uint8)
-    disc = CheckDisclosure(
-        bases=np.array([0], dtype=np.uint8),
-        outcomes=np.array([0], dtype=np.uint8),
-    )
-    stats = bob_estimate_errors(disc, bob_codes)
-    assert stats.e_x is None and not stats.well_defined
+    zero = np.array([0], dtype=np.uint8)
+    counts = bob_estimate_errors(zero, zero, bob_codes)
+    assert counts["n_x"] == 0 and counts["e_x"] is None
+    assert counts["n_z"] == 1 and counts["e_z"] == 0.0
 
 
 def test_gate_passes_at_nominal_rates():
@@ -312,36 +290,52 @@ def test_gate_ignores_code_random_bit_rate(fast_config):
     assert proceed
 
 
+def _codeword(msg, code, seed):
+    # the codeword alice_encode_block draws from default_rng(seed): its
+    # random bits come first
+    random_bits = np.random.default_rng(seed).integers(0, 2, size=code.k_r, dtype=np.uint8)
+    return ldpc_encode(uhf_map(msg, random_bits, code), code.g_rows)
+
+
 def test_encode_block_layout(fast_config, rng):
     code = realize_code(fast_config.code)
     msg = rng.integers(0, 2, code.k_m, dtype=np.uint8)
     n_fwd = fast_config.n_forward_checks
     assert n_fwd == math.ceil(code.block_chips * 0.05 / 0.95)
     chip_idx = np.array([0, 5, 17, code.block_chips - 1])
-    record = alice_encode_block(msg, code, 7, chip_idx, rng, block_index=2)
-    assert len(record) == 7 + chip_idx.size
-    assert record.fwd_values.size == 7 and set(np.unique(record.fwd_values)) <= {0, 1}
-    assert np.array_equal(record.chip_idx, chip_idx)
+    fwd_values, ops = alice_encode_block(
+        msg, code, 7, chip_idx, np.random.default_rng(5), block_index=2
+    )
+    assert ops.size == 7 + chip_idx.size
+    assert fwd_values.size == 7 and set(np.unique(fwd_values)) <= {0, 1}
     # the codeword satisfies every parity check
-    assert not gf2_matmul(code.edges.parity_rows().unpack(), record.codeword[:, None]).any()
+    codeword = _codeword(msg, code, 5)
+    assert not gf2_matmul(code.edges.parity_rows().unpack(), codeword[:, None]).any()
     # forward checks first, then the chips at their indices
-    ops = modulation_at(record, code)
-    assert np.array_equal(ops[:7], record.fwd_values)
-    assert np.array_equal(ops[7:], spread(record.codeword, code, 2, chip_idx))
+    assert np.array_equal(ops[:7], fwd_values)
+    assert np.array_equal(ops[7:], spread(codeword, code, 2, chip_idx))
 
 
-def test_modulation_at_equals_dense_ops(fast_config, rng):
+def test_encode_ops_equal_dense_ops(fast_config, rng):
     code = realize_code(fast_config.code)
     available = np.sort(rng.choice(6000, 5000, replace=False))
-    for n_fwd in (fast_config.n_forward_checks, 0):
+    for seed, n_fwd in ((1, fast_config.n_forward_checks), (2, 0)):
         msg = rng.integers(0, 2, code.k_m, dtype=np.uint8)
-        layout = _dense_encode_block(msg, code, available, n_fwd, rng, block_index=3)
+        layout = _dense_encode_block(
+            msg, code, available, n_fwd, np.random.default_rng(seed), block_index=3
+        )
         assert layout.fwd_local.size == n_fwd
         dense = _dense_ops(layout, code)
         # any detected subset of the consumed slots
         det_local = np.sort(rng.permutation(dense.size)[:700])
-        record, order = _observed_record(layout, det_local)
-        assert np.array_equal(modulation_at(record, code), dense[det_local][order])
+        dense_fwd, chip_idx, order = _observed_record(layout, det_local)
+        # the same seed gives the same codeword; the forward-check values
+        # are drawn after it, in another order than the dense layout's
+        fwd_values, ops = alice_encode_block(
+            msg, code, dense_fwd.size, chip_idx, np.random.default_rng(seed), block_index=3
+        )
+        assert np.array_equal(ops[: fwd_values.size], fwd_values)
+        assert np.array_equal(ops[fwd_values.size :], dense[det_local][order][dense_fwd.size :])
 
 
 def test_single_use_of_checked_pulses(fast_config, rng):
@@ -366,20 +360,25 @@ def test_single_use_of_checked_pulses(fast_config, rng):
         assert np.array_equal(_available_slots(n, disclosed), expected)
 
 
-def _full_record(config, code, msg, rng):
-    # every data slot detected: all forward checks, then every chip
+def _full_block(config, code, msg, rng):
+    # every data slot detected: all forward checks, then every chip; Bob's
+    # prepared states and the wire codes Alice returns
     chip_idx = np.arange(code.block_chips)
-    return alice_encode_block(msg, code, config.n_forward_checks, chip_idx, rng, block_index=0)
+    fwd_values, ops = alice_encode_block(
+        msg, code, config.n_forward_checks, chip_idx, rng, block_index=0
+    )
+    prepared = rng.integers(0, 4, ops.size, dtype=np.uint8)
+    return fwd_values, chip_idx, prepared, prepared ^ ops
 
 
 def test_decode_block_perfect_channel(fast_config, rng):
     code = realize_code(fast_config.code)
     msg = rng.integers(0, 2, code.k_m, dtype=np.uint8)
-    record = _full_record(fast_config, code, msg, rng)
-    prepared = rng.integers(0, 4, len(record), dtype=np.uint8)
-    wire = prepared ^ modulation_at(record, code)
+    fwd_values, chip_idx, prepared, wire = _full_block(fast_config, code, msg, rng)
     outcomes = wire & 1  # measuring in the preparation basis, no noise
-    message_bits, decoded = bob_decode_block(outcomes, prepared, record, code, e_margin=0.03)
+    message_bits, decoded = bob_decode_block(
+        outcomes, prepared, fwd_values, chip_idx, code, 0, e_margin=0.03
+    )
     assert decoded["status"] == "ok"
     assert (message_bits == msg).all()
     assert decoded["e_fwd"] == 0.0
@@ -389,12 +388,12 @@ def test_decode_block_perfect_channel(fast_config, rng):
 def test_decode_block_error_margin_abort(fast_config, rng):
     code = realize_code(fast_config.code)
     msg = rng.integers(0, 2, code.k_m, dtype=np.uint8)
-    record = _full_record(fast_config, code, msg, rng)
-    prepared = rng.integers(0, 4, len(record), dtype=np.uint8)
-    wire = prepared ^ modulation_at(record, code)
+    fwd_values, chip_idx, prepared, wire = _full_block(fast_config, code, msg, rng)
     # 10% flips exceed the 3% margin
     outcomes = (wire & 1) ^ (rng.random(wire.size) < 0.10).astype(np.uint8)
-    _, decoded = bob_decode_block(outcomes, prepared, record, code, e_margin=0.03)
+    _, decoded = bob_decode_block(
+        outcomes, prepared, fwd_values, chip_idx, code, 0, e_margin=0.03
+    )
     assert decoded["status"] == "abort-error-margin"
 
 
