@@ -169,10 +169,6 @@ class TannerGraph:
         np.bitwise_or.at(rows, (check, var >> 3), (0x80 >> (var & 7)).astype(np.uint8))
         return PackedRows(rows, self.n_vars)
 
-    def syndrome_ok(self, v_hat: np.ndarray) -> bool:
-        """True iff the hard decision v_hat meets every parity check."""
-        return _parity_ok(np.append(v_hat != 0, False).take(self.slots))
-
 
 def _parity_ok(ones: np.ndarray) -> bool:
     """True iff every column of a slot table of hard-decided ones has even parity."""

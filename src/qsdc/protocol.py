@@ -307,6 +307,10 @@ def bob_decode_block(
 
     if e_fwd is not None and e_fwd > e_margin:
         status = "abort-error-margin"
+    elif np.count_nonzero(llrs) < code.k_u:
+        # fewer informative coded bits than the code's dimension: at least
+        # two codewords fit them, so even a converged decode is a guess
+        status = "fail-underdetermined"
     elif not converged:
         status = "fail-no-converge"
     else:
@@ -563,13 +567,14 @@ def run_session(
 ) -> SessionTranscript:
     """Send a message end to end, one wiretap-coded block at a time.
 
-    Blocks whose decode fails (error margin exceeded or no
-    convergence) are retried with fresh randomness up to
-    max_block_retries times; a capacity-gate abort terminates the
-    session immediately.  Check counts accumulate across blocks and the
-    gate runs on the pooled rates, so the estimate sharpens as the
-    session progresses while the first block is still gated on its own
-    sample.  The empty message yields an empty transcript.
+    Blocks whose decode fails (error margin exceeded, fewer
+    informative coded bits than k_u, or no convergence) are retried
+    with fresh randomness up to max_block_retries times; a
+    capacity-gate abort terminates the session immediately.  Check
+    counts accumulate across blocks and the gate runs on the pooled
+    rates, so the estimate sharpens as the session progresses while the
+    first block is still gated on its own sample.  The empty message
+    yields an empty transcript.
     """
     attack = attack or AttackModel.none()
     transcript = SessionTranscript(

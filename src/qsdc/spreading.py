@@ -1,12 +1,12 @@
-"""Spread-spectrum chip layer keyed by a degree-32 m-sequence.
+"""Spread-spectrum chip layer keyed by a stateless keyed hash.
 
 Each coded bit v(i) is expanded into n_spread chips
-chip(i*n + j) = c(i*n + j) XOR v(i), where c is a slice of the single
-cyclic m-sequence generated by the primitive polynomial
-x^32 + x^22 + x^2 + x + 1.  The slice phase is derived from
-(seed, block_index), so both parties regenerate identical chips from
-the public code description, and distinct blocks land on well
-separated phases of the same 2^32 - 1 cycle.
+chip(i*n + j) = c(i*n + j) XOR v(i), where keystream bit c(k) is one
+output bit of a 32-bit integer mixer applied to k XOR key.  The key is
+derived from (seed, block_index), so both parties regenerate identical
+chips from the public code description, and each bit is computed from
+its index alone, at the indices asked for.  The keystream is public and
+cancels in de-spreading; the secrecy comes from the wiretap code.
 
 The de-spreader turns detected chips into one LLR per coded bit:
 agreement with the keystream votes for bit 0, disagreement for bit 1,
@@ -28,73 +28,12 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from qsdc.wiretap_code import WiretapCode
 
-# recurrence lags for x^32 + x^22 + x^2 + x + 1 (primitive over GF(2)):
-# s[k] = s[k-10] ^ s[k-30] ^ s[k-31] ^ s[k-32]
-_LAGS = (10, 30, 31, 32)
-_DEGREE = 32
-# over GF(2) the polynomial raised to the 64th power is P(x^64), so from
-# word 64 * 32 on the same sequence also obeys the recurrence with every
-# lag times 64, which fills 640 words per step instead of 10
-_SQUARED_LAGS = tuple(64 * lag for lag in _LAGS)
-
-# column j of the cached word array holds the m-sequence started from
-# unit state e_j; the stream for an arbitrary 32-bit state is the XOR
-# of the selected columns, i.e. the parity of (word & state)
-_basis_words = np.empty(0, dtype=np.uint32)
-
-
-def _ensure_basis(length: int) -> np.ndarray:
-    global _basis_words
-    if _basis_words.size >= length:
-        return _basis_words
-    size = max(length, 2 * _basis_words.size, 1 << 12)
-    w = np.empty(size, dtype=np.uint32)
-    w[:_DEGREE] = np.uint32(1) << np.arange(_DEGREE, dtype=np.uint32)
-    switch = min(_SQUARED_LAGS[-1], size)
-    _run_recurrence(w, _DEGREE, switch, _LAGS)
-    _run_recurrence(w, switch, size, _SQUARED_LAGS)
-    _basis_words = w
-    return _basis_words
-
-
-def _run_recurrence(w: np.ndarray, start: int, stop: int, lags: tuple[int, ...]) -> None:
-    """Fill w[start:stop] from earlier words; lags ascend, and each step
-    fills as many words as the shortest lag."""
-    step = lags[0]
-    for begin in range(start, stop, step):
-        end = min(begin + step, stop)
-        chunk = w[begin - lags[0] : end - lags[0]].copy()
-        for lag in lags[1:]:
-            chunk ^= w[begin - lag : end - lag]
-        w[begin:end] = chunk
-
-
-def lfsr_state(seed: int, block_index: int) -> int:
-    """Nonzero 32-bit register state derived from (seed, block_index)."""
-    ss = np.random.SeedSequence([int(seed), int(block_index)])
-    words = ss.generate_state(4, dtype=np.uint32)
-    for word in words:
-        if word != 0:
-            return int(word)
-    return 1
-
-
-def _parity(words: np.ndarray) -> np.ndarray:
-    """Parity of each uint32 word as a uint8 array, by shift-XOR fold."""
-    w = words ^ (words >> np.uint32(16))
-    w = w ^ (w >> np.uint32(8))
-    w = w ^ (w >> np.uint32(4))
-    w = w ^ (w >> np.uint32(2))
-    w = w ^ (w >> np.uint32(1))
-    return (w & np.uint32(1)).astype(np.uint8)
-
 
 def keystream(seed: int, block_index: int, length: int) -> np.ndarray:
-    """The (seed, block_index)-keyed m-sequence slice as a uint8 array."""
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    state = np.uint32(lfsr_state(seed, block_index))
-    return _parity(_ensure_basis(length)[:length] & state)
+    """Keystream bits 0 .. length - 1 of one block as a uint8 array."""
+    if not 0 <= length <= 2**32:
+        raise ValueError(f"length must lie in [0, 2**32], got {length}")
+    return _keyed_bits(seed, block_index, np.arange(length, dtype=np.uint32))
 
 
 def _keystream_at(code: "WiretapCode", block_index: int, chip_idx: np.ndarray) -> np.ndarray:
@@ -102,8 +41,23 @@ def _keystream_at(code: "WiretapCode", block_index: int, chip_idx: np.ndarray) -
     computed at the given chip indices only."""
     if chip_idx.size and not (0 <= chip_idx.min() and chip_idx.max() < code.block_chips):
         raise ValueError(f"chip indices must lie in [0, {code.block_chips})")
-    state = np.uint32(lfsr_state(code.seed, block_index))
-    return _parity(_ensure_basis(code.block_chips)[chip_idx] & state)
+    return _keyed_bits(code.seed, block_index, chip_idx.astype(np.uint32))
+
+
+def _keyed_bits(seed: int, block_index: int, x: np.ndarray) -> np.ndarray:
+    """The top bit of lowbias32(x ^ key) for each uint32 chip index in x,
+    which is overwritten; the key is 32 bits of SeedSequence([seed, block_index])."""
+    key = np.random.SeedSequence([int(seed), int(block_index)]).generate_state(1, np.uint32)[0]
+    x ^= key
+    # Wellons' lowbias32: a bijection on uint32 whose output bits each
+    # flip with probability close to 1/2 when one input bit does
+    x ^= x >> np.uint32(16)
+    x *= np.uint32(0x7FEB352D)
+    x ^= x >> np.uint32(15)
+    x *= np.uint32(0x846CA68B)
+    x ^= x >> np.uint32(16)
+    x >>= np.uint32(31)
+    return x.astype(np.uint8)
 
 
 def spread(

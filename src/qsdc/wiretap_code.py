@@ -50,6 +50,9 @@ class CodeParams:
             )
         if self.n_spread < 1:
             raise ValueError(f"n_spread must be >= 1, got {self.n_spread}")
+        if self.n_spread * self.l > 2**32:
+            # the keystream indexes a block's chips by uint32
+            raise ValueError(f"n_spread * l = {self.n_spread * self.l} chips exceed 2**32")
         if VAR_DEGREE > self.l - self.k_u:
             raise ValueError(
                 f"l - k_u = {self.l - self.k_u} is below the variable degree {VAR_DEGREE}"

@@ -397,6 +397,16 @@ def test_decode_block_error_margin_abort(fast_config, rng):
     assert decoded["status"] == "abort-error-margin"
 
 
+def test_underdetermined_block_is_not_delivered():
+    # at 60 dB a nominal block detects a few chips at most; the erased
+    # coded bits hard-decide to 0, so BP converges on a codeword the
+    # chips never determined, and the block must be retried, not delivered
+    config = dataclasses.replace(nominal_config(), data_channel=ChannelParams(60.0, 0.006))
+    tr = run_session(config, b"hello", seed=0)
+    assert [b.status for b in tr.blocks] == ["fail-underdetermined"] * (config.max_block_retries + 1)
+    assert tr.abort_reason == "decode-failure" and tr.delivered == b""
+
+
 @given(st.binary(min_size=0, max_size=200))
 @settings(max_examples=50, deadline=None)
 def test_frame_unframe_roundtrip(payload):
@@ -665,7 +675,7 @@ def test_deferred_insufficient_slots(fast_config):
     "attack", [AttackModel.none(), AttackModel.intercept_resend(1.0)], ids=["honest", "intercept"]
 )
 def test_nominal_attempt_memory_below_one_byte_per_slot(attack):
-    # after the warm-up (code, keystream basis) an attempt builds no
+    # after a warm-up attempt, which builds the code, an attempt builds no
     # array as long as the block, not even one byte per slot
     config = nominal_config()
     code = realize_code(config.code)
@@ -689,8 +699,10 @@ def test_nominal_attempt_memory_below_one_byte_per_slot(attack):
 # parameters, and again when the block records gained fwd_errors (no
 # draw moved either time; the LLR digest held).  A transcript records
 # counts, not the layout, chips or LLRs, so the honest session also pins the
-# sha256 of every LLR vector handed to bp_decode: a change to the
-# layout, keystream or codeword fails it even when the counts stay.
+# sha256 of every LLR vector handed to bp_decode: a change to the layout
+# or codeword fails it even when the counts stay.  The keystream cancels
+# in de-spreading, so a change to it fails neither digest; its own
+# digest is pinned in test_spreading.py.
 _PINNED_SESSIONS = [
     ("honest", None, 11, "a1907588d793e2fafc2ab0ceb8cc2995b8ae44ee785e4e94da90656ca538ffdd"),
     (

@@ -1,15 +1,14 @@
 """Keystream generation, chip spreading, de-spreading into LLRs."""
 
+import hashlib
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from qsdc.spreading import compute_llrs, keystream, lfsr_state, spread
-
-_LAGS = (10, 30, 31, 32)
-_DEGREE = 32
+from qsdc.spreading import compute_llrs, keystream, spread
 
 
 # Dense reference path: the whole chip sequence of a block, a frame of
@@ -45,32 +44,28 @@ def _all_chips(code) -> np.ndarray:
     return np.arange(code.block_chips)
 
 
-def _naive_stream(state: int, length: int) -> np.ndarray:
-    # independent oracle: direct bit-by-bit shift register
-    bits = [(state >> i) & 1 for i in range(_DEGREE)]
-    out = []
-    for _ in range(length):
-        out.append(bits[0])
-        new = 0
-        for lag in _LAGS:
-            new ^= bits[_DEGREE - lag]
-        bits = bits[1:] + [new]
-    return np.array(out, dtype=np.uint8)
+# sha256 of keystream(12345, 0, 830 * 1312): no recorded quantity of a
+# session depends on the keystream, since it cancels in de-spreading, so
+# only this digest fails when the keystream changes
+_NOMINAL_KEYSTREAM_SHA256 = "671daa966e845abf30f333fd3013463b74c9e2ba645510e0f4d807bb8afe97d3"
 
 
-def test_keystream_matches_naive_register():
-    for seed, block in [(1, 0), (42, 3), (12345, 7), (7, 100)]:
-        state = lfsr_state(seed, block)
-        assert (keystream(seed, block, 400) == _naive_stream(state, 400)).all()
+def test_keystream_matches_pinned_digest():
+    ks = keystream(12345, 0, 830 * 1312)
+    assert hashlib.sha256(ks.tobytes()).hexdigest() == _NOMINAL_KEYSTREAM_SHA256
 
 
-def test_keystream_satisfies_recurrence():
-    ks = keystream(9, 2, 20000)
-    k = np.arange(_DEGREE, ks.size)
-    expected = np.zeros(k.size, dtype=np.uint8)
-    for lag in _LAGS:
-        expected ^= ks[k - lag]
-    assert (ks[k] == expected).all()
+def test_keystream_memory_below_twelve_bytes_per_chip():
+    # computed at the indices asked for: no table outlives the call,
+    # and the call holds about two uint32 words per chip at its peak
+    length = 830 * 1312
+    tracemalloc.start()
+    try:
+        keystream(12345, 1, length)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * length
 
 
 def test_keystream_prefix_consistency():
@@ -84,18 +79,12 @@ def test_keystream_blocks_differ():
     b = keystream(12345, 1, 4096)
     c = keystream(54321, 0, 4096)
     assert (a != b).any() and (a != c).any()
-    # distinct phases of the same m-sequence decorrelate quickly
+    # distinct keys give uncorrelated streams
     assert 0.35 < (a ^ b).mean() < 0.65
 
 
 def test_keystream_deterministic():
     assert (keystream(11, 4, 999) == keystream(11, 4, 999)).all()
-
-
-def test_lfsr_state_nonzero():
-    for seed in range(50):
-        for block in range(4):
-            assert lfsr_state(seed, block) != 0
 
 
 def test_keystream_balance_at_operating_size():

@@ -73,6 +73,9 @@ def test_code_params_validation():
         CodeParams(64, 32, 8, 0, seed=1)
     with pytest.raises(ValueError):
         CodeParams(64, 62, 8, 4, seed=1)  # two checks for degree-3 variables
+    with pytest.raises(ValueError):
+        CodeParams(1312, 656, 128, 2**32 // 1312 + 1, seed=1)  # chips past uint32
+    CodeParams(2**12, 656, 128, 2**20, seed=1)  # exactly 2**32 chips
 
 
 def test_uhf_is_invertible(small_code):
