@@ -101,10 +101,13 @@ class SweepSpec:
     g: float = NOMINAL.g
 
     def __post_init__(self) -> None:
-        if self.loss_step_db <= 0:
-            raise ValueError(f"loss_step_db must be > 0, got {self.loss_step_db}")
-        if self.loss_stop_db < self.loss_start_db:
-            raise ValueError("loss range is empty")
+        # the comparisons are written so that NaN fails them too
+        if not 0.0 < self.loss_step_db < math.inf:
+            raise ValueError(f"loss_step_db {self.loss_step_db} is not in (0, inf)")
+        if not -math.inf < self.loss_start_db <= self.loss_stop_db < math.inf:
+            raise ValueError(
+                f"loss range [{self.loss_start_db}, {self.loss_stop_db}] is empty or not finite"
+            )
 
     def losses(self) -> np.ndarray:
         n = int(math.floor((self.loss_stop_db - self.loss_start_db) / self.loss_step_db + 1e-9)) + 1

@@ -75,13 +75,11 @@ class ProtocolConfig:
     block_pulses: int = 1_088_960
     check_fraction: float = 0.1
     forward_check_fraction: float = 0.05
-    abort_threshold_capacity: float = 0.0
     check_channel: ChannelParams = field(default_factory=lambda: ChannelParams(25.1, 0.008))
     data_channel: ChannelParams = field(default_factory=lambda: ChannelParams(25.1, 0.006))
     g_back_channel_db: float = 4.1
     e_margin: float = 0.03
     repetition_rate_hz: float = 1.0e6
-    max_block_retries: int = 8
 
     def __post_init__(self) -> None:
         if self.block_pulses < self.code.block_chips:
@@ -102,16 +100,10 @@ class ProtocolConfig:
         # the comparisons below are written so that NaN fails them too
         if not self.e_margin > 0.0:
             raise ValueError(f"e_margin must be > 0, got {self.e_margin}")
-        if not math.isfinite(self.abort_threshold_capacity):
-            raise ValueError(
-                f"abort_threshold_capacity must be finite, got {self.abort_threshold_capacity}"
-            )
         if not 0.0 <= self.g_back_channel_db < math.inf:
             raise ValueError(f"g_back_channel_db {self.g_back_channel_db} is not in [0, inf)")
         if not 0.0 < self.repetition_rate_hz < math.inf:
             raise ValueError(f"repetition_rate_hz {self.repetition_rate_hz} is not in (0, inf)")
-        if self.max_block_retries < 0:
-            raise ValueError(f"max_block_retries must be >= 0, got {self.max_block_retries}")
 
     @property
     def g(self) -> float:
@@ -204,25 +196,19 @@ def _capped_rates(e_x: float, e_z: float, e: float) -> ErrorRates:
 
 
 def gate_on_capacity(
-    e_x: float,
-    e_z: float,
-    e: float,
-    q_bob: float,
-    g: float,
-    *,
-    threshold: float = 0.0,
+    e_x: float, e_z: float, e: float, q_bob: float, g: float
 ) -> tuple[bool, SecurityEstimate]:
     """Decide whether the link supports secure transmission.
 
     e_x, e_z are the measured check error rates and e the data-path
     rate.  Returns whether the closed-form secrecy capacity at the
-    operating bias p = 0.5 exceeds the abort threshold, and the
-    estimate it was decided on.  Measured rates outside the entropy
-    domain (e_x + e_z > 0.5) are scaled onto the boundary where Eve's
-    information is already maximal.
+    operating bias p = 0.5 is positive, and the estimate it was
+    decided on.  Measured rates outside the entropy domain (e_x + e_z
+    > 0.5) are scaled onto the boundary where Eve's information is
+    already maximal.
     """
     estimate = half_bias_capacity(_capped_rates(e_x, e_z, e), q_bob, g)
-    return estimate.c_s > threshold, estimate
+    return estimate.c_s > 0.0, estimate
 
 
 def draw_data_detections(
@@ -279,7 +265,7 @@ def bob_decode_block(
     code: WiretapCode,
     block_index: int,
     e_margin: float,
-) -> tuple[np.ndarray, dict]:
+) -> tuple[Optional[np.ndarray], dict]:
     """Recover one block from Bob's detected return pulses.
 
     Bob receives only what Alice discloses and the public layout: her
@@ -290,40 +276,37 @@ def bob_decode_block(
     bits to estimate the modulation op on each detected slot; the
     forward checks give the running error estimate, the rest are
     de-spread into LLRs and belief-propagation decoded, and the
-    whitening is inverted.  Returns the decoded message bits and the
-    decode step's BlockRecord fields, as keyword arguments.
+    whitening is inverted.  Each step runs only if the block can still
+    be delivered: a block over the error margin gets no LLRs, and one
+    with too few informative coded bits no BP.  Returns the message
+    bits of an ok block, else None, and the decode step's BlockRecord
+    fields, as keyword arguments.
     """
     est = (outcomes ^ (prepared & 1)).astype(np.uint8)
     n_fwd_det = fwd_values.size
     fwd_errors = int((est[:n_fwd_det] != fwd_values).sum())
     e_fwd = fwd_errors / n_fwd_det if n_fwd_det else None
+    decoded = dict(
+        e_fwd=e_fwd, fwd_errors=fwd_errors, n_fwd_detected=n_fwd_det,
+        n_chip_detected=int(chip_idx.size),
+    )
+    if e_fwd is not None and e_fwd > e_margin:
+        return None, dict(decoded, status="abort-error-margin")
+
     # Laplace-smoothed estimate keeps the LLR weight finite per block
     e_llr = (fwd_errors + 1.0) / (n_fwd_det + 2.0) if n_fwd_det else 0.1
     e_llr = min(max(e_llr, 1e-4), 0.49)
-
     llrs = compute_llrs(chip_idx, est[n_fwd_det:], code, e_llr, block_index)
-    u_hat, converged, iterations = bp_decode(llrs, code.edges, code.info_positions)
-    m_hat, _ = uhf_invert(u_hat, code)
-
-    if e_fwd is not None and e_fwd > e_margin:
-        status = "abort-error-margin"
-    elif np.count_nonzero(llrs) < code.k_u:
+    if np.count_nonzero(llrs) < code.k_u:
         # fewer informative coded bits than the code's dimension: at least
         # two codewords fit them, so even a converged decode is a guess
-        status = "fail-underdetermined"
-    elif not converged:
-        status = "fail-no-converge"
-    else:
-        status = "ok"
-    return m_hat, dict(
-        status=status,
-        e_fwd=e_fwd,
-        fwd_errors=fwd_errors,
-        n_fwd_detected=n_fwd_det,
-        n_chip_detected=int(chip_idx.size),
-        bp_iterations=iterations,
-        bp_converged=converged,
-    )
+        return None, dict(decoded, status="fail-underdetermined")
+
+    u_hat, converged, iterations = bp_decode(llrs, code.edges, code.info_positions)
+    decoded.update(bp_iterations=iterations, bp_converged=converged)
+    if not converged:
+        return None, dict(decoded, status="fail-no-converge")
+    return uhf_invert(u_hat, code)[0], dict(decoded, status="ok")
 
 
 @dataclass(frozen=True)
@@ -399,9 +382,7 @@ class _PooledCounts:
         e_z = (self.err_z + counts["err_z"]) / (self.n_z + counts["n_z"])
         n_fwd = self.n_fwd_detected
         e = self.fwd_errors / n_fwd if n_fwd else config.data_channel.flip_prob
-        return gate_on_capacity(
-            e_x, e_z, e, q_hat, config.g, threshold=config.abort_threshold_capacity
-        )
+        return gate_on_capacity(e_x, e_z, e, q_hat, config.g)
 
 
 @dataclass
@@ -459,6 +440,9 @@ class SessionTranscript:
 
 # the frame header is the payload length as a big-endian integer
 FRAME_HEADER_BYTES = 4
+# a block is sent at most 1 + MAX_BLOCK_RETRIES times before the session
+# ends with decode-failure
+MAX_BLOCK_RETRIES = 8
 
 
 def _frame_message(message: bytes, k_m: int) -> list[np.ndarray]:
@@ -490,8 +474,7 @@ def _run_block_attempt(
     pooled: _PooledCounts,
 ) -> tuple[BlockRecord, Optional[np.ndarray]]:
     """Simulate one block attempt end to end: its record and Bob's
-    decoded message bits, which are None when the block never reached
-    the encoding step.
+    decoded message bits, which are None unless the block is delivered.
 
     serial is the attempt's number in the session; it seeds the
     attempt's generators and its keystream.  The capacity gate decides
@@ -555,7 +538,7 @@ def _run_block_attempt(
     message_bits, decoded = bob_decode_block(
         outcomes, prepared, fwd_values, chip_idx, code, serial, config.e_margin
     )
-    base_record.update(decoded, delivered_bits=code.k_m if decoded["status"] == "ok" else 0)
+    base_record.update(decoded, delivered_bits=0 if message_bits is None else code.k_m)
     return BlockRecord(**base_record), message_bits
 
 
@@ -569,7 +552,7 @@ def run_session(
 
     Blocks whose decode fails (error margin exceeded, fewer
     informative coded bits than k_u, or no convergence) are retried
-    with fresh randomness up to max_block_retries times; a
+    with fresh randomness up to MAX_BLOCK_RETRIES times; a
     capacity-gate abort terminates the session immediately.  Check
     counts accumulate across blocks and the gate runs on the pooled
     rates, so the estimate sharpens as the session progresses while the
@@ -591,7 +574,7 @@ def run_session(
     recovered: list[np.ndarray] = []
     pooled = _PooledCounts()
     for block_index, chunk in enumerate(chunks):
-        for attempt in range(config.max_block_retries + 1):
+        for attempt in range(MAX_BLOCK_RETRIES + 1):
             record, message_bits = _run_block_attempt(
                 config, code, chunk, seed, len(transcript.blocks), block_index, attempt, attack,
                 pooled,
@@ -602,7 +585,7 @@ def run_session(
             if record.status == "gate-abort":
                 transcript.abort_reason = "capacity-gate"
                 return transcript
-            if record.status == "ok":
+            if message_bits is not None:
                 recovered.append(message_bits)
                 break
         else:

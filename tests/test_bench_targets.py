@@ -6,12 +6,14 @@ The table is read as data, without importing perfbench, so that a
 rename or deletion in the package fails here instead.  Each workload
 also runs once, untimed, so that a break in anything else the harness
 reads from the package fails here too, and one traced nominal round
-must time every layer of the nominal hot path above zero.
+must time every layer of the nominal hot path above zero.  The report
+writer in tools/ must keep a failed run's report flat.
 """
 
 import ast
 import functools
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -19,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-WORKLOAD = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOAD = ROOT / "perfbench" / "workload.py"
 
 
 def _wrapped_table() -> dict:
@@ -92,3 +95,15 @@ def test_traced_nominal_round_times_every_hot_path_layer():
     layers = _one_round("nominal_file", trace=1)["layers"]
     idle = [name for name in _NOMINAL_HOT_PATH if not (layers[name]["value"] or 0) > 0]
     assert not idle, f"layers timed at null or 0: {idle}"
+
+
+def test_bench_report_failed_run_keeps_every_value_scalar(monkeypatch):
+    # a perfbench call that fails is reported as the last line of its
+    # stderr, so the report stays diffable key by key
+    spec = importlib.util.spec_from_file_location("bench_report", ROOT / "tools" / "bench_report.py")
+    bench_report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_report)
+    monkeypatch.setattr(bench_report, "speed_probe", lambda prefix: {})
+    flat = bench_report.perfbench("bogus", 1, 0, 0)
+    assert list(flat) == ["bogus.error"]
+    assert isinstance(flat["bogus.error"], str) and "error" in flat["bogus.error"]

@@ -199,6 +199,17 @@ def test_sweep_to_file(tmp_path, capsys):
     assert out.read_text().startswith("loss_db,")
 
 
+@pytest.mark.parametrize(
+    "flag", ["--loss-stop=inf", "--loss-start=-inf", "--loss-step=inf", "--loss-step=nan",
+             "--loss-start=nan", "--loss-stop=3"],
+)
+def test_sweep_bad_loss_range_is_io_error(capsys, flag):
+    # an infinite or NaN bound is rejected as a usage error, not left to
+    # overflow or to poison q_bob further on
+    assert main(["sweep", flag]) == EXIT_IO
+    assert "loss" in capsys.readouterr().err
+
+
 def test_stability_csv(tmp_path, capsys):
     cfg = tmp_path / "fast.ini"
     cfg.write_text(FAST_INI)
@@ -242,9 +253,7 @@ def test_send_attack_exit_code(tmp_path, capsys):
 
 # a data-path flip rate far above e_margin fails every block's forward
 # check, while the noiseless check path keeps the capacity gate open
-FAILING_INI = FAST_INI.replace("flip_prob = 0.006", "flip_prob = 0.3").replace(
-    "e_margin = 0.12", "e_margin = 0.12\nmax_block_retries = 1"
-)
+FAILING_INI = FAST_INI.replace("flip_prob = 0.006", "flip_prob = 0.3")
 
 
 def test_send_decode_failure_exit_code(tmp_path, capsys):
@@ -320,13 +329,25 @@ def test_config_roundtrip(tmp_path):
     )
     # every field off its default: a field the INI cannot carry fails
     changed = _off_default(nominal_config())
-    assert len(_scalars(changed)) == 17
+    assert len(_scalars(changed)) == 15
     assert all(a != b for a, b in zip(_scalars(changed), _scalars(nominal_config())))
     for i, cfg in enumerate((config, changed)):
         path = tmp_path / f"cfg{i}.ini"
         path.write_text(render_config(cfg))
         assert load_config(path) == cfg
         assert parse_config(render_config(cfg)) == cfg
+
+
+def test_readme_config_example_is_the_nominal_config():
+    # the README's INI example is what render_config writes for the
+    # nominal config, so a config change cannot leave it stale
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    example = []
+    for line in lines[lines.index("    [code]"):]:
+        if line and not line.startswith("    "):
+            break
+        example.append(line[4:])
+    assert "\n".join(example).strip() == render_config(nominal_config()).strip()
 
 
 def test_config_defaults_for_missing_sections():
@@ -352,12 +373,10 @@ def test_config_partial_section_keeps_defaults():
     [
         pytest.param("data_channel", "loss_db", "-3", id="-3"),
         pytest.param("data_channel", "loss_db", "twelve", id="twelve"),
-        # NaN fails every range check; an infinite threshold would switch
-        # the gate off, and an infinite g or rate makes the report invalid JSON
+        # NaN fails every range check; an infinite g or rate makes the
+        # report invalid JSON
         ("data_channel", "loss_db", "nan"),
         ("protocol", "e_margin", "nan"),
-        ("protocol", "abort_threshold_capacity", "nan"),
-        ("protocol", "abort_threshold_capacity", "-inf"),
         ("protocol", "g_back_channel_db", "nan"),
         ("protocol", "g_back_channel_db", "inf"),
         ("protocol", "repetition_rate_hz", "nan"),
@@ -379,8 +398,13 @@ def test_config_unknown_key_rejected():
         parse_config("[protocol]\nblok_pulses = 10\n")
     with pytest.raises(ValueError):
         parse_config("[codes]\nl = 10\n")
-    # the gate options that could only abort are gone from the schema
-    for key in ("confidence_delta = 0.01", "enforce_code_budget = true"):
+    # the gate options that could only abort, and the gate threshold and
+    # retry budget that are now constants, are gone from the schema
+    for key in (
+        "confidence_delta = 0.01", "enforce_code_budget = true",
+        "abort_threshold_capacity = nan", "abort_threshold_capacity = -inf",
+        "max_block_retries = 1",
+    ):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config(f"[protocol]\n{key}\n")
 

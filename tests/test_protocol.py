@@ -17,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 import qsdc.protocol
 from qsdc.attacks import AttackKind, AttackModel
-from qsdc.ldpc import ldpc_encode
+from qsdc.ldpc import bp_decode, ldpc_encode
 from qsdc.protocol import (
+    MAX_BLOCK_RETRIES,
     BlockRecord,
     CodeParams,
     ProtocolConfig,
@@ -397,14 +398,29 @@ def test_decode_block_error_margin_abort(fast_config, rng):
     assert decoded["status"] == "abort-error-margin"
 
 
-def test_underdetermined_block_is_not_delivered():
+def _count_bp_calls(monkeypatch) -> list:
+    """Patch the engine's BP decoder to log each call in the returned list."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bp_decode(*args)
+
+    monkeypatch.setattr(qsdc.protocol, "bp_decode", counting)
+    return calls
+
+
+def test_underdetermined_block_is_not_delivered(monkeypatch):
     # at 60 dB a nominal block detects a few chips at most; the erased
-    # coded bits hard-decide to 0, so BP converges on a codeword the
-    # chips never determined, and the block must be retried, not delivered
+    # coded bits would hard-decide to 0, so BP would converge on a codeword
+    # the chips never determined: the block is retried, not decoded
+    calls = _count_bp_calls(monkeypatch)
     config = dataclasses.replace(nominal_config(), data_channel=ChannelParams(60.0, 0.006))
     tr = run_session(config, b"hello", seed=0)
-    assert [b.status for b in tr.blocks] == ["fail-underdetermined"] * (config.max_block_retries + 1)
+    assert [b.status for b in tr.blocks] == ["fail-underdetermined"] * (MAX_BLOCK_RETRIES + 1)
     assert tr.abort_reason == "decode-failure" and tr.delivered == b""
+    assert not calls
+    assert all(b.bp_iterations == 0 and b.bp_converged is None for b in tr.blocks)
 
 
 @given(st.binary(min_size=0, max_size=200))
@@ -483,28 +499,30 @@ def test_gate_decisions_recompute_from_jsonl(fast_config, flip, message, seed, a
             pooled["fwd_errors"] / n_fwd if n_fwd else config.data_channel.flip_prob,
             b["q_hat"],
             config.g,
-            threshold=config.abort_threshold_capacity,
         )
         assert (estimate.c_s, proceed) == (b["c_s"], b["gate_proceed"])
         assert b["e_fwd"] == b["fwd_errors"] / b["n_fwd_detected"]
         pooled = {k: pooled[k] + b[k] for k in _POOLED}
 
 
-def test_session_decode_failure_after_retries():
-    # data path noise far beyond the margin: every attempt aborts,
-    # the session gives up after max_block_retries
+def test_session_decode_failure_after_retries(monkeypatch):
+    # data path noise far beyond the margin: every attempt aborts before
+    # BP, and the session gives up after MAX_BLOCK_RETRIES
+    calls = _count_bp_calls(monkeypatch)
     config = ProtocolConfig(
         code=CodeParams(l=256, k_u=128, k_r=32, n_spread=8, seed=99),
         block_pulses=8 * 256,
         check_channel=ChannelParams(5.0, 0.0),
         data_channel=ChannelParams(5.0, 0.2),
-        max_block_retries=2,
     )
     tr = run_session(config, b"x", seed=13)
     assert not tr.ok
     assert tr.abort_reason == "decode-failure"
-    assert len(tr.blocks) == 3  # initial attempt plus two retries
+    assert len(tr.blocks) == MAX_BLOCK_RETRIES + 1  # initial attempt plus the retries
+    assert all(b.status == "abort-error-margin" for b in tr.blocks)
     assert not tr.security_abort
+    assert not calls
+    assert all(b.bp_iterations == 0 and b.bp_converged is None for b in tr.blocks)
 
 
 def test_session_transcript_jsonl(fast_config):
@@ -568,7 +586,8 @@ def _pooled_counts(attempts, needed):
         add("err_x", record.err_x, record.n_x)
         add("err_z", record.err_z, record.n_z)
         add("ok", record.status == "ok", 1)
-        if message_bits is not None:
+        if record.gate_proceed and record.status != "deferred-insufficient-slots":
+            # the attempt reached the data path
             detected = record.n_fwd_detected + record.n_chip_detected
             add("data", detected, needed)
             add("fwd_share", record.n_fwd_detected, detected)
@@ -635,20 +654,18 @@ def test_data_detection_draw():
 
 def test_deferred_no_detections(fast_config):
     # a dead check path: no slot fires Alice's check detector
-    config = dataclasses.replace(
-        fast_config, check_channel=ChannelParams(400.0, 0.0), max_block_retries=1
-    )
+    config = dataclasses.replace(fast_config, check_channel=ChannelParams(400.0, 0.0))
     tr = run_session(config, b"x", seed=3)
-    assert [b.status for b in tr.blocks] == ["deferred-no-detections"] * 2
+    assert [b.status for b in tr.blocks] == ["deferred-no-detections"] * (MAX_BLOCK_RETRIES + 1)
     assert all(b.n_received_check == 0 and b.gate_proceed is None for b in tr.blocks)
     assert tr.abort_reason == "decode-failure" and not tr.security_abort
 
 
 def test_deferred_empty_basis(fast_config):
     # pulses arrive, but Alice checks none of them
-    config = dataclasses.replace(fast_config, check_fraction=1e-12, max_block_retries=1)
+    config = dataclasses.replace(fast_config, check_fraction=1e-12)
     tr = run_session(config, b"x", seed=3)
-    assert [b.status for b in tr.blocks] == ["deferred-empty-basis"] * 2
+    assert [b.status for b in tr.blocks] == ["deferred-empty-basis"] * (MAX_BLOCK_RETRIES + 1)
     assert all(b.n_received_check > 0 and b.n_checked == 0 for b in tr.blocks)
     assert tr.abort_reason == "decode-failure" and not tr.security_abort
 
@@ -663,9 +680,11 @@ class _NoHeadroom(ProtocolConfig):
 
 def test_deferred_insufficient_slots(fast_config):
     fields = {f.name: getattr(fast_config, f.name) for f in dataclasses.fields(fast_config)}
-    config = _NoHeadroom(**{**fields, "max_block_retries": 1})
+    config = _NoHeadroom(**fields)
     tr = run_session(config, b"x", seed=3)
-    assert [b.status for b in tr.blocks] == ["deferred-insufficient-slots"] * 2
+    assert [b.status for b in tr.blocks] == ["deferred-insufficient-slots"] * (
+        MAX_BLOCK_RETRIES + 1
+    )
     # the gate passed; the block was deferred before any encoding
     assert all(b.gate_proceed and b.n_chip_detected == 0 for b in tr.blocks)
     assert tr.abort_reason == "decode-failure" and not tr.security_abort

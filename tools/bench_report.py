@@ -116,8 +116,8 @@ def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
     proc, _ = _run(cmd)
     flat.update(speed_probe(f"{prefix}.probe_after"))
     if proc.returncode != 0:
-        tail = proc.stderr.strip().splitlines()[-1:]
-        flat[f"{prefix}.error"] = tail or [f"exit {proc.returncode}"]
+        lines = proc.stderr.strip().splitlines()
+        flat[f"{prefix}.error"] = lines[-1] if lines else f"exit {proc.returncode}"
         return flat
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     flat.update({f"{prefix}.{key}": summary[key] for key in ("correct", "attempted", "failed")})
