@@ -381,6 +381,10 @@ def test_config_partial_section_keeps_defaults():
         ("protocol", "g_back_channel_db", "inf"),
         ("protocol", "repetition_rate_hz", "nan"),
         ("protocol", "repetition_rate_hz", "inf"),
+        # the gate threshold is a constant now: a value that would have
+        # switched the gate off is rejected with its key
+        ("protocol", "abort_threshold_capacity", "nan"),
+        ("protocol", "abort_threshold_capacity", "-inf"),
     ],
 )
 def test_bad_partial_section_value_is_io_error(tmp_path, capsys, section, key, value):
