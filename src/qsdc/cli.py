@@ -7,7 +7,8 @@ Subcommands:
   send       transmit a file through the simulated protocol
 
 Exit codes: 0 success, 2 I/O or argument error, 3 security abort,
-4 decode failure (a block still failed after its last retry).
+4 decode failure (a block still failed after its last retry),
+5 deferral (every attempt of a block was deferred).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_IO = 2
 EXIT_SECURITY = 3
 EXIT_DECODE = 4
+EXIT_DEFERRED = 5
 
 
 def _add_rate_args(parser: argparse.ArgumentParser) -> None:
@@ -110,7 +112,8 @@ def _attack_from_args(args: argparse.Namespace) -> AttackModel:
 
 
 def _exit_code(abort_reason: str | None) -> int:
-    return {None: EXIT_OK, "capacity-gate": EXIT_SECURITY}.get(abort_reason, EXIT_DECODE)
+    codes = {None: EXIT_OK, "capacity-gate": EXIT_SECURITY, "deferred": EXIT_DEFERRED}
+    return codes.get(abort_reason, EXIT_DECODE)
 
 
 def _write_output(text: str, output: str) -> None:

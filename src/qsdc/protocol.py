@@ -65,10 +65,9 @@ def realize_code(params: CodeParams) -> WiretapCode:
 class ProtocolConfig:
     """Session parameters.
 
-    block_pulses is the codeword footprint of one block (it must cover
-    n_spread * l chips); the slots actually emitted per block also
-    include the interleaved forward check bits and head-room for the
-    check pulses Alice consumes.
+    block_pulses restates the code's chip footprint n_spread * l and must
+    equal it; the slots emitted per block also include the interleaved
+    forward check bits and head-room for the check pulses Alice consumes.
     """
 
     code: CodeParams = field(default_factory=CodeParams)
@@ -82,9 +81,10 @@ class ProtocolConfig:
     repetition_rate_hz: float = 1.0e6
 
     def __post_init__(self) -> None:
-        if self.block_pulses < self.code.block_chips:
+        if self.block_pulses != self.code.block_chips:
             raise ValueError(
-                f"block_pulses {self.block_pulses} below chip footprint {self.code.block_chips}"
+                f"block_pulses {self.block_pulses} is not the code's footprint n_spread * l; "
+                f"set it to {self.code.block_chips}"
             )
         if not 0.0 < self.check_fraction <= 1.0:
             raise ValueError(f"check_fraction must be in (0, 1], got {self.check_fraction}")
@@ -118,7 +118,7 @@ class ProtocolConfig:
     @property
     def slots_per_block(self) -> int:
         """Slots Bob emits per block attempt, with consumption head-room."""
-        base = self.block_pulses + self.n_forward_checks
+        base = self.code.block_chips + self.n_forward_checks
         p_consume = self.check_fraction * self.check_channel.survival
         n = math.ceil(base / (1.0 - p_consume))
         slack = 256 + int(8.0 * math.sqrt(p_consume * n + 1.0))
@@ -303,7 +303,7 @@ def bob_decode_block(
         return None, dict(decoded, status="fail-underdetermined")
 
     u_hat, converged, iterations = bp_decode(llrs, code.edges, code.info_positions)
-    decoded.update(bp_iterations=iterations, bp_converged=converged)
+    decoded.update(bp_iterations=iterations)
     if not converged:
         return None, dict(decoded, status="fail-no-converge")
     return uhf_invert(u_hat, code)[0], dict(decoded, status="ok")
@@ -315,9 +315,12 @@ class BlockRecord:
 
     Fields past n_received_check default to what an attempt that never
     reached them records: a deferral with zero counts and no estimates.
-    A deferred attempt's status names its reason: no check-path
-    detection, an empty basis bucket in the check sample, or too few
-    unchecked slots left for the codeword and its forward checks.
+    A deferred attempt's status names its reason: an empty basis bucket
+    in the check sample (n_received_check 0 if nothing reached Alice),
+    or too few unchecked slots left for the codeword and its forward
+    checks.  The status alone says whether the gate passed, whether BP
+    converged and whether the block's k_m message bits were delivered
+    (only "ok").
     """
 
     block_index: int
@@ -335,15 +338,12 @@ class BlockRecord:
     c_s: Optional[float] = None
     i_ab: Optional[float] = None
     i_ae: Optional[float] = None
-    gate_proceed: Optional[bool] = None
-    status: str = "deferred-no-detections"
+    status: str = "deferred-empty-basis"
     e_fwd: Optional[float] = None
     fwd_errors: int = 0
     n_fwd_detected: int = 0
     n_chip_detected: int = 0
     bp_iterations: int = 0
-    bp_converged: Optional[bool] = None
-    delivered_bits: int = 0
 
 
 @dataclass
@@ -389,19 +389,17 @@ class _PooledCounts:
 class SessionTranscript:
     """Full account of one session: per-block records plus the outcome.
 
-    code names the wiretap code the session ran on; the summary line
-    carries it, so a reader can set a block's i_ae against the code's
-    parameters, such as its random-bit rate k_r / (n_spread * l) per pulse.
+    The summary line carries config.code, so a reader can set a block's
+    i_ae against the code's parameters, such as its random-bit rate
+    k_r / (n_spread * l) per pulse.
     """
 
     seed: int
     message_length: int
-    repetition_rate_hz: float
-    code: CodeParams
+    config: ProtocolConfig
     blocks: list[BlockRecord] = field(default_factory=list)
     delivered: bytes = b""
     abort_reason: Optional[str] = None
-    pulses_emitted: int = 0
 
     @property
     def ok(self) -> bool:
@@ -412,10 +410,14 @@ class SessionTranscript:
         return self.abort_reason == "capacity-gate"
 
     @property
+    def pulses_emitted(self) -> int:
+        return sum(b.n_sent for b in self.blocks)
+
+    @property
     def throughput_bits_per_s(self) -> float:
-        if self.pulses_emitted == 0:
+        if not self.blocks:
             return 0.0
-        return len(self.delivered) * 8 / self.pulses_emitted * self.repetition_rate_hz
+        return len(self.delivered) * 8 / self.pulses_emitted * self.config.repetition_rate_hz
 
     def to_jsonl(self) -> str:
         """One line per block attempt, plus a trailing summary line."""
@@ -425,7 +427,7 @@ class SessionTranscript:
                 {
                     "record": "summary",
                     "seed": self.seed,
-                    "code": vars(self.code),
+                    "code": vars(self.config.code),
                     "message_length": self.message_length,
                     "delivered_bytes": len(self.delivered),
                     "security_abort": self.security_abort,
@@ -500,9 +502,6 @@ def _run_block_attempt(
         n_sent=n_sent,
         n_received_check=n_received,
     )
-    if n_received == 0:
-        return BlockRecord(**base_record, status="deferred-no-detections"), None
-
     n_checked = int(alice_rng.binomial(n_received, config.check_fraction))
     prepared = bob_prepare_block(n_checked, bob_rng)
     wire = attack.apply(prepared, attack_rng)
@@ -514,9 +513,7 @@ def _run_block_attempt(
         return BlockRecord(**base_record, status="deferred-empty-basis"), None
 
     proceed, estimate = pooled.gate(config, counts, q_hat)
-    base_record.update(
-        c_s=estimate.c_s, i_ab=estimate.i_ab, i_ae=estimate.i_ae, gate_proceed=proceed
-    )
+    base_record.update(c_s=estimate.c_s, i_ab=estimate.i_ab, i_ae=estimate.i_ae)
     if not proceed:
         return BlockRecord(**base_record, status="gate-abort"), None
 
@@ -538,8 +535,7 @@ def _run_block_attempt(
     message_bits, decoded = bob_decode_block(
         outcomes, prepared, fwd_values, chip_idx, code, serial, config.e_margin
     )
-    base_record.update(decoded, delivered_bits=0 if message_bits is None else code.k_m)
-    return BlockRecord(**base_record), message_bits
+    return BlockRecord(**base_record, **decoded), message_bits
 
 
 def run_session(
@@ -550,22 +546,19 @@ def run_session(
 ) -> SessionTranscript:
     """Send a message end to end, one wiretap-coded block at a time.
 
-    Blocks whose decode fails (error margin exceeded, fewer
-    informative coded bits than k_u, or no convergence) are retried
-    with fresh randomness up to MAX_BLOCK_RETRIES times; a
-    capacity-gate abort terminates the session immediately.  Check
-    counts accumulate across blocks and the gate runs on the pooled
-    rates, so the estimate sharpens as the session progresses while the
-    first block is still gated on its own sample.  The empty message
-    yields an empty transcript.
+    Blocks whose attempt is deferred or whose decode fails (error margin
+    exceeded, fewer informative coded bits than k_u, or no convergence)
+    are retried with fresh randomness up to MAX_BLOCK_RETRIES times; a
+    block still not delivered ends the session, as "deferred" if every
+    attempt was deferred, else as "decode-failure".  A capacity-gate
+    abort terminates the session immediately.  Check counts accumulate
+    across blocks and the gate runs on the pooled rates, so the estimate
+    sharpens as the session progresses while the first block is still
+    gated on its own sample.  The empty message yields an empty
+    transcript.
     """
     attack = attack or AttackModel.none()
-    transcript = SessionTranscript(
-        seed=seed,
-        message_length=len(message),
-        repetition_rate_hz=config.repetition_rate_hz,
-        code=config.code,
-    )
+    transcript = SessionTranscript(seed=seed, message_length=len(message), config=config)
     if len(message) == 0:
         return transcript
 
@@ -580,7 +573,6 @@ def run_session(
                 pooled,
             )
             transcript.blocks.append(record)
-            transcript.pulses_emitted += record.n_sent
             pooled.add(record)
             if record.status == "gate-abort":
                 transcript.abort_reason = "capacity-gate"
@@ -589,7 +581,9 @@ def run_session(
                 recovered.append(message_bits)
                 break
         else:
-            transcript.abort_reason = "decode-failure"
+            attempts = transcript.blocks[-(MAX_BLOCK_RETRIES + 1) :]
+            deferred = all(b.status.startswith("deferred") for b in attempts)
+            transcript.abort_reason = "deferred" if deferred else "decode-failure"
             return transcript
     transcript.delivered = _unframe_message(recovered)
     return transcript

@@ -133,7 +133,9 @@ def main_information(q_bob: float, p: float | np.ndarray, e: float) -> float | n
 
 def _eve_detection_rate(q_bob: float, g: float) -> float:
     # Eve's detection rate saturates at one pulse per pulse in the
-    # low-loss regime
+    # low-loss regime; the check is written so that NaN fails it too
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"g must be in [0, inf), got {g}")
     return min(g * q_bob, 1.0)
 
 

@@ -3,11 +3,13 @@
 perfbench/workload.py wraps each target in its WRAPPED table when it
 traces a run, and reports a layer whose targets are all gone as null.
 The table is read as data, without importing perfbench, so that a
-rename or deletion in the package fails here instead.  Each workload
-also runs once, untimed, so that a break in anything else the harness
-reads from the package fails here too, and one traced nominal round
-must time every layer of the nominal hot path above zero.  The report
-writer in tools/ must keep a failed run's report flat.
+rename or deletion in the package fails here instead.  The workload
+names are BENCHMARK.json's, and perfbench/run.py must offer exactly
+those.  Each workload also runs once, untimed, so that a break in
+anything else the harness reads from the package fails here too, and
+one traced nominal round must time every layer of the nominal hot path
+above zero.  The report writer in tools/ must keep a failed run's
+report flat.
 """
 
 import ast
@@ -23,15 +25,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD = ROOT / "perfbench" / "workload.py"
+# the workloads BENCHMARK.json declares, in its order
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def _wrapped_table() -> dict:
-    for node in ast.parse(WORKLOAD.read_text()).body:
+def _literal(path: Path, name: str):
+    """The literal assigned to the module-level name in path, read as data."""
+    for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no WRAPPED table in {WORKLOAD}")
+    raise AssertionError(f"no {name} literal in {path}")
 
 
 def _resolves(target: str) -> bool:
@@ -47,7 +52,7 @@ def _resolves(target: str) -> bool:
 
 
 def test_traced_targets_resolve_in_package():
-    table = _wrapped_table()
+    table = _literal(WORKLOAD, "WRAPPED")
     targets = [t for names in table.values() for t in names]
     assert "qsdc.protocol.gate_on_capacity" in table["security.gate"]
     # workload.py builds the keystream basis under its own span
@@ -71,9 +76,11 @@ def _one_round(workload: str, trace: int) -> dict:
     return result
 
 
-@pytest.mark.parametrize(
-    "workload", ["nominal_file", "marginal_link", "attack_abort", "capacity_scan"]
-)
+def test_runner_offers_the_declared_workloads():
+    assert list(_literal(ROOT / "perfbench" / "run.py", "WORKLOADS")) == WORKLOADS
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_workload_runs_one_round_correctly(workload):
     _one_round(workload, trace=0)
 

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import qsdc
-from qsdc.cli import EXIT_DECODE, EXIT_IO, EXIT_OK, EXIT_SECURITY, _build_parser, main
+from qsdc.cli import (
+    EXIT_DECODE, EXIT_DEFERRED, EXIT_IO, EXIT_OK, EXIT_SECURITY, _build_parser, main,
+)
 from qsdc.config_io import load_config, parse_config, render_config
 from qsdc.protocol import CodeParams, ProtocolConfig, nominal_config
 from qsdc.states import ChannelParams
@@ -199,6 +201,14 @@ def test_sweep_to_file(tmp_path, capsys):
     assert out.read_text().startswith("loss_db,")
 
 
+@pytest.mark.parametrize("command", ["capacity", "sweep"])
+@pytest.mark.parametrize("g", ["inf", "-1", "nan"])
+def test_bad_g_is_io_error(capsys, command, g):
+    # Eve's advantage must be finite and non-negative; the error names g
+    assert main([command, f"--g={g}"]) == EXIT_IO
+    assert "g must be in [0, inf)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag", ["--loss-stop=inf", "--loss-start=-inf", "--loss-step=inf", "--loss-step=nan",
              "--loss-start=nan", "--loss-stop=3"],
@@ -254,28 +264,39 @@ def test_send_attack_exit_code(tmp_path, capsys):
 # a data-path flip rate far above e_margin fails every block's forward
 # check, while the noiseless check path keeps the capacity gate open
 FAILING_INI = FAST_INI.replace("flip_prob = 0.006", "flip_prob = 0.3")
+# a dead check path: no pulse reaches Alice's check module, so every
+# attempt is deferred and none is decoded
+DEAD_CHECK_INI = FAST_INI.replace("[check_channel]\nloss_db = 5.0", "[check_channel]\nloss_db = 70")
+# each undelivered case: its config, exit code and abort reason
+_UNDELIVERED = (
+    (FAILING_INI, EXIT_DECODE, "decode-failure"),
+    (DEAD_CHECK_INI, EXIT_DEFERRED, "deferred"),
+)
 
 
 def test_send_decode_failure_exit_code(tmp_path, capsys):
     cfg = tmp_path / "failing.ini"
-    cfg.write_text(FAILING_INI)
     src = tmp_path / "in.bin"
     src.write_bytes(b"abc")
     dst = tmp_path / "out.bin"
-    rc = main(["send", "--config", str(cfg), "--input", str(src), "--output", str(dst)])
-    assert rc == EXIT_DECODE
-    report = json.loads(capsys.readouterr().out)
-    assert not report["security_abort"]
-    assert report["abort_reason"] == "decode-failure"
-    assert not dst.exists()
+    for ini, exit_code, reason in _UNDELIVERED:
+        cfg.write_text(ini)
+        rc = main(["send", "--config", str(cfg), "--input", str(src), "--output", str(dst)])
+        assert rc == exit_code, reason
+        report = json.loads(capsys.readouterr().out)
+        assert not report["security_abort"]
+        assert report["abort_reason"] == reason
+        assert not dst.exists()
 
 
 def test_stability_decode_failure_exit_code(tmp_path, capsys):
     cfg = tmp_path / "failing.ini"
-    cfg.write_text(FAILING_INI)
-    rc = main(["stability", "--config", str(cfg), "--blocks", "2", "--output", str(tmp_path / "rows.csv")])
-    assert rc == EXIT_DECODE
-    assert "abort_reason decode-failure" in capsys.readouterr().err
+    for ini, exit_code, reason in _UNDELIVERED:
+        cfg.write_text(ini)
+        rc = main(["stability", "--config", str(cfg), "--blocks", "2",
+                   "--output", str(tmp_path / "rows.csv")])
+        assert rc == exit_code, reason
+        assert f"abort_reason {reason}" in capsys.readouterr().err
 
 
 def test_send_missing_input_is_io_error(tmp_path, capsys):
@@ -313,6 +334,9 @@ def _off_default(obj):
         value = getattr(obj, f.name)
         if dataclasses.is_dataclass(value):
             changes[f.name] = _off_default(value)
+        elif f.name == "block_pulses":
+            # it restates the footprint of the code, which comes first
+            changes[f.name] = changes["code"].block_chips
         elif isinstance(value, int):
             changes[f.name] = value - 1
         else:
@@ -431,19 +455,24 @@ def test_config_checking_every_slot_is_io_error(tmp_path, capsys):
 
 
 def test_unbuildable_code_config_is_io_error(tmp_path, capsys):
-    # k_r above k_u names no code: rejected when the file is read, even by
-    # a send whose empty input would never build one
-    text = "[code]\nk_r = 700\n"
-    with pytest.raises(ValueError, match="k_r < k_u"):
-        parse_config(text)
+    # a config that names no code, or a footprint other than the code's,
+    # is rejected when the file is read, even by a send whose empty input
+    # would never build one.  The second case spreads less without
+    # restating block_pulses, which would emit twice the slots it uses.
     cfg = tmp_path / "bad_code.ini"
-    cfg.write_text(text)
     src = tmp_path / "empty.bin"
     src.write_bytes(b"")
     report = tmp_path / "report.json"
-    rc = main(["send", "--config", str(cfg), "--input", str(src),
-               "--output", str(tmp_path / "out.bin"), "--report", str(report)])
-    out, err = capsys.readouterr()
-    assert rc == EXIT_IO
-    assert out == "" and not report.exists()
-    assert "k_r < k_u" in err
+    for text, message in (
+        ("[code]\nk_r = 700\n", "k_r < k_u"),
+        ("[code]\nn_spread = 385\nk_r = 475\n", "set it to 505120"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+        cfg.write_text(text)
+        rc = main(["send", "--config", str(cfg), "--input", str(src),
+                   "--output", str(tmp_path / "out.bin"), "--report", str(report)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_IO
+        assert out == "" and not report.exists()
+        assert message in err

@@ -126,9 +126,6 @@ def _dense_block_attempt(config, code, chunk_bits, seed, serial, attack):
     wire = attack.apply(bob_codes, attack_rng)
     received = np.flatnonzero(channel_rng.random(n_sent) < config.check_channel.survival)
     fields = dict(block_index=0, attempt=0, n_sent=n_sent, n_received_check=received.size)
-    if received.size == 0:
-        return BlockRecord(**fields, status="deferred-no-detections"), None
-
     arriving = flip_codes(wire[received], config.check_channel.flip_prob, channel_rng)
     selected = alice_rng.random(received.size) < config.check_fraction
     checked = received[selected]
@@ -139,7 +136,7 @@ def _dense_block_attempt(config, code, chunk_bits, seed, serial, attack):
     if not (counts["n_x"] and counts["n_z"]):
         return BlockRecord(**fields, status="deferred-empty-basis"), None
     proceed, estimate = _PooledCounts().gate(config, counts, q_hat)
-    fields.update(c_s=estimate.c_s, gate_proceed=proceed)
+    fields.update(c_s=estimate.c_s)
     if not proceed:
         return BlockRecord(**fields, status="gate-abort"), None
     try:
@@ -176,8 +173,10 @@ def test_code_params_key_roundtrip():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ProtocolConfig(block_pulses=10)  # below the chip footprint
+    # block_pulses restates the code's footprint: any other value is rejected
+    for pulses in (10, 1_088_961):
+        with pytest.raises(ValueError, match="set it to 1088960"):
+            ProtocolConfig(block_pulses=pulses)
     with pytest.raises(ValueError):
         ProtocolConfig(check_fraction=0.0)
     with pytest.raises(ValueError):
@@ -420,7 +419,7 @@ def test_underdetermined_block_is_not_delivered(monkeypatch):
     assert [b.status for b in tr.blocks] == ["fail-underdetermined"] * (MAX_BLOCK_RETRIES + 1)
     assert tr.abort_reason == "decode-failure" and tr.delivered == b""
     assert not calls
-    assert all(b.bp_iterations == 0 and b.bp_converged is None for b in tr.blocks)
+    assert all(b.bp_iterations == 0 for b in tr.blocks)
 
 
 @given(st.binary(min_size=0, max_size=200))
@@ -458,7 +457,7 @@ def test_session_empty_message(fast_config, monkeypatch):
     config = dataclasses.replace(fast_config, code=dataclasses.replace(fast_config.code, seed=4242))
     tr = run_session(config, b"", seed=5)
     assert tr.ok and tr.delivered == b"" and len(tr.blocks) == 0
-    assert tr.code == config.code
+    assert tr.config == config and tr.pulses_emitted == 0
 
 
 def test_session_gate_abort_on_intercept_resend(fast_config):
@@ -467,10 +466,12 @@ def test_session_gate_abort_on_intercept_resend(fast_config):
     assert tr.abort_reason == "capacity-gate"
     assert tr.delivered == b""
     assert tr.blocks[-1].status == "gate-abort"
-    assert tr.blocks[-1].gate_proceed is False
+    assert tr.blocks[-1].c_s <= 0
 
 
 _POOLED = ("err_x", "n_x", "err_z", "n_z", "fwd_errors", "n_fwd_detected")
+# the statuses of an attempt that passed the gate and reached the data path
+_DECODE_STATUSES = ("abort-error-margin", "fail-underdetermined", "fail-no-converge", "ok")
 
 
 @pytest.mark.parametrize(
@@ -491,7 +492,8 @@ def test_gate_decisions_recompute_from_jsonl(fast_config, flip, message, seed, a
     assert sum(b["attempt"] > 0 for b in blocks) >= min_retries
     pooled = dict.fromkeys(_POOLED, 0)
     for b in blocks:
-        assert b["gate_proceed"] is not None
+        # the gate passed on every attempt of a delivered session
+        assert b["status"] in _DECODE_STATUSES
         n_fwd = pooled["n_fwd_detected"]
         proceed, estimate = gate_on_capacity(
             (pooled["err_x"] + b["err_x"]) / (pooled["n_x"] + b["n_x"]),
@@ -500,7 +502,7 @@ def test_gate_decisions_recompute_from_jsonl(fast_config, flip, message, seed, a
             b["q_hat"],
             config.g,
         )
-        assert (estimate.c_s, proceed) == (b["c_s"], b["gate_proceed"])
+        assert (estimate.c_s, proceed) == (b["c_s"], True)
         assert b["e_fwd"] == b["fwd_errors"] / b["n_fwd_detected"]
         pooled = {k: pooled[k] + b[k] for k in _POOLED}
 
@@ -522,7 +524,7 @@ def test_session_decode_failure_after_retries(monkeypatch):
     assert all(b.status == "abort-error-margin" for b in tr.blocks)
     assert not tr.security_abort
     assert not calls
-    assert all(b.bp_iterations == 0 and b.bp_converged is None for b in tr.blocks)
+    assert all(b.bp_iterations == 0 for b in tr.blocks)
 
 
 def test_session_transcript_jsonl(fast_config):
@@ -586,8 +588,7 @@ def _pooled_counts(attempts, needed):
         add("err_x", record.err_x, record.n_x)
         add("err_z", record.err_z, record.n_z)
         add("ok", record.status == "ok", 1)
-        if record.gate_proceed and record.status != "deferred-insufficient-slots":
-            # the attempt reached the data path
+        if record.status in _DECODE_STATUSES:
             detected = record.n_fwd_detected + record.n_chip_detected
             add("data", detected, needed)
             add("fwd_share", record.n_fwd_detected, detected)
@@ -653,12 +654,16 @@ def test_data_detection_draw():
 
 
 def test_deferred_no_detections(fast_config):
-    # a dead check path: no slot fires Alice's check detector
+    # a dead check path: no slot fires Alice's check detector, so the check
+    # sample is empty and the attempt records only its counts of zero
     config = dataclasses.replace(fast_config, check_channel=ChannelParams(400.0, 0.0))
     tr = run_session(config, b"x", seed=3)
-    assert [b.status for b in tr.blocks] == ["deferred-no-detections"] * (MAX_BLOCK_RETRIES + 1)
-    assert all(b.n_received_check == 0 and b.gate_proceed is None for b in tr.blocks)
-    assert tr.abort_reason == "decode-failure" and not tr.security_abort
+    assert tr.blocks == [
+        BlockRecord(block_index=0, attempt=a, n_sent=config.slots_per_block, n_received_check=0)
+        for a in range(MAX_BLOCK_RETRIES + 1)
+    ]
+    assert tr.blocks[0].status == "deferred-empty-basis"
+    assert tr.abort_reason == "deferred" and not tr.security_abort
 
 
 def test_deferred_empty_basis(fast_config):
@@ -667,15 +672,15 @@ def test_deferred_empty_basis(fast_config):
     tr = run_session(config, b"x", seed=3)
     assert [b.status for b in tr.blocks] == ["deferred-empty-basis"] * (MAX_BLOCK_RETRIES + 1)
     assert all(b.n_received_check > 0 and b.n_checked == 0 for b in tr.blocks)
-    assert tr.abort_reason == "decode-failure" and not tr.security_abort
+    assert tr.abort_reason == "deferred" and not tr.security_abort
 
 
 class _NoHeadroom(ProtocolConfig):
-    """Emits exactly block_pulses slots: no room for the forward checks."""
+    """Emits exactly the code's chip footprint: no room for the forward checks."""
 
     @property
     def slots_per_block(self) -> int:
-        return self.block_pulses
+        return self.code.block_chips
 
 
 def test_deferred_insufficient_slots(fast_config):
@@ -686,8 +691,8 @@ def test_deferred_insufficient_slots(fast_config):
         MAX_BLOCK_RETRIES + 1
     )
     # the gate passed; the block was deferred before any encoding
-    assert all(b.gate_proceed and b.n_chip_detected == 0 for b in tr.blocks)
-    assert tr.abort_reason == "decode-failure" and not tr.security_abort
+    assert all(b.c_s > 0 and b.n_chip_detected == 0 for b in tr.blocks)
+    assert tr.abort_reason == "deferred" and not tr.security_abort
 
 
 @pytest.mark.parametrize(
@@ -715,26 +720,27 @@ def test_nominal_attempt_memory_below_one_byte_per_slot(attack):
 # streams, and were re-recorded on purpose when the engine changed its
 # draw order to draw only observed slots, and again when the block
 # records lost their code-budget fields and the summary gained the code
-# parameters, and again when the block records gained fwd_errors (no
-# draw moved either time; the LLR digest held).  A transcript records
-# counts, not the layout, chips or LLRs, so the honest session also pins the
-# sha256 of every LLR vector handed to bp_decode: a change to the layout
-# or codeword fails it even when the counts stay.  The keystream cancels
-# in de-spreading, so a change to it fails neither digest; its own
-# digest is pinned in test_spreading.py.
+# parameters, again when the block records gained fwd_errors, and again
+# when they lost gate_proceed, bp_converged and delivered_bits, which
+# restated the status (no draw moved any of these times; the LLR digest
+# held).  A transcript records counts, not the layout, chips or LLRs, so
+# the honest session also pins the sha256 of every LLR vector handed to
+# bp_decode: a change to the layout or codeword fails it even when the
+# counts stay.  The keystream cancels in de-spreading, so a change to it
+# fails neither digest; its own digest is pinned in test_spreading.py.
 _PINNED_SESSIONS = [
-    ("honest", None, 11, "a1907588d793e2fafc2ab0ceb8cc2995b8ae44ee785e4e94da90656ca538ffdd"),
+    ("honest", None, 11, "6e91728c7094ac42ed33ec38b409ec645b1230a825b9fc255735b74906726de5"),
     (
         "intercept-resend 0.3",
         AttackModel.intercept_resend(0.3),
         12,
-        "83c2340dee9d227a98db2a005c2b92103741509f7a557754845d047f8cfcbc8c",
+        "20f68af9e169074864701618da659116e8de1479380a2f536c634fe7f31fe2f6",
     ),
     (
         "collective (0.02, 0.01)",
         AttackModel.optimal_collective(0.02, 0.01),
         17,
-        "9a830254e3cc606b9d5d4a15dcfae968cf972dbd35260246a5d14b31365d77b5",
+        "34df5326e962a31fd1de9768d8e9f4f045654d5b2338827b4fb81aec039493d1",
     ),
 ]
 
@@ -762,4 +768,4 @@ def test_transcripts_match_pinned_digests(fast_config, monkeypatch):
             assert llr_digest.hexdigest() == _PINNED_HONEST_LLRS
     tr = run_session(nominal_config(), b"nominal payload", seed=3)
     assert tr.delivered == b"nominal payload"
-    assert _digest(tr) == "22b181e34e29adc45e45a7835b7df6e8ee54fe052b1393aa457e794e2b8d9547"
+    assert _digest(tr) == "0f8dcd0b02829b520d456685b7bd33fbdb7025ade2e77f11579a94418f87ef93"

@@ -42,7 +42,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("nominal_file", "marginal_link", "attack_abort", "capacity_scan")
+# the workloads BENCHMARK.json declares, in its order
+WORKLOADS = tuple(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
 # the directories whose uncommitted changes make the measured tree differ
 # from the git head
 TREE_PATHS = ("src", "tests", "perfbench", "tools")
