@@ -7,16 +7,7 @@ attack/experiment harnesses with a command line front end.
 """
 
 from qsdc.states import ChannelParams
-from qsdc.security import (
-    ErrorRates,
-    SecurityEstimate,
-    binary_entropy,
-    eve_information,
-    half_bias_capacity,
-    main_information,
-    secrecy_capacity,
-    xi,
-)
+from qsdc.security import ErrorRates, SecurityEstimate, half_bias_capacity, secrecy_capacity
 from qsdc.wiretap_code import CodeParams, WiretapCode, build_code, uhf_invert, uhf_map
 from qsdc.spreading import compute_llrs, keystream, spread
 from qsdc.ldpc import bp_decode, ldpc_encode
@@ -27,12 +18,8 @@ __all__ = [
     "ChannelParams",
     "ErrorRates",
     "SecurityEstimate",
-    "binary_entropy",
-    "eve_information",
     "half_bias_capacity",
-    "main_information",
     "secrecy_capacity",
-    "xi",
     "WiretapCode",
     "build_code",
     "uhf_invert",

@@ -12,6 +12,15 @@ argument) as a scalar or an array.  Python and numpy scalars and 0-d
 arrays are evaluated with math and plain comparisons and give floats;
 arrays of one or more dimensions, such as the bias grid of
 secrecy_capacity, are evaluated elementwise with numpy.
+
+Arguments are checked once, at the public boundary.  Each formula
+(binary entropy, xi, I(A:B) and Eve's bound) has one private kernel,
+which checks nothing; the public functions check their arguments and
+then call it.  secrecy_capacity and half_bias_capacity check their
+inputs once and then evaluate kernels only, and the search's coarse
+grid and its (1 - 2p)^2 term are computed once, at import.  Each kernel
+writes every term as the same expression on the same types as the
+public functions always have, so every value is the same double.
 """
 
 from __future__ import annotations
@@ -66,15 +75,49 @@ def _check_unit(name: str, v: float | np.ndarray) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
-    """Shannon entropy of a coin with bias x, in bits; x may be an array.
+def _check_q_bob(q_bob: float) -> None:
+    if not 0.0 <= q_bob <= 1.0:
+        raise ValueError(f"q_bob must be in [0, 1], got {q_bob}")
 
-    A Python or numpy scalar or a 0-d array takes the math.log2 path and
-    returns a float, so scalar results do not depend on which vectorised
-    log2 numpy was built with; an array of one or more dimensions takes
-    the numpy path and returns an array.
-    """
-    _check_unit("binary_entropy argument", x)
+
+def _check_e(e: float) -> None:
+    if not 0.0 <= e <= 0.5:
+        raise ValueError(f"e must be in [0, 0.5], got {e}")
+
+
+def _check_rate_sum(e_x: float, e_z: float) -> float:
+    # returns s = e_x + e_z; written so that a NaN rate fails it too
+    s = e_x + e_z
+    if not (e_x >= 0.0 and e_z >= 0.0 and s <= 0.5):
+        raise ValueError(f"need e_x, e_z >= 0 and e_x + e_z <= 0.5, got {e_x}, {e_z}")
+    return s
+
+
+def _eve_detection_rate(q_bob: float, g: float) -> float:
+    # Eve's detection rate saturates at one pulse per pulse in the
+    # low-loss regime; the check is written so that NaN fails it too
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"g must be in [0, inf), got {g}")
+    return min(g * q_bob, 1.0)
+
+
+def _contrast(p: float | np.ndarray) -> float | np.ndarray:
+    """(1 - 2p)^2, the one term of xi that depends on p alone."""
+    return (1.0 - 2.0 * p) ** 2
+
+
+# the first stage of secrecy_capacity's search: [0, 1/2], both ends on it
+_COARSE_P = np.linspace(0.0, 0.5, GRID_POINTS)
+_COARSE_A = _contrast(_COARSE_P)
+_COARSE_P.setflags(write=False)
+_COARSE_A.setflags(write=False)
+
+
+# The kernels below check nothing: their callers have checked the inputs.
+# a is always _contrast(p).
+
+
+def _entropy(x: float | np.ndarray) -> float | np.ndarray:
     if _is_scalar(x):
         x = float(x)
         if x == 0.0 or x == 1.0:
@@ -84,6 +127,42 @@ def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
     inner = (x > 0.0) & (x < 1.0)
     y = np.where(inner, x, 0.5)
     return np.where(inner, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
+
+
+def _xi(p: float | np.ndarray, a: float | np.ndarray, s: float) -> float | np.ndarray:
+    d = 1.0 - 2.0 * s
+    radicand = a + d * d * (1.0 - a)
+    if _is_scalar(p):
+        return float(s) if p == 0.5 else (1.0 - math.sqrt(radicand)) / 2.0
+    return np.where(p == 0.5, s, (1.0 - np.sqrt(radicand)) / 2.0)
+
+
+def _main_information(q_bob: float, p: float | np.ndarray, e: float, h_e: float) -> float | np.ndarray:
+    # h_e is h(e)
+    return q_bob * (_entropy(p + e - 2.0 * p * e) - h_e)
+
+
+def _eve_information(q_eve: float, p: float | np.ndarray, a: float | np.ndarray,
+                     s: float) -> float | np.ndarray:
+    return q_eve * _entropy(_xi(p, a, s))
+
+
+def _objective(p: np.ndarray, a: np.ndarray, q_bob: float, q_eve: float, e: float, h_e: float,
+               s: float) -> np.ndarray:
+    """I(A:B) - I(A:E) at the biases p."""
+    return _main_information(q_bob, p, e, h_e) - _eve_information(q_eve, p, a, s)
+
+
+def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
+    """Shannon entropy of a coin with bias x, in bits; x may be an array.
+
+    A Python or numpy scalar or a 0-d array takes the math.log2 path and
+    returns a float, so scalar results do not depend on which vectorised
+    log2 numpy was built with; an array of one or more dimensions takes
+    the numpy path and returns an array.
+    """
+    _check_unit("binary_entropy argument", x)
+    return _entropy(x)
 
 
 def xi(p: float | np.ndarray, e_x: float, e_z: float) -> float | np.ndarray:
@@ -97,22 +176,15 @@ def xi(p: float | np.ndarray, e_x: float, e_z: float) -> float | np.ndarray:
     an array.
     """
     _check_unit("p", p)
-    s = e_x + e_z
-    if e_x < 0.0 or e_z < 0.0 or s > 0.5:
-        raise ValueError(f"need e_x, e_z >= 0 and e_x + e_z <= 0.5, got {e_x}, {e_z}")
-    a = (1.0 - 2.0 * p) ** 2
-    d = 1.0 - 2.0 * s
-    radicand = a + d * d * (1.0 - a)
-    if _is_scalar(p):
-        return float(s) if p == 0.5 else (1.0 - math.sqrt(radicand)) / 2.0
-    return np.where(p == 0.5, s, (1.0 - np.sqrt(radicand)) / 2.0)
+    return _xi(p, _contrast(p), _check_rate_sum(e_x, e_z))
 
 
 def eve_information(q_eve: float, p: float | np.ndarray, rates: ErrorRates) -> float | np.ndarray:
     """Upper bound on Eve's information per pulse, q_eve * h(xi)."""
     if not 0.0 <= q_eve <= 1.0:
         raise ValueError(f"q_eve must be in [0, 1], got {q_eve}")
-    return q_eve * binary_entropy(xi(p, rates.e_x, rates.e_z))
+    _check_unit("p", p)
+    return _eve_information(q_eve, p, _contrast(p), _check_rate_sum(rates.e_x, rates.e_z))
 
 
 def main_information(q_bob: float, p: float | np.ndarray, e: float) -> float | np.ndarray:
@@ -122,21 +194,10 @@ def main_information(q_bob: float, p: float | np.ndarray, e: float) -> float | n
     output bias is p + e - 2pe, so I = q_bob * (h(p + e - 2pe) - h(e)).
     p may be an array.
     """
-    if not 0.0 <= q_bob <= 1.0:
-        raise ValueError(f"q_bob must be in [0, 1], got {q_bob}")
+    _check_q_bob(q_bob)
     _check_unit("p", p)
-    if not 0.0 <= e <= 0.5:
-        raise ValueError(f"e must be in [0, 0.5], got {e}")
-    mixed = p + e - 2.0 * p * e
-    return q_bob * (binary_entropy(mixed) - binary_entropy(e))
-
-
-def _eve_detection_rate(q_bob: float, g: float) -> float:
-    # Eve's detection rate saturates at one pulse per pulse in the
-    # low-loss regime; the check is written so that NaN fails it too
-    if not 0.0 <= g < math.inf:
-        raise ValueError(f"g must be in [0, inf), got {g}")
-    return min(g * q_bob, 1.0)
+    _check_e(e)
+    return _main_information(q_bob, p, e, _entropy(e))
 
 
 def half_bias_capacity(rates: ErrorRates, q_bob: float, g: float) -> SecurityEstimate:
@@ -149,9 +210,16 @@ def half_bias_capacity(rates: ErrorRates, q_bob: float, g: float) -> SecurityEst
     negative c_s is returned as is so callers can log the margin to
     abort.
     """
-    i_ab = main_information(q_bob, 0.5, rates.e)
-    i_ae = eve_information(_eve_detection_rate(q_bob, g), 0.5, rates)
-    c_s = q_bob * (1.0 - binary_entropy(rates.e) - g * binary_entropy(rates.e_x + rates.e_z))
+    _check_q_bob(q_bob)
+    _check_e(rates.e)
+    q_eve = _eve_detection_rate(q_bob, g)
+    s = _check_rate_sum(rates.e_x, rates.e_z)
+    h_e = _entropy(rates.e)
+    h_s = _entropy(s)
+    i_ab = _main_information(q_bob, 0.5, rates.e, h_e)
+    # Eve's bound at p = 1/2, where xi is e_x + e_z exactly
+    i_ae = q_eve * h_s
+    c_s = q_bob * (1.0 - h_e - g * h_s)
     return SecurityEstimate(p=0.5, i_ab=i_ab, i_ae=i_ae, c_s=c_s)
 
 
@@ -167,17 +235,19 @@ def secrecy_capacity(rates: ErrorRates, q_bob: float, g: float) -> SecurityEstim
     maximiser, with c_s = i_ab - i_ae.
     """
     q_eve = _eve_detection_rate(q_bob, g)
+    _check_q_bob(q_bob)
+    e = rates.e
+    _check_e(e)
+    s = _check_rate_sum(rates.e_x, rates.e_z)
+    h_e = _entropy(e)
 
-    def objective(p: np.ndarray) -> np.ndarray:
-        return main_information(q_bob, p, rates.e) - eve_information(q_eve, p, rates)
-
-    grid = np.linspace(0.0, 0.5, GRID_POINTS)
-    best = int(np.argmax(objective(grid)))
+    grid = _COARSE_P
+    best = int(np.argmax(_objective(grid, _COARSE_A, q_bob, q_eve, e, h_e, s)))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, GRID_POINTS - 1)]
     # the coarse best goes first so that it wins ties
     fine = np.concatenate([[grid[best]], np.linspace(lo, hi, GRID_POINTS)])
-    p_star = float(fine[np.argmax(objective(fine))])
-    i_ab = main_information(q_bob, p_star, rates.e)
-    i_ae = eve_information(q_eve, p_star, rates)
+    p_star = float(fine[np.argmax(_objective(fine, _contrast(fine), q_bob, q_eve, e, h_e, s))])
+    i_ab = _main_information(q_bob, p_star, e, h_e)
+    i_ae = _eve_information(q_eve, p_star, _contrast(p_star), s)
     return SecurityEstimate(p=p_star, i_ab=i_ab, i_ae=i_ae, c_s=i_ab - i_ae)

@@ -9,10 +9,12 @@ those.  Each workload also runs once, untimed, so that a break in
 anything else the harness reads from the package fails here too, and
 one traced nominal round must time every layer of the nominal hot path
 above zero.  The report writer in tools/ must keep a failed run's
-report flat.
+report flat, and its pairs mode must alternate the two trees and mark a
+side whose runs failed as not correct.
 """
 
 import ast
+import contextlib
 import functools
 import importlib
 import importlib.util
@@ -104,13 +106,68 @@ def test_traced_nominal_round_times_every_hot_path_layer():
     assert not idle, f"layers timed at null or 0: {idle}"
 
 
-def test_bench_report_failed_run_keeps_every_value_scalar(monkeypatch):
-    # a perfbench call that fails is reported as the last line of its
-    # stderr, so the report stays diffable key by key
+def _bench_report():
     spec = importlib.util.spec_from_file_location("bench_report", ROOT / "tools" / "bench_report.py")
     bench_report = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_report)
-    monkeypatch.setattr(bench_report, "speed_probe", lambda prefix: {})
+    return bench_report
+
+
+def test_bench_report_failed_run_keeps_every_value_scalar(monkeypatch):
+    # a perfbench call that fails is reported as the last line of its
+    # stderr, so the report stays diffable key by key
+    bench_report = _bench_report()
     flat = bench_report.perfbench("bogus", 1, 0, 0)
     assert list(flat) == ["bogus.error"]
     assert isinstance(flat["bogus.error"], str) and "error" in flat["bogus.error"]
+
+
+def test_bench_report_summarises_pairs_with_ties_for_neither_side():
+    # pair by pair the change is higher, tied, higher, lower, higher
+    base = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [2.0, 2.0, 4.0, 3.0, 6.0]
+    stats = {"base_median": 3.0, "base_q1": 2.0, "base_q3": 4.0,
+             "change_median": 3.0, "change_q1": 2.0, "change_q3": 4.0}
+    summarise = _bench_report().summarise_pairs
+    higher = summarise("w.ops_per_s", "higher", base, change)
+    assert higher == {**{f"w.ops_per_s.{k}": v for k, v in stats.items()},
+                      "w.ops_per_s.wins": 3, "w.ops_per_s.losses": 1}
+    lower = summarise("w.setup_s", "lower", base, change)
+    assert (lower["w.setup_s.wins"], lower["w.setup_s.losses"]) == (1, 3)
+    # quartiles interpolate between the sorted samples
+    even = summarise("w.m", "higher", [4.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0])
+    assert (even["w.m.base_q1"], even["w.m.base_median"], even["w.m.base_q3"]) == (1.75, 2.5, 3.25)
+    assert (even["w.m.wins"], even["w.m.losses"]) == (0, 3)
+    one = summarise("w.m", "higher", [7.0], [7.0])
+    assert (one["w.m.base_q1"], one["w.m.change_q3"], one["w.m.wins"], one["w.m.losses"]) == (7.0, 7.0, 0, 0)
+
+
+def test_bench_report_compare_alternates_and_marks_a_failed_side(monkeypatch):
+    # every base run fails, as when the base revision lacks the workload;
+    # the change runs cleanly
+    bench_report = _bench_report()
+    base_root = Path("base")
+    calls = []
+
+    def fake_run(workload, seed, seconds, trace, root):
+        calls.append((workload, "base" if root == base_root else "change"))
+        if root == base_root:
+            return "ValueError: unknown workload"
+        metrics = {m: {"value": 1.0} for m in bench_report.END_TO_END}
+        return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_report, "_git", lambda *args: b"0123abc\n")
+    monkeypatch.setattr(bench_report, "_worktree", lambda rev: contextlib.nullcontext(base_root))
+    monkeypatch.setattr(bench_report, "_perfbench_run", fake_run)
+    report = bench_report.compare("HEAD~1", 1, 0.0)
+    workloads = bench_report.WORKLOADS
+    assert len(calls) == 2 * bench_report.PAIRS * len(workloads)
+    first = [calls[i] for i in range(0, len(calls), 2)]
+    assert first == [(w, "base" if i % 2 == 0 else "change")
+                     for i in range(bench_report.PAIRS) for w in workloads]
+    for w in workloads:
+        assert report[f"{w}.base.correct"] is False
+        assert report[f"{w}.base.error"] == "ValueError: unknown workload"
+        assert report[f"{w}.change.correct"] is True
+        assert report[f"{w}.pairs"] == 0
+        assert f"{w}.ops_per_s.wins" not in report

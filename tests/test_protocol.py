@@ -769,3 +769,28 @@ def test_transcripts_match_pinned_digests(fast_config, monkeypatch):
     tr = run_session(nominal_config(), b"nominal payload", seed=3)
     assert tr.delivered == b"nominal payload"
     assert _digest(tr) == "0f8dcd0b02829b520d456685b7bd33fbdb7025ade2e77f11579a94418f87ef93"
+
+
+def test_pinned_block_lines_log_e_fwd_as_the_exact_ratio(fast_config):
+    # perfbench/workload.py rebuilds a block's forward-check error count as
+    # round(e_fwd * n_fwd_detected); that is exact only while every block
+    # line logs e_fwd as fwd_errors / n_fwd_detected, and null exactly
+    # when no forward check was detected
+    sessions = [
+        run_session(fast_config, bytes(range(200)), seed=seed, attack=attack)
+        for _, attack, seed, _ in _PINNED_SESSIONS
+    ]
+    sessions.append(run_session(nominal_config(), b"nominal payload", seed=3))
+    measured = 0
+    for tr in sessions:
+        for line in tr.to_jsonl().splitlines():
+            block = json.loads(line)
+            if block["record"] != "block":
+                continue
+            n_fwd = block["n_fwd_detected"]
+            assert (block["e_fwd"] is None) == (n_fwd == 0), block
+            if n_fwd:
+                measured += 1
+                assert block["e_fwd"] == block["fwd_errors"] / n_fwd, block
+                assert round(block["e_fwd"] * n_fwd) == block["fwd_errors"], block
+    assert measured > 0

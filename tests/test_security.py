@@ -1,15 +1,22 @@
 """Information-rate formulas and the Gram-spectrum bound on Eve."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import entropy as shannon_entropy
 
 from qsdc.security import (
+    GRID_POINTS,
     ErrorRates,
+    SecurityEstimate,
+    _COARSE_A,
+    _COARSE_P,
     _check_unit,
+    _entropy,
+    _objective,
     binary_entropy,
     eve_information,
     half_bias_capacity,
@@ -285,3 +292,156 @@ def test_secrecy_capacity_interior_optimum():
     assert est.p == pytest.approx(float(ps[np.argmax(values)]), abs=1e-5)
     assert est.c_s >= float(values.max()) - 1e-12
     assert est.c_s == pytest.approx(est.i_ab - est.i_ae, rel=1e-12)
+
+
+def _reference_secrecy_capacity(rates: ErrorRates, q_bob: float, g: float) -> SecurityEstimate:
+    """The two-stage bias search on the public array functions, each of
+    which checks its arguments on every evaluation; secrecy_capacity
+    must give exactly this."""
+    q_eve = min(g * q_bob, 1.0)
+
+    def objective(p: np.ndarray) -> np.ndarray:
+        return main_information(q_bob, p, rates.e) - eve_information(q_eve, p, rates)
+
+    grid = np.linspace(0.0, 0.5, GRID_POINTS)
+    best = int(np.argmax(objective(grid)))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, GRID_POINTS - 1)]
+    fine = np.concatenate([[grid[best]], np.linspace(lo, hi, GRID_POINTS)])
+    p_star = float(fine[np.argmax(objective(fine))])
+    i_ab = main_information(q_bob, p_star, rates.e)
+    i_ae = eve_information(q_eve, p_star, rates)
+    return SecurityEstimate(p=p_star, i_ab=i_ab, i_ae=i_ae, c_s=i_ab - i_ae)
+
+
+def _bits(est: SecurityEstimate) -> dict:
+    # float.hex tells -0.0 from 0.0, and the type must match too
+    return {k: (type(v), float(v).hex()) for k, v in vars(est).items()}
+
+
+# perfbench's capacity_scan grid: e = 0.006 and g = 10^0.41 at every point
+_BENCH_G = 10.0 ** (4.1 / 10.0)
+_BENCH_GRID = [
+    (ErrorRates(e_x, e_z, 0.006), 10.0 ** (-loss / 10.0), _BENCH_G)
+    for loss in (3.0, 10.0, 18.06, 25.1, 30.0, 40.0)
+    for e_x, e_z in ((0.008, 0.008), (0.02, 0.03), (0.06, 0.04), (0.1, 0.1), (0.25, 0.2))
+]
+_EDGE_POINTS = [
+    pytest.param(ErrorRates(0.008, 0.008, 0.0), 0.003, G_NOMINAL, id="e=0"),
+    pytest.param(ErrorRates(0.0, 0.0, 0.006), 0.003, G_NOMINAL, id="e_x=e_z=0"),
+    pytest.param(ErrorRates(0.25, 0.25, 0.006), 0.003, G_NOMINAL, id="e_x+e_z=0.5"),
+    pytest.param(ErrorRates(0.5, 0.0, 0.006), 0.003, G_NOMINAL, id="e_x=0.5"),
+    pytest.param(ErrorRates(0.0, 0.0, 0.5), 0.003, G_NOMINAL, id="e=0.5"),
+    pytest.param(NOMINAL, 0.0, G_NOMINAL, id="q_bob=0"),
+    pytest.param(NOMINAL, 1.0, G_NOMINAL, id="q_bob=1"),
+    pytest.param(ErrorRates(0.06, 0.04, 0.006), 0.5, G_NOMINAL, id="g*q_bob>1"),
+    pytest.param(NOMINAL, 0.003, 0.0, id="g=0"),
+    pytest.param(ErrorRates(0.1, 0.1, 0.006), 0.003, G_NOMINAL, id="insecure"),
+    pytest.param(ErrorRates(0.25, 0.2, 0.006), 10.0 ** -4.0, G_NOMINAL, id="insecure-40dB"),
+] + [
+    pytest.param(rates, q_bob, g, id=f"bench-{i}") for i, (rates, q_bob, g) in enumerate(_BENCH_GRID)
+]
+
+
+@pytest.mark.parametrize("rates, q_bob, g", _EDGE_POINTS)
+def test_secrecy_capacity_equals_reference_search(rates, q_bob, g):
+    assert _bits(secrecy_capacity(rates, q_bob, g)) == _bits(_reference_secrecy_capacity(rates, q_bob, g))
+
+
+@st.composite
+def _capacity_inputs(draw):
+    e_x = draw(st.floats(0.0, 0.5))
+    e_z = draw(st.floats(0.0, 0.5))
+    assume(e_x + e_z <= 0.5)
+    rates = ErrorRates(e_x, e_z, draw(st.floats(0.0, 0.5)))
+    return rates, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 20.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_capacity_inputs())
+def test_secrecy_capacity_equals_reference_search_anywhere(inputs):
+    assert _bits(secrecy_capacity(*inputs)) == _bits(_reference_secrecy_capacity(*inputs))
+
+
+@pytest.mark.parametrize("rates, q_bob, g", _EDGE_POINTS)
+def test_coarse_grid_objective_equals_public_expression(rates, q_bob, g):
+    # the fixed grid and its p-only terms are what the expressions give
+    p = np.linspace(0.0, 0.5, GRID_POINTS)
+    for fixed, fresh in ((_COARSE_P, p), (_COARSE_A, (1.0 - 2.0 * p) ** 2)):
+        assert np.array_equal(fixed, fresh)
+        assert not fixed.flags.writeable
+    q_eve = min(g * q_bob, 1.0)
+    kernel = _objective(_COARSE_P, _COARSE_A, q_bob, q_eve, rates.e, _entropy(rates.e),
+                        rates.e_x + rates.e_z)
+    public = main_information(q_bob, p, rates.e) - eve_information(q_eve, p, rates)
+    assert kernel.dtype == public.dtype == np.float64
+    assert np.array_equal(kernel.view(np.uint64), public.view(np.uint64))
+
+
+def _raises(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+_BAD_UNIT = (math.nan, -0.01, 1.01)
+_BAD_E = (math.nan, -0.01, 0.51)
+_BAD_G = (math.nan, -1.0, math.inf)
+
+
+@pytest.mark.parametrize("v", _BAD_UNIT)
+def test_bad_q_bob_is_rejected_at_every_boundary(v):
+    want = f"q_bob must be in [0, 1], got {v}"
+    assert _raises(main_information, v, 0.5, 0.006) == want
+    assert _raises(half_bias_capacity, NOMINAL, v, G_NOMINAL) == want
+    assert _raises(secrecy_capacity, NOMINAL, v, G_NOMINAL) == want
+    want = f"q_eve must be in [0, 1], got {v}"
+    assert _raises(eve_information, v, 0.5, NOMINAL) == want
+
+
+@pytest.mark.parametrize("p", [*_BAD_UNIT, *(np.array([0.2, v]) for v in _BAD_UNIT)])
+def test_bad_p_is_rejected_at_every_boundary(p):
+    assert _raises(binary_entropy, p) == f"binary_entropy argument must be in [0, 1], got {p}"
+    want = f"p must be in [0, 1], got {p}"
+    assert _raises(xi, p, 0.01, 0.02) == want
+    assert _raises(main_information, 0.003, p, 0.006) == want
+    assert _raises(eve_information, 0.003, p, NOMINAL) == want
+
+
+@pytest.mark.parametrize("e", _BAD_E)
+def test_bad_e_is_rejected_at_every_boundary(e):
+    want = f"e must be in [0, 0.5], got {e}"
+    assert _raises(ErrorRates, 0.008, 0.008, e) == want
+    assert _raises(main_information, 0.003, 0.5, e) == want
+    # an object other than ErrorRates reaches the functions' own checks
+    rates = SimpleNamespace(e_x=0.008, e_z=0.008, e=e)
+    assert _raises(half_bias_capacity, rates, 0.003, G_NOMINAL) == want
+    assert _raises(secrecy_capacity, rates, 0.003, G_NOMINAL) == want
+
+
+@pytest.mark.parametrize("g", _BAD_G)
+def test_bad_g_is_rejected_at_every_boundary(g):
+    want = f"g must be in [0, inf), got {g}"
+    assert _raises(half_bias_capacity, NOMINAL, 0.003, g) == want
+    assert _raises(secrecy_capacity, NOMINAL, 0.003, g) == want
+
+
+@pytest.mark.parametrize("e_x, e_z", [(0.3, 0.3), (0.5, 0.01), (-0.1, 0.1), (0.1, -0.1)])
+def test_bad_check_rates_are_rejected_at_every_boundary(e_x, e_z):
+    want = f"need e_x, e_z >= 0 and e_x + e_z <= 0.5, got {e_x}, {e_z}"
+    rates = SimpleNamespace(e_x=e_x, e_z=e_z, e=0.006)
+    assert _raises(xi, 0.5, e_x, e_z) == want
+    assert _raises(eve_information, 0.003, 0.5, rates) == want
+    assert _raises(half_bias_capacity, rates, 0.003, G_NOMINAL) == want
+    assert _raises(secrecy_capacity, rates, 0.003, G_NOMINAL) == want
+
+
+@pytest.mark.parametrize("e_x, e_z", [(math.nan, 0.01), (0.01, math.nan)])
+def test_nan_check_rate_fails_the_rate_check(e_x, e_z):
+    # ErrorRates rejects NaN; any other rates object meets the same check
+    want = f"need e_x, e_z >= 0 and e_x + e_z <= 0.5, got {e_x}, {e_z}"
+    rates = SimpleNamespace(e_x=e_x, e_z=e_z, e=0.006)
+    assert _raises(xi, 0.3, e_x, e_z) == want
+    assert _raises(eve_information, 0.003, 0.5, rates) == want
+    assert _raises(half_bias_capacity, rates, 0.003, G_NOMINAL) == want
+    assert _raises(secrecy_capacity, rates, 0.003, G_NOMINAL) == want

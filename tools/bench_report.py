@@ -1,6 +1,7 @@
 """Write one flat JSON benchmark report for the checkout this file is in.
 
     python3 tools/bench_report.py --output BENCH_<n>.json [--seconds 8] [--seed 1]
+    python3 tools/bench_report.py --output BENCH_<n>.json --against <rev> [--seconds 8] [--seed 1]
 
 It runs perfbench/run.py for every workload, untraced and traced, then
 times a cold nominal `build_code` in a fresh process, takes the
@@ -15,26 +16,35 @@ Every key of the output is a top-level scalar, so two reports diff with
 
 Keys are `<workload>.<metric>` for the untraced end-to-end metrics,
 `<workload>.trace.<metric>` for the traced per-layer ones, and plain
-names for the rest.  A figure is from one run; compare two reports
-taken on the same machine under the same load.
+names for the rest.  A figure is from one run: it describes one tree,
+and does not compare two.
 
-Around each perfbench call a speed probe times a fixed pure-Python loop
-and a fixed numpy kernel, neither of which uses qsdc, as
-`<workload>[.trace].probe_before.py_s`, `...probe_before.numpy_s`,
-`...probe_after.py_s` and `...probe_after.numpy_s`, each the best of
-PROBE_REPEATS runs.  A workload that ran slower while its probe did too
-ran on a slower machine, not slower code.
+With --against <rev> the report compares instead: it checks <rev> out
+with `git worktree` under a temporary directory and runs every workload
+untraced PAIRS times on that checkout and on this working tree,
+alternating, with <rev> first in odd-numbered pairs, then removes the
+worktree.  For each workload and end-to-end metric of BENCHMARK.json it
+records `<workload>.<metric>.{base,change}_{median,q1,q3}` (quartiles
+by linear interpolation), and `.wins` and `.losses`, the pairs in which
+the change was better or worse; a tie counts for neither.  A run that
+fails is left out of the statistics and its last stderr line kept as
+`<workload>.<base|change>.error`; that side's `.correct` is then false.
+Only alternating pairs compare two trees: the machine's speed drifts
+between runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import platform
 import random
 import re
+import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -42,13 +52,17 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 # the workloads BENCHMARK.json declares, in its order
-WORKLOADS = tuple(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
+# its end-to-end metrics and the direction in which each is better
+END_TO_END = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 # the directories whose uncommitted changes make the measured tree differ
 # from the git head
 TREE_PATHS = ("src", "tests", "perfbench", "tools")
 SEND_BYTES = 10 * 1024
-PROBE_REPEATS = 3
+# pairs of runs with --against: the fewest from which a gain may be claimed
+PAIRS = 10
 # builds the default CodeParams() code and prints the build's seconds, or
 # with the argument "traced" the peak MiB that tracemalloc saw, which
 # would slow the timed build
@@ -66,62 +80,38 @@ print(tracemalloc.get_traced_memory()[1] / 2**20 if traced else elapsed)
 """
 
 
-def _env() -> dict:
-    src = str(ROOT / "src")
+def _env(root: Path) -> dict:
+    src = str(root / "src")
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": f"{src}:{path}" if path else src}
 
 
-def _run(cmd: list[str], **kwargs) -> tuple[subprocess.CompletedProcess, float]:
+def _run(cmd: list[str], root: Path = ROOT, **kwargs) -> tuple[subprocess.CompletedProcess, float]:
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=ROOT, env=_env(), capture_output=True, text=True, **kwargs)
+    proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True, text=True, **kwargs)
     return proc, time.perf_counter() - t0
 
 
-def _py_loop() -> int:
-    total = 0
-    for i in range(1_000_000):
-        total += i * i % 7
-    return total
-
-
-def _numpy_kernel() -> float:
-    import numpy
-
-    x = numpy.linspace(0.0, 1.0, 1 << 17)
-    for _ in range(20):
-        x = numpy.sin(x) * 0.5 + x * 0.25
-    return float(x.sum())
-
-
-def speed_probe(prefix: str) -> dict:
-    """Best-of-PROBE_REPEATS seconds of the fixed loop and the fixed kernel."""
-    flat = {}
-    for name, probe in (("py_s", _py_loop), ("numpy_s", _numpy_kernel)):
-        times = []
-        for _ in range(PROBE_REPEATS):
-            t0 = time.perf_counter()
-            probe()
-            times.append(time.perf_counter() - t0)
-        flat[f"{prefix}.{name}"] = min(times)
-    return flat
+def _perfbench_run(workload: str, seed: int, seconds: float, trace: int,
+                   root: Path = ROOT) -> dict | str:
+    """One run.py call in the checkout at root: its summary, or the last
+    line of its stderr if it failed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc, _ = _run(cmd, root)
+    if proc.returncode != 0:
+        lines = proc.stderr.strip().splitlines()
+        return lines[-1] if lines else f"exit {proc.returncode}"
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One run.py call, flattened to `<workload>[.trace].<key>` entries,
-    with the speed probe before and after it."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+    """One run.py call, flattened to `<workload>[.trace].<key>` entries."""
     prefix = f"{workload}.trace" if trace else workload
-    flat = speed_probe(f"{prefix}.probe_before")
-    proc, _ = _run(cmd)
-    flat.update(speed_probe(f"{prefix}.probe_after"))
-    if proc.returncode != 0:
-        lines = proc.stderr.strip().splitlines()
-        flat[f"{prefix}.error"] = lines[-1] if lines else f"exit {proc.returncode}"
-        return flat
-    summary = json.loads(proc.stdout.strip().splitlines()[-1])
-    flat.update({f"{prefix}.{key}": summary[key] for key in ("correct", "attempted", "failed")})
+    summary = _perfbench_run(workload, seed, seconds, trace)
+    if isinstance(summary, str):
+        return {f"{prefix}.error": summary}
+    flat = {f"{prefix}.{key}": summary[key] for key in ("correct", "attempted", "failed")}
     for name, metric in summary["metrics"].items():
         flat[f"{prefix}.{name}"] = metric["value"]
     return flat
@@ -190,14 +180,90 @@ def machine() -> dict:
     }
 
 
+def _quartiles(samples: list[float]) -> tuple[float, float, float]:
+    if len(samples) == 1:
+        return samples[0], samples[0], samples[0]
+    return tuple(statistics.quantiles(samples, n=4, method="inclusive"))
+
+
+def summarise_pairs(prefix: str, better: str, base: list[float], change: list[float]) -> dict:
+    """Flat statistics of one metric over pairs of runs, base[i] beside
+    change[i]: each side's median and quartiles, and the pairs the change
+    won and lost; better is "higher" or "lower", and a tie counts for
+    neither side."""
+    flat = {}
+    for side, samples in (("base", base), ("change", change)):
+        q1, median, q3 = _quartiles(samples)
+        flat.update({f"{prefix}.{side}_median": median, f"{prefix}.{side}_q1": q1,
+                     f"{prefix}.{side}_q3": q3})
+    sign = 1 if better == "higher" else -1
+    flat[f"{prefix}.wins"] = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    flat[f"{prefix}.losses"] = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+    return flat
+
+
+@contextlib.contextmanager
+def _worktree(rev: str):
+    """A detached checkout of rev under a temporary directory, removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="bench_report_") as tmp:
+        path = Path(tmp) / "base"
+        _git("worktree", "add", "--detach", str(path), rev)
+        try:
+            yield path
+        finally:
+            _git("worktree", "remove", "--force", str(path))
+
+
+def compare(rev: str, seed: int, seconds: float) -> dict:
+    """Alternating untraced runs of rev (base) and this working tree
+    (change), summarised per workload and end-to-end metric."""
+    report = {"against": rev, "against_sha": _git("rev-parse", rev).decode().strip(), "pairs": PAIRS}
+    runs = {(w, side): [] for w in WORKLOADS for side in ("base", "change")}
+    with _worktree(rev) as base:
+        for i in range(1, PAIRS + 1):
+            order = (("base", base), ("change", ROOT))
+            for workload in WORKLOADS:
+                for side, root in order if i % 2 else order[::-1]:
+                    print(f"pair {i}/{PAIRS} {workload} {side}", file=sys.stderr)
+                    runs[workload, side].append(_perfbench_run(workload, seed, seconds, 0, root))
+    for workload in WORKLOADS:
+        for side in ("base", "change"):
+            summaries = [r for r in runs[workload, side] if not isinstance(r, str)]
+            errors = [r for r in runs[workload, side] if isinstance(r, str)]
+            if errors:
+                report[f"{workload}.{side}.error"] = errors[-1]
+            report[f"{workload}.{side}.correct"] = not errors and all(r["correct"] for r in summaries)
+            report[f"{workload}.{side}.failed"] = sum(r["failed"] for r in summaries)
+        complete = [(b, c) for b, c in zip(runs[workload, "base"], runs[workload, "change"])
+                    if not isinstance(b, str) and not isinstance(c, str)]
+        report[f"{workload}.pairs"] = len(complete)
+        if not complete:
+            continue
+        for metric, better in END_TO_END.items():
+            report.update(summarise_pairs(
+                f"{workload}.{metric}", better,
+                [b["metrics"][metric]["value"] for b, _ in complete],
+                [c["metrics"][metric]["value"] for _, c in complete],
+            ))
+    return report
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", required=True, help="report path, e.g. BENCH_<n>.json")
     parser.add_argument("--seconds", type=float, default=8.0, help="timed seconds per run")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--against", metavar="REV",
+                        help=f"compare this working tree with git revision REV in {PAIRS} alternating pairs")
     args = parser.parse_args(argv)
 
     report = {"schema": 1, "seconds": args.seconds, "seed": args.seed, **machine()}
+    if args.against is not None:
+        # SIGTERM raises SystemExit, so the worktree is still removed
+        signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+        report.update(compare(args.against, args.seed, args.seconds))
+        Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
+        return 0
     for workload in WORKLOADS:
         for trace in (0, 1):
             print(f"{workload} trace {trace}", file=sys.stderr)
