@@ -55,14 +55,19 @@ def _gauss_jordan(a: np.ndarray, n_cols: int) -> np.ndarray:
     for c in range(n_cols):
         if (r := len(pivots)) == a.shape[0]:
             break
-        col = a[:, c >> 3] & (0x80 >> (c & 7))
-        hits = np.flatnonzero(col[r:])
-        if hits.size:
-            p = r + int(hits[0])
-            others = np.flatnonzero(col)  # col[r] is 0 unless p == r
-            a[[r, p]] = a[[p, r]]
-            a[others[others != p]] ^= a[r]
-            pivots.append(c)
+        # every row holding bit c; the pivot is the first at or below row r
+        holders = (a[:, c >> 3] & (0x80 >> (c & 7))).nonzero()[0]
+        i = holders.searchsorted(r)
+        if i == holders.size:
+            continue
+        p = int(holders[i])
+        if p != r or holders.size > 1:
+            pivot = a[p].copy()
+            if holders.size > 1:
+                a[holders] ^= pivot  # clears row p too; the swap refills it
+            a[p] = a[r]
+            a[r] = pivot
+        pivots.append(c)
     return np.array(pivots, dtype=np.int64)
 
 
@@ -74,10 +79,17 @@ def row_reduce(mat: PackedRows) -> tuple[PackedRows, np.ndarray]:
 
 def invert(mat: PackedRows) -> PackedRows:
     """Inverse of a square GF(2) matrix; raises ValueError if singular."""
-    n, width = mat.n_cols, mat.rows.shape[1]
+    n = mat.n_cols
     if mat.rows.shape[0] != n:
         raise ValueError(f"matrix must be square, got {mat.rows.shape[0]} x {n}")
-    aug = np.concatenate([mat.rows, PackedRows.pack(np.eye(n, dtype=np.uint8)).rows], axis=1)
+    return _invert(mat, PackedRows.pack(np.eye(n, dtype=np.uint8)).rows)
+
+
+def _invert(mat: PackedRows, eye: np.ndarray) -> PackedRows:
+    """invert for a square mat, given the packed identity of its size, so
+    that a caller inverting many matrices packs it once."""
+    n, width = mat.n_cols, mat.rows.shape[1]
+    aug = np.concatenate([mat.rows, eye], axis=1)
     if _gauss_jordan(aug, n).size < n:
         raise ValueError("matrix is singular over GF(2)")
     return PackedRows(aug[:, width:].copy(), n)
@@ -87,10 +99,11 @@ def random_invertible(n: int, rng: np.random.Generator) -> tuple[PackedRows, Pac
     """A uniformly random invertible GF(2) matrix and its inverse, as packed rows.
 
     By rejection: a uniform binary matrix is invertible with probability ~0.289."""
+    eye = PackedRows.pack(np.eye(n, dtype=np.uint8)).rows
     for _ in range(MAX_INVERTIBLE_DRAWS):
         m = PackedRows.pack(rng.integers(0, 2, size=(n, n), dtype=np.uint8))
         try:
-            return m, invert(m)
+            return m, _invert(m, eye)
         except ValueError:
             continue
     raise RuntimeError(f"no invertible matrix found in {MAX_INVERTIBLE_DRAWS} draws")

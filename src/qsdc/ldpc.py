@@ -11,16 +11,20 @@ so encoding is systematic on the non-pivot columns and costs the XOR
 of the generator's packed rows that the information bits select.
 
 The decoder is flooding sum-product on log-likelihood ratios with the
-convention that positive LLR favours bit 0.  Messages are clamped to
-+-30 and the loop exits early once the hard decision satisfies every
-parity check.  It works on a padded check-slot table (`TannerGraph`),
-one column per check, so a check's product, its zero count and the
-parity of its hard decisions are each one reduction along the columns,
-and a variable's total is one reduction over its edges.  A product
-takes a check's factors in ascending variable order and multiplies the
-pads by exactly 1.0; a total adds a variable's messages in ascending
-check order.  Every message is therefore the same double, bit for bit,
-as on edges grouped check by check.
+convention that positive LLR favours bit 0.  Its messages are half-LLRs:
+the channel LLR is clamped to +-30 and halved once, so no halving comes
+before a tanh and no doubling after an arctanh.  Halving is exact above
+the subnormal range (magnitudes from about 4.5e-308), so there each
+message is half the full-scale one, bit for bit, and every hard decision
+is a full-scale decoder's.  The loop exits early once the hard decision
+satisfies every parity check.  It works on a padded check-slot table
+(`TannerGraph`), one column per check, so a check's product, its zero
+count and the parity of its hard decisions are each one reduction
+along the columns, and a variable's total is one reduction over its
+edges.  A product takes a check's factors in ascending variable order
+and multiplies the pads by exactly 1.0; a total adds a variable's
+messages in ascending check order.  Every message is therefore the
+same double, bit for bit, as on edges grouped check by check.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 from qsdc.gf2 import PackedRows, row_reduce
 
 LLR_CLAMP = 30.0
+_HALF_CLAMP = LLR_CLAMP / 2
 _TANH_LIM = 1.0 - 1e-12
 
 
@@ -43,7 +48,9 @@ def peg_construct(
     checks count as infinitely far), breaking ties by lowest check
     degree and then by one uniform draw over the tied checks in
     ascending index order.  The first edge of a variable has no graph
-    to search, so every check is a candidate.
+    to search, so every check is a candidate.  The checks at the lowest
+    degree overall are tracked as edges land; only when no candidate is
+    among them are the candidates' degrees compared.
 
     The growing graph is held as packed bit rows, row c having bit c2
     set when some variable joins checks c and c2, so one breadth-first
@@ -56,38 +63,52 @@ def peg_construct(
     check_degree = np.zeros(n_checks, dtype=np.int64)
     linked = np.zeros((n_checks, (n_checks + 7) // 8), dtype=np.uint8)
     every_check = np.packbits(np.ones(n_checks, dtype=bool))
+    # the checks of the lowest degree, as packed bits, and how many there are:
+    # when a candidate has that degree, the tied candidates are those checks
+    min_degree, at_min, n_at_min = 0, every_check.copy(), n_checks
+    unpack, or_reduce, take, draw = np.unpackbits, np.bitwise_or.reduce, linked.take, rng.integers
 
     for v in range(n_vars):
+        adjacent = []
         for j in range(var_degree):
-            adjacent = var_checks[v, :j]
             candidates = every_check
             if j:
                 # breadth-first expansion of the checks reachable from v;
                 # prev holds the unreached set one level before the last growth
                 unreached = every_check.copy()
-                for c in adjacent.tolist():
+                for c in adjacent:
                     unreached[c >> 3] ^= 0x80 >> (c & 7)
                 prev = unreached
                 n_reached = j
                 frontier = adjacent
                 while n_reached < n_checks:
-                    new = np.bitwise_or.reduce(linked.take(frontier, axis=0), axis=0)
+                    new = or_reduce(take(frontier, axis=0), axis=0)
                     new &= unreached
-                    frontier = np.unpackbits(new, count=n_checks).nonzero()[0]
+                    frontier = unpack(new, count=n_checks).view(bool).nonzero()[0]
                     if not frontier.size:
                         break
                     prev, unreached = unreached, unreached ^ new
                     n_reached += frontier.size
                 candidates = unreached if n_reached < n_checks else prev
-            cand = np.unpackbits(candidates, count=n_checks).nonzero()[0]
-            degs = check_degree[cand]
-            low = cand[degs == degs.min()]
-            c = int(low[rng.integers(0, low.size)])
-            for c2 in adjacent.tolist():
+            low = unpack(candidates & at_min, count=n_checks).view(bool).nonzero()[0]
+            if not low.size:
+                cand = unpack(candidates, count=n_checks).view(bool).nonzero()[0]
+                degs = check_degree[cand]
+                low = cand[degs == degs.min()]
+            c = int(low[draw(0, low.size)])
+            for c2 in adjacent:
                 linked[c, c2 >> 3] |= 0x80 >> (c2 & 7)
                 linked[c2, c >> 3] |= 0x80 >> (c & 7)
-            var_checks[v, j] = c
+            adjacent.append(c)
             check_degree[c] += 1
+            if check_degree[c] == min_degree + 1:
+                at_min[c >> 3] ^= 0x80 >> (c & 7)
+                n_at_min -= 1
+                if not n_at_min:
+                    min_degree += 1
+                    lowest = check_degree == min_degree
+                    at_min, n_at_min = np.packbits(lowest), int(lowest.sum())
+        var_checks[v] = adjacent
     return var_checks
 
 
@@ -196,12 +217,13 @@ def bp_decode(
     (u_hat, converged, iterations); u_hat is the best-effort
     information word even when the decoder did not converge.
     """
-    llr0 = np.clip(np.asarray(llrs, dtype=np.float64), -LLR_CLAMP, LLR_CLAMP)
+    # half-LLR messages, as the module docstring says
+    half0 = 0.5 * np.clip(np.asarray(llrs, dtype=np.float64), -LLR_CLAMP, LLR_CLAMP)
     slots, pad, var_edges = edges.slots, edges.pad, edges.var_edges
     # per-variable totals and the dummy's 0.0, which no parity can see;
     # one gather into the slot table feeds the syndrome and the messages
     totals = np.zeros(edges.n_vars + 1)
-    totals[:-1] = llr0
+    totals[:-1] = half0
     gathered = totals.take(slots)
     converged = _parity_ok(gathered < 0)
     r = np.zeros_like(gathered)
@@ -212,20 +234,19 @@ def bp_decode(
     while not converged and iterations < max_iters:
         iterations += 1
         q = np.subtract(gathered, r, out=gathered)
-        np.minimum(np.maximum(q, -LLR_CLAMP, out=q), LLR_CLAMP, out=q)
-        # halving by 0.5 rounds exactly as dividing by 2 does
-        t = np.tanh(np.multiply(q, 0.5, out=q), out=q)
-        np.copyto(t, 1.0, where=pad)
+        np.minimum(np.maximum(q, -_HALF_CLAMP, out=q), _HALF_CLAMP, out=q)
+        t = np.tanh(q, out=q)
+        np.putmask(t, pad, 1.0)
         # exclusion product per edge: zero messages leave the product, and
         # an edge is erased as soon as some other edge of its check is zero
         zero = t == 0.0
         n_zero = np.add.reduce(zero.view(np.uint8), axis=0, dtype=count)
-        np.copyto(t, 1.0, where=zero)
+        np.putmask(t, zero, 1.0)
         np.divide(np.multiply.reduce(t, axis=0), t, out=r)
-        np.copyto(r, 0.0, where=n_zero != zero.view(np.uint8))
+        np.putmask(r, n_zero != zero.view(np.uint8), 0.0)
         np.minimum(np.maximum(r, -_TANH_LIM, out=r), _TANH_LIM, out=r)
-        np.multiply(2.0, np.arctanh(r, out=r), out=r)
-        np.add(llr0, np.add.reduce(r.take(var_edges), axis=0), out=totals[:-1])
+        np.arctanh(r, out=r)
+        np.add(half0, np.add.reduce(r.take(var_edges), axis=0), out=totals[:-1])
         gathered = totals.take(slots)
         converged = _parity_ok(gathered < 0)
     return (totals[info_positions] < 0).astype(np.uint8), converged, iterations

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qsdc.gf2 import PackedRows, invert, random_invertible, row_reduce
 
@@ -109,6 +109,14 @@ def _matrices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_matrices())
+# column 1 holds a bit only above its pivot row: no pivot there
+@example(np.array([[1, 1], [0, 0]], dtype=np.uint8))
+# column 0 has its pivot in row 0 and a bit in row 1 (p == r)
+@example(np.array([[1, 1, 0], [1, 0, 1]], dtype=np.uint8))
+# column 1's pivot is row 2, below r = 1, with a bit above (p != r)
+@example(np.array([[1, 1, 0], [1, 1, 0], [0, 1, 1]], dtype=np.uint8))
+# a sole holder below r: a swap with nothing to eliminate
+@example(np.array([[0, 1], [1, 0]], dtype=np.uint8))
 def test_packed_row_reduce_matches_dense_oracle(m):
     want, want_pivots, want_rank = gf2_row_reduce(m)
     red, pivots = row_reduce(PackedRows.pack(m))

@@ -125,7 +125,21 @@ def test_peg_degrees_and_girth(rng):
 
 @pytest.mark.parametrize(
     "n_checks, n_vars, var_degree",
-    [(3, 6, 3), (5, 7, 2), (12, 24, 3), (20, 40, 3), (33, 50, 4), (64, 128, 3), (9, 9, 9)],
+    [
+        (3, 6, 3),
+        (5, 7, 2),
+        (12, 24, 3),
+        (20, 40, 3),
+        (33, 50, 4),
+        (64, 128, 3),
+        (9, 9, 9),
+        # every edge a first edge: the lowest degree rises five times
+        (7, 40, 1),
+        # more checks than variables: most searches stall before reaching all
+        (200, 150, 3),
+        # many checks tied at the lowest degree on every draw
+        (16, 32, 2),
+    ],
 )
 def test_peg_equals_set_reference(n_checks, n_vars, var_degree):
     for seed in range(3):
