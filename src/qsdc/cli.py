@@ -22,14 +22,14 @@ from pathlib import Path
 from qsdc.attacks import AttackModel
 from qsdc.config_io import load_config
 from qsdc.experiments import (
-    STABILITY_HEADER,
     SweepSpec,
     run_capacity_sweep,
     run_e2e,
     run_stability,
+    stability_to_csv,
     sweep_to_csv,
 )
-from qsdc.protocol import NOMINAL, ProtocolConfig
+from qsdc.protocol import NOMINAL
 from qsdc.security import ErrorRates, half_bias_capacity, secrecy_capacity
 from qsdc.states import loss_to_survival
 
@@ -65,6 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--loss-db", type=float, default=NOMINAL.data_channel.loss_db, help="system loss in dB"
     )
     _add_rate_args(cap)
+    cap.set_defaults(run=_cmd_capacity)
 
     sw = sub.add_parser("sweep", help="capacity sweep over loss range, CSV output")
     sw.add_argument("--loss-start", type=float, default=5.0)
@@ -72,12 +73,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--loss-step", type=float, default=0.5)
     _add_rate_args(sw)
     sw.add_argument("--output", default="-", help="CSV path, or - for stdout")
+    sw.set_defaults(run=_cmd_sweep)
 
     st = sub.add_parser("stability", help="per-block error table over a session")
     st.add_argument("--config", default=None, help="INI config path")
     st.add_argument("--blocks", type=int, default=50)
     st.add_argument("--seed", type=int, default=1)
     st.add_argument("--output", default="-", help="CSV path, or - for stdout")
+    st.set_defaults(run=_cmd_stability)
 
     snd = sub.add_parser("send", help="transmit a file through the simulated link")
     snd.add_argument("--config", default=None, help="INI config path")
@@ -94,13 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     snd.add_argument("--attack-ez", type=float, default=0.0)
     snd.add_argument("--report", default=None, help="write the JSON report here as well")
     snd.add_argument("--transcript", default=None, help="write per-block JSONL here")
+    snd.set_defaults(run=_cmd_send)
     return parser
-
-
-def _load_config_arg(path: str | None) -> ProtocolConfig:
-    if path is None:
-        return NOMINAL
-    return load_config(path)
 
 
 def _attack_from_args(args: argparse.Namespace) -> AttackModel:
@@ -155,28 +153,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args.config)
+    config = NOMINAL if args.config is None else load_config(args.config)
     report = run_stability(config, args.blocks, args.seed)
-    lines = [",".join(STABILITY_HEADER)]
-    for row in report.rows:
-        cells = []
-        for col in STABILITY_HEADER:
-            value = row[col]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(f"{value:.8e}")
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    _write_output("\n".join(lines) + "\n", args.output)
+    _write_output(stability_to_csv(report.rows), args.output)
     for key, value in report.summary.items():
         print(f"{key} {value}", file=sys.stderr)
     return _exit_code(report.summary["abort_reason"])
 
 
 def _cmd_send(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args.config)
+    config = NOMINAL if args.config is None else load_config(args.config)
     attack = _attack_from_args(args)
     report = run_e2e(
         config,
@@ -194,16 +180,9 @@ def _cmd_send(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "capacity": _cmd_capacity,
-        "sweep": _cmd_sweep,
-        "stability": _cmd_stability,
-        "send": _cmd_send,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

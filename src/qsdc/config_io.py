@@ -51,15 +51,21 @@ def _parse_section(parser: configparser.ConfigParser, section: str) -> dict:
 
 
 def parse_config(text: str) -> ProtocolConfig:
+    """The config the INI text describes; ValueError for a bad one."""
     parser = configparser.ConfigParser()
-    parser.read_string(text)
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ValueError(f"unknown section [{section}]")
+    try:
+        parser.read_string(text)
+        for section in parser.sections():
+            if section not in _SECTIONS:
+                raise ValueError(f"unknown section [{section}]")
+        parsed = {section: _parse_section(parser, section) for section in _SECTIONS}
+    except configparser.Error as exc:
+        # a text that is not INI, or a % that starts no interpolation
+        raise ValueError(f"malformed config: {exc}") from exc
     default = ProtocolConfig()
     kwargs: dict = {}
     for section, cls in _SECTIONS.items():
-        values = _parse_section(parser, section)
+        values = parsed[section]
         if cls is ProtocolConfig:
             kwargs.update(values)
         elif values:

@@ -1,8 +1,8 @@
 """Experiment harnesses: stability runs, capacity sweeps, file transfer.
 
-Each harness returns plain rows (lists of dicts) plus a summary dict so
-the command line layer can render them as delimited text without any
-knowledge of the underlying protocol objects.
+Each harness returns plain rows (lists of dicts), and some a summary
+dict.  This module formats rows as CSV text; the command line layer
+writes that text, the summaries and the send report where asked.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from qsdc.attacks import AttackKind, AttackModel
-from qsdc.protocol import FRAME_HEADER_BYTES, NOMINAL, ProtocolConfig, run_session
-from qsdc.security import ErrorRates, half_bias_capacity
+from qsdc.protocol import NOMINAL, ProtocolConfig, payload_bytes_for_blocks, run_session
+from qsdc.security import ErrorRates, SecurityEstimate, half_bias_capacity
 from qsdc.states import loss_to_survival
 
 
@@ -25,6 +25,16 @@ def _mean_std(values: list[float]) -> tuple[Optional[float], Optional[float]]:
         return None, None
     arr = np.asarray(values, dtype=float)
     return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+
+
+def _csv(header: tuple[str, ...], rows: list[dict], default: str, formats: dict[str, str]) -> str:
+    """The rows as CSV text under header: None as an empty cell, any other
+    value in the %-format formats names for its column, else default."""
+    lines = [",".join(header)]
+    for r in rows:
+        cells = ("" if r[c] is None else formats.get(c, default) % r[c] for c in header)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -45,17 +55,15 @@ def run_stability(config: ProtocolConfig, n_blocks: int, seed: int) -> Stability
     """Run n_blocks consecutive protocol blocks and tabulate the
     per-block error estimates.
 
-    A synthetic payload sized to exactly n_blocks codeword blocks is
-    transmitted; each block attempt contributes one row of
-    (e_x, e_z, e) where e is the forward check error seen on the data
-    path.  The summary reports per-column means and standard
-    deviations plus the pooled counts behind them.
+    A synthetic payload that fills exactly n_blocks codeword blocks is
+    transmitted (payload_bytes_for_blocks); each block attempt
+    contributes one row of (e_x, e_z, e) where e is the forward check
+    error seen on the data path.  The summary reports per-column means
+    and standard deviations plus the pooled counts behind them.
     """
     if n_blocks < 1:
         raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
-    payload_bytes = (n_blocks * config.code.k_m - 8 * FRAME_HEADER_BYTES) // 8
-    if payload_bytes < 1:
-        raise ValueError("code too small to fit the framing header in one block")
+    payload_bytes = payload_bytes_for_blocks(n_blocks, config.code.k_m)
     payload = np.random.default_rng(seed).integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
     transcript = run_session(config, payload, seed)
 
@@ -63,29 +71,24 @@ def run_stability(config: ProtocolConfig, n_blocks: int, seed: int) -> Stability
         {col: getattr(b, name) for col, name in _STABILITY_FIELDS.items()}
         for b in transcript.blocks
     ]
-    ex_vals = [r["e_x"] for r in rows if r["e_x"] is not None]
-    ez_vals = [r["e_z"] for r in rows if r["e_z"] is not None]
-    e_vals = [r["e"] for r in rows if r["e"] is not None]
-    mean_ex, std_ex = _mean_std(ex_vals)
-    mean_ez, std_ez = _mean_std(ez_vals)
-    mean_e, std_e = _mean_std(e_vals)
-    summary = {
-        "n_rows": len(rows),
-        "n_blocks_requested": n_blocks,
-        "mean_e_x": mean_ex,
-        "std_e_x": std_ex,
-        "mean_e_z": mean_ez,
-        "std_e_z": std_ez,
-        "mean_e": mean_e,
-        "std_e": std_e,
-        "n_x_total": sum(r["n_x"] for r in rows),
-        "n_z_total": sum(r["n_z"] for r in rows),
-        "n_fwd_total": sum(r["n_fwd"] for r in rows),
-        "security_abort": transcript.security_abort,
-        "abort_reason": transcript.abort_reason,
-        "delivered_ok": transcript.delivered == payload,
-    }
+    summary = {"n_rows": len(rows), "n_blocks_requested": n_blocks}
+    for col in ("e_x", "e_z", "e"):
+        values = [r[col] for r in rows if r[col] is not None]
+        summary[f"mean_{col}"], summary[f"std_{col}"] = _mean_std(values)
+    summary.update(
+        n_x_total=sum(r["n_x"] for r in rows),
+        n_z_total=sum(r["n_z"] for r in rows),
+        n_fwd_total=sum(r["n_fwd"] for r in rows),
+        security_abort=transcript.security_abort,
+        abort_reason=transcript.abort_reason,
+        delivered_ok=transcript.delivered == payload,
+    )
     return StabilityReport(rows=rows, summary=summary)
+
+
+def stability_to_csv(rows: list[dict]) -> str:
+    """Stability rows as CSV: %.8e for the rates and c_s, %s for the rest."""
+    return _csv(STABILITY_HEADER, rows, "%s", dict.fromkeys(("e_x", "e_z", "e", "c_s"), "%.8e"))
 
 
 @dataclass(frozen=True)
@@ -128,25 +131,19 @@ def run_capacity_sweep(spec: SweepSpec) -> list[dict]:
     for loss_db in spec.losses():
         q_bob = loss_to_survival(loss_db)
         est = half_bias_capacity(rates, q_bob, spec.g)
-        rows.append(
-            {
-                "loss_db": float(loss_db),
-                "q_bob": q_bob,
-                "i_ab": est.i_ab,
-                "i_ae": est.i_ae,
-                "c_s": est.c_s,
-            }
-        )
+        rows.append(dict(zip(SWEEP_HEADER, (float(loss_db), q_bob, est.i_ab, est.i_ae, est.c_s))))
     return rows
 
 
 def sweep_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(SWEEP_HEADER)]
-    for r in rows:
-        lines.append(
-            "%.6f,%.10e,%.10e,%.10e,%.10e" % tuple(r[k] for k in SWEEP_HEADER)
-        )
-    return "\n".join(lines) + "\n"
+    """Sweep rows as CSV: %.6f for loss_db, %.10e for the rest."""
+    return _csv(SWEEP_HEADER, rows, "%.10e", {"loss_db": "%.6f"})
+
+
+def _data_path_estimate(config: ProtocolConfig, e_x: float, e_z: float) -> SecurityEstimate:
+    """The closed forms at p = 0.5 on the data channel, at check rates e_x, e_z."""
+    rates = ErrorRates(e_x=e_x, e_z=e_z, e=config.data_channel.flip_prob)
+    return half_bias_capacity(rates, config.data_channel.survival, config.g)
 
 
 def run_e2e(
@@ -172,13 +169,13 @@ def run_e2e(
     data = Path(input_path).read_bytes()
     transcript = run_session(config, data, seed, attack=attack)
 
-    retries = sum(1 for b in transcript.blocks if b.attempt > 0)
+    e_check = config.check_channel.flip_prob
     report = {
         "bytes_in": len(data),
         "bytes_out": len(transcript.delivered),
         "byte_identical": transcript.delivered == data,
         "blocks": len(transcript.blocks),
-        "retries": retries,
+        "retries": sum(b.attempt > 0 for b in transcript.blocks),
         "pulses_emitted": transcript.pulses_emitted,
         "security_abort": transcript.security_abort,
         "abort_reason": transcript.abort_reason,
@@ -186,18 +183,17 @@ def run_e2e(
         "block_rate_bits_per_s": (
             config.code.k_m / config.slots_per_block * config.repetition_rate_hz
         ),
-        "capacity_rate_bits_per_s": _nominal_capacity(config) * config.repetition_rate_hz,
+        "capacity_rate_bits_per_s": (
+            _data_path_estimate(config, e_check, e_check).c_s * config.repetition_rate_hz
+        ),
         "attack": attack.kind.value,
     }
     if not transcript.ok:
         report["abort_block"] = transcript.blocks[-1].block_index
     if attack.kind is AttackKind.OPTIMAL_COLLECTIVE:
         # Eve's analytic bound at her target disturbance
-        rates = ErrorRates(
-            e_x=attack.e_x_target, e_z=attack.e_z_target, e=config.data_channel.flip_prob
-        )
-        report["eve_bound_bits_per_pulse"] = half_bias_capacity(
-            rates, config.data_channel.survival, config.g
+        report["eve_bound_bits_per_pulse"] = _data_path_estimate(
+            config, attack.e_x_target, attack.e_z_target
         ).i_ae
     if transcript.ok:
         Path(output_path).write_bytes(transcript.delivered)
@@ -205,12 +201,3 @@ def run_e2e(
     if transcript_path is not None:
         Path(transcript_path).write_text(transcript.to_jsonl())
     return report
-
-
-def _nominal_capacity(config: ProtocolConfig) -> float:
-    rates = ErrorRates(
-        e_x=config.check_channel.flip_prob,
-        e_z=config.check_channel.flip_prob,
-        e=config.data_channel.flip_prob,
-    )
-    return half_bias_capacity(rates, config.data_channel.survival, config.g).c_s

@@ -71,7 +71,7 @@ class ProtocolConfig:
     """
 
     code: CodeParams = field(default_factory=CodeParams)
-    block_pulses: int = 1_088_960
+    block_pulses: int = CodeParams().block_chips
     check_fraction: float = 0.1
     forward_check_fraction: float = 0.05
     check_channel: ChannelParams = field(default_factory=lambda: ChannelParams(25.1, 0.008))
@@ -182,19 +182,6 @@ def bob_estimate_errors(bases: np.ndarray, outcomes: np.ndarray, prepared: np.nd
     )
 
 
-def _capped_rates(e_x: float, e_z: float, e: float) -> ErrorRates:
-    # measured rates can exceed the entropy-formula domain under attack;
-    # beyond e_x + e_z = 0.5 Eve's information is already maximal, so the
-    # pair is scaled back onto the boundary; a scaled pair can still sum
-    # to an ulp above 0.5, and each further pass lowers it, so this ends
-    # after one or two passes
-    while e_x + e_z > 0.5:
-        scale = 0.5 / (e_x + e_z)
-        e_x *= scale
-        e_z *= scale
-    return ErrorRates(e_x=e_x, e_z=e_z, e=min(e, 0.5))
-
-
 def gate_on_capacity(
     e_x: float, e_z: float, e: float, q_bob: float, g: float
 ) -> tuple[bool, SecurityEstimate]:
@@ -203,11 +190,15 @@ def gate_on_capacity(
     e_x, e_z are the measured check error rates and e the data-path
     rate.  Returns whether the closed-form secrecy capacity at the
     operating bias p = 0.5 is positive, and the estimate it was
-    decided on.  Measured rates outside the entropy domain (e_x + e_z
-    > 0.5) are scaled onto the boundary where Eve's information is
-    already maximal.
+    decided on.  Measured rates can leave the entropy-formula domain
+    under attack, so e_x + e_z and e are each capped at 0.5.
     """
-    estimate = half_bias_capacity(_capped_rates(e_x, e_z, e), q_bob, g)
+    # at p = 1/2 the estimate reads only e and the sum e_x + e_z, and
+    # Eve's bound is maximal from a sum of 0.5 on; a conditional caps
+    # in less time than min(), and passes a NaN on to be rejected
+    s = e_x + e_z
+    rates = ErrorRates(e_x=0.5 if s > 0.5 else s, e_z=0.0, e=0.5 if e > 0.5 else e)
+    estimate = half_bias_capacity(rates, q_bob, g)
     return estimate.c_s > 0.0, estimate
 
 
@@ -445,6 +436,15 @@ FRAME_HEADER_BYTES = 4
 # a block is sent at most 1 + MAX_BLOCK_RETRIES times before the session
 # ends with decode-failure
 MAX_BLOCK_RETRIES = 8
+
+
+def payload_bytes_for_blocks(n_blocks: int, k_m: int) -> int:
+    """The most bytes that _frame_message splits into exactly n_blocks
+    chunks of k_m bits; ValueError if no payload of a byte or more is."""
+    payload = n_blocks * k_m // 8 - FRAME_HEADER_BYTES
+    if payload < 1 or 8 * (FRAME_HEADER_BYTES + payload) <= (n_blocks - 1) * k_m:
+        raise ValueError(f"no whole-byte payload fills exactly {n_blocks} blocks of {k_m} bits")
+    return payload
 
 
 def _frame_message(message: bytes, k_m: int) -> list[np.ndarray]:

@@ -122,6 +122,12 @@ def test_bench_report_failed_run_keeps_every_value_scalar(monkeypatch):
     assert isinstance(flat["bogus.error"], str) and "error" in flat["bogus.error"]
 
 
+def test_bench_report_runs_as_long_as_the_benchmark_by_default():
+    # a default report measures the run length BENCHMARK.json declares
+    run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert _bench_report().build_parser().parse_args(["--output", "x"]).seconds == run_seconds
+
+
 def test_bench_report_summarises_pairs_with_ties_for_neither_side():
     # pair by pair the change is higher, tied, higher, lower, higher
     base = [1.0, 2.0, 3.0, 4.0, 5.0]

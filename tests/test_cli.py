@@ -299,6 +299,56 @@ def test_stability_decode_failure_exit_code(tmp_path, capsys):
         assert f"abort_reason {reason}" in capsys.readouterr().err
 
 
+# a noisy check path: its small check samples close the gate on block 3
+# at seed 3, so the table has nonzero check rates and a negative c_s
+NOISY_CHECK_INI = FAST_INI.replace("flip_prob = 0.0\n", "flip_prob = 0.02\n")
+# sha256 of `qsdc stability` stdout and stderr, and of the `qsdc send`
+# JSON reports without output_path (a temporary path), on these runs: a
+# change to any printed byte shows
+_STABILITY_PIN_RUNS = (
+    (FAST_INI, ["--blocks", "6", "--seed", "2"], EXIT_OK),
+    (NOISY_CHECK_INI, ["--blocks", "4", "--seed", "3"], EXIT_SECURITY),
+    (FAILING_INI, ["--blocks", "2", "--seed", "1"], EXIT_DECODE),
+    (DEAD_CHECK_INI, ["--blocks", "1", "--seed", "1"], EXIT_DEFERRED),
+)
+_SEND_PIN_RUNS = (
+    (FAST_INI, ["--seed", "4"], EXIT_OK),
+    (FAST_INI, ["--seed", "5", "--attack", "collective", "--attack-ex", "0.02",
+                "--attack-ez", "0.01"], EXIT_OK),
+    (FAST_INI, ["--seed", "6", "--attack", "intercept-resend"], EXIT_SECURITY),
+    (FAILING_INI, ["--seed", "7"], EXIT_DECODE),
+)
+_STABILITY_PIN = "d30087c2ef5056db6f99113faeac19461754dbd441f96a0e5bfc96fd56f2381a"
+_SEND_PIN = "0d44ea8e1ba9d129c16663767ba57c283a6650dd18e77253667bff47ceadd2a7"
+
+
+def test_stability_output_pinned(tmp_path, capsys):
+    cfg = tmp_path / "pin.ini"
+    digest = hashlib.sha256()
+    for ini, argv, exit_code in _STABILITY_PIN_RUNS:
+        cfg.write_text(ini)
+        assert main(["stability", "--config", str(cfg), *argv]) == exit_code
+        out, err = capsys.readouterr()
+        digest.update(out.encode() + b"\n" + err.encode())
+    assert digest.hexdigest() == _STABILITY_PIN
+
+
+def test_send_report_pinned(tmp_path, capsys):
+    cfg = tmp_path / "pin.ini"
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(range(256)))
+    digest = hashlib.sha256()
+    for ini, argv, exit_code in _SEND_PIN_RUNS:
+        cfg.write_text(ini)
+        rc = main(["send", "--config", str(cfg), "--input", str(src),
+                   "--output", str(tmp_path / "out.bin"), *argv])
+        assert rc == exit_code
+        report = json.loads(capsys.readouterr().out)
+        report.pop("output_path", None)
+        digest.update(json.dumps(report, indent=2).encode() + b"\n")
+    assert digest.hexdigest() == _SEND_PIN
+
+
 def test_send_missing_input_is_io_error(tmp_path, capsys):
     rc = main(["send", "--input", str(tmp_path / "nope.bin"),
                "--output", str(tmp_path / "o.bin")])
@@ -374,6 +424,19 @@ def test_readme_config_example_is_the_nominal_config():
     assert "\n".join(example).strip() == render_config(nominal_config()).strip()
 
 
+def test_readme_capacity_example_is_the_cli_output(capsys):
+    # the README's `capacity --q-bob 0.003` block is what the CLI prints
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("    $ python3 -m qsdc.cli capacity --q-bob 0.003")
+    example = []
+    for line in lines[start + 1:]:
+        if not line.startswith("    "):
+            break
+        example.append(line[4:] + "\n")
+    assert main(["capacity", "--q-bob", "0.003"]) == EXIT_OK
+    assert "".join(example) == capsys.readouterr().out
+
+
 def test_config_defaults_for_missing_sections():
     assert parse_config("") == nominal_config()
     partial = parse_config("[data_channel]\nloss_db = 12\nflip_prob = 0.01\n")
@@ -442,6 +505,27 @@ def test_bad_config_is_io_error(tmp_path, capsys):
     cfg.write_text("[protocol]\nnot_a_key = 3\n")
     rc = main(["stability", "--config", str(cfg), "--blocks", "1"])
     assert rc == EXIT_IO
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("l = 256\n", id="no section header"),
+        pytest.param("[code]\nl = 256\nl = 512\n", id="duplicate key"),
+        pytest.param("[code]\nl = 256\n[code]\nk_u = 128\n", id="duplicate section"),
+        pytest.param("[code]\nl = 256\n[protocol\ne_margin = 0.1\n", id="unclosed section"),
+        pytest.param("[data_channel]\nflip_prob = 5%\n", id="percent in value"),
+    ],
+)
+def test_malformed_config_file_is_io_error(tmp_path, capsys, text):
+    # a file configparser cannot read is a usage error, not a traceback
+    cfg = tmp_path / "malformed.ini"
+    cfg.write_text(text)
+    with pytest.raises(ValueError, match="malformed config"):
+        load_config(cfg)
+    rc = main(["stability", "--config", str(cfg), "--blocks", "1"])
+    assert rc == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: malformed config")
 
 
 def test_config_checking_every_slot_is_io_error(tmp_path, capsys):

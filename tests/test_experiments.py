@@ -118,6 +118,24 @@ def test_stability_validation(fast_config):
         run_stability(fast_config, 0, seed=1)
 
 
+def test_stability_runs_exactly_the_blocks_asked_or_refuses():
+    # 3 message bits per block: 22 blocks hold the 64 bits of the header
+    # and a 4-byte payload, while 20 blocks (57 to 60 bits) and 12 (33 to
+    # 36) hold no whole number of bytes above the 32-bit header
+    config = ProtocolConfig(
+        code=CodeParams(8, 4, 1, 4, seed=7),
+        block_pulses=32,
+        check_channel=ChannelParams(0.0, 0.0),
+        data_channel=ChannelParams(0.0, 0.0),
+    )
+    report = run_stability(config, 22, seed=1)
+    assert report.summary["delivered_ok"]
+    assert {r["block"] for r in report.rows} == set(range(22))
+    for n_blocks in (20, 12):
+        with pytest.raises(ValueError, match=f"exactly {n_blocks} blocks of 3 bits"):
+            run_stability(config, n_blocks, seed=1)
+
+
 def test_e2e_roundtrip(tmp_path, fast_config):
     src = tmp_path / "payload.bin"
     dst = tmp_path / "recovered.bin"

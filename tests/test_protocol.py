@@ -2,7 +2,9 @@
 
 The engine draws only the slots that are observed.  The slot-by-slot
 engine it replaced lives here as the dense oracle (_dense_block_attempt
-and its helpers); its statistics are compared with the engine's.
+and its helpers); its statistics are compared with the engine's.  The
+gate's former rule, which rescaled the pair (e_x, e_z) onto the entropy
+domain, lives here as _rescaling_gate; the gate must decide as it did.
 """
 
 import dataclasses
@@ -31,6 +33,7 @@ from qsdc.protocol import (
     draw_data_detections,
     gate_on_capacity,
     nominal_config,
+    payload_bytes_for_blocks,
     realize_code,
     run_session,
     _PooledCounts,
@@ -38,6 +41,7 @@ from qsdc.protocol import (
     _run_block_attempt,
     _unframe_message,
 )
+from qsdc.security import ErrorRates, half_bias_capacity
 from qsdc.spreading import spread
 from qsdc.states import ChannelParams, flip_codes, measure_codes
 from qsdc.wiretap_code import uhf_map
@@ -162,6 +166,22 @@ def _dense_block_attempt(config, code, chunk_bits, seed, serial, attack):
     return BlockRecord(**fields), message_bits
 
 
+# --- the gate's former rule: the rate pair rescaled ------------------------
+
+
+def _rescaling_gate(e_x, e_z, e, q_bob, g):
+    """gate_on_capacity as it was: a pair with e_x + e_z > 0.5, where
+    Eve's information is already maximal, is scaled back onto the
+    boundary.  A scaled pair can still sum to an ulp above 0.5, and each
+    further pass lowers it, so this ends after one or two passes."""
+    while e_x + e_z > 0.5:
+        scale = 0.5 / (e_x + e_z)
+        e_x *= scale
+        e_z *= scale
+    estimate = half_bias_capacity(ErrorRates(e_x=e_x, e_z=e_z, e=min(e, 0.5)), q_bob, g)
+    return estimate.c_s > 0.0, estimate
+
+
 # --- tests ----------------------------------------------------------------
 
 
@@ -272,11 +292,39 @@ def test_gate_survives_saturated_rates():
     assert not proceed
 
 
+# a pair that the former rule's first rescaling left an ulp above 0.5
+_RESCALE_ULP_PAIR = (0.27535131086748066, 0.2538143313219278)
+
+
 def test_gate_survives_rescale_rounding():
-    # one rescaling of this pair sums to an ulp above 0.5, outside the
-    # entropy-formula domain; the gate must still decide
-    proceed, _ = gate_on_capacity(0.27535131086748066, 0.2538143313219278, 0.006, 0.00309, 2.57)
+    # this pair sums above 0.5, outside the entropy-formula domain, and
+    # rescaling it onto the boundary took two passes; capping the sum
+    # must decide as that did
+    proceed, _ = gate_on_capacity(*_RESCALE_ULP_PAIR, 0.006, 0.00309, 2.57)
     assert not proceed
+
+
+def test_gate_matches_rescaling_rule_on_count_ratio_grid():
+    # every check rate e_x, e_z that counts of up to 20 pulses give,
+    # 14,629 of the 16,641 pairs summing above 0.5
+    ratios = sorted({err / n for n in range(1, 21) for err in range(n + 1)})
+    for e_x in ratios:
+        for e_z in ratios:
+            args = (e_x, e_z, 0.006, 0.00309, 2.57)
+            assert gate_on_capacity(*args) == _rescaling_gate(*args), args
+    args = (*_RESCALE_ULP_PAIR, 0.006, 0.00309, 2.57)
+    assert gate_on_capacity(*args) == _rescaling_gate(*args)
+
+
+_COUNTS = st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
+
+
+@given(_COUNTS, _COUNTS, _COUNTS, st.floats(0.0, 1.0), st.floats(0.0, 10.0))
+@settings(max_examples=300, deadline=None)
+def test_gate_matches_rescaling_rule_on_pooled_counts(x, z, fwd, q_bob, g):
+    # the pooled rates the session gate decides on: ratios of counts
+    args = (x[0] / x[1], z[0] / z[1], fwd[0] / fwd[1], q_bob, g)
+    assert gate_on_capacity(*args) == _rescaling_gate(*args)
 
 
 def test_gate_ignores_code_random_bit_rate(fast_config):
@@ -428,6 +476,22 @@ def test_frame_unframe_roundtrip(payload):
     chunks = _frame_message(payload, 96)
     assert all(c.size == 96 for c in chunks)
     assert _unframe_message(chunks) == payload
+
+
+@pytest.mark.parametrize("k_m", [1, 3, 7, 8, 13, 96])
+def test_payload_bytes_for_blocks_frames_into_exactly_n_blocks(k_m):
+    # the longest whole-byte payload that frames into n blocks, or a
+    # ValueError where none does
+    for n_blocks in range(1, 41):
+        fits = [
+            size for size in range(1, n_blocks * k_m // 8 + 2)
+            if len(_frame_message(bytes(size), k_m)) == n_blocks
+        ]
+        if fits:
+            assert payload_bytes_for_blocks(n_blocks, k_m) == max(fits)
+        else:
+            with pytest.raises(ValueError, match=f"exactly {n_blocks} blocks of {k_m} "):
+                payload_bytes_for_blocks(n_blocks, k_m)
 
 
 def test_session_roundtrip(fast_config):

@@ -1,7 +1,10 @@
 """Write one flat JSON benchmark report for the checkout this file is in.
 
-    python3 tools/bench_report.py --output BENCH_<n>.json [--seconds 8] [--seed 1]
-    python3 tools/bench_report.py --output BENCH_<n>.json --against <rev> [--seconds 8] [--seed 1]
+    python3 tools/bench_report.py --output BENCH_<n>.json [--seconds S] [--seed 1]
+    python3 tools/bench_report.py --output BENCH_<n>.json --against <rev> [--seconds S] [--seed 1]
+
+S, the timed seconds of each run, defaults to BENCHMARK.json's
+run_seconds, the run length the benchmark itself uses.
 
 It runs perfbench/run.py for every workload, untraced and traced, then
 times a cold nominal `build_code` in a fresh process, takes the
@@ -248,14 +251,19 @@ def compare(rev: str, seed: int, seconds: float) -> dict:
     return report
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", required=True, help="report path, e.g. BENCH_<n>.json")
-    parser.add_argument("--seconds", type=float, default=8.0, help="timed seconds per run")
+    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"],
+                        help="timed seconds per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--against", metavar="REV",
                         help=f"compare this working tree with git revision REV in {PAIRS} alternating pairs")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
 
     report = {"schema": 1, "seconds": args.seconds, "seed": args.seed, **machine()}
     if args.against is not None:
