@@ -77,17 +77,10 @@ def row_reduce(mat: PackedRows) -> tuple[PackedRows, np.ndarray]:
     return PackedRows(a, mat.n_cols), _gauss_jordan(a, mat.n_cols)
 
 
-def invert(mat: PackedRows) -> PackedRows:
-    """Inverse of a square GF(2) matrix; raises ValueError if singular."""
-    n = mat.n_cols
-    if mat.rows.shape[0] != n:
-        raise ValueError(f"matrix must be square, got {mat.rows.shape[0]} x {n}")
-    return _invert(mat, PackedRows.pack(np.eye(n, dtype=np.uint8)).rows)
-
-
 def _invert(mat: PackedRows, eye: np.ndarray) -> PackedRows:
-    """invert for a square mat, given the packed identity of its size, so
-    that a caller inverting many matrices packs it once."""
+    """Inverse of a square mat, given the packed identity of its size, so
+    that a caller inverting many matrices packs it once; raises ValueError
+    if mat is singular."""
     n, width = mat.n_cols, mat.rows.shape[1]
     aug = np.concatenate([mat.rows, eye], axis=1)
     if _gauss_jordan(aug, n).size < n:

@@ -15,16 +15,20 @@ convention that positive LLR favours bit 0.  Its messages are half-LLRs:
 the channel LLR is clamped to +-30 and halved once, so no halving comes
 before a tanh and no doubling after an arctanh.  Halving is exact above
 the subnormal range (magnitudes from about 4.5e-308), so there each
-message is half the full-scale one, bit for bit, and every hard decision
-is a full-scale decoder's.  The loop exits early once the hard decision
+message is half the full-scale one and every hard decision is a
+full-scale decoder's.  The loop exits early once the hard decision
 satisfies every parity check.  It works on a padded check-slot table
 (`TannerGraph`), one column per check, so a check's product, its zero
 count and the parity of its hard decisions are each one reduction
 along the columns, and a variable's total is one reduction over its
 edges.  A product takes a check's factors in ascending variable order
 and multiplies the pads by exactly 1.0; a total adds a variable's
-messages in ascending check order.  Every message is therefore the
-same double, bit for bit, as on edges grouped check by check.
+messages in ascending check order.  Every message therefore equals,
+as a value, the one on edges grouped check by check.  Zero masks are
+arithmetic, not masked writes, so an erased message is r * 0.0 and may
+be -0.0 where a masked write gave +0.0.  No step reads the sign of a
+zero: hard decisions are `< 0`, a zero tanh becomes 1.0 before any
+product, and x + 0.0 == x - 0.0 == x for every nonzero x.
 """
 
 from __future__ import annotations
@@ -241,10 +245,14 @@ def bp_decode(
         # an edge is erased as soon as some other edge of its check is zero
         zero = t == 0.0
         n_zero = np.add.reduce(zero.view(np.uint8), axis=0, dtype=count)
-        np.putmask(t, zero, 1.0)
+        # t is +-0.0 exactly where zero is set: adding the mask makes those
+        # 1.0 without the per-element branch of a masked write on a new mask
+        np.add(t, zero, out=t)
         np.divide(np.multiply.reduce(t, axis=0), t, out=r)
-        np.putmask(r, n_zero != zero.view(np.uint8), 0.0)
         np.minimum(np.maximum(r, -_TANH_LIM, out=r), _TANH_LIM, out=r)
+        # erase by multiplying the clamped, finite r by 0 or 1, not by a
+        # masked write: the keep mask changes every iteration
+        np.multiply(r, n_zero == zero.view(np.uint8), out=r)
         np.arctanh(r, out=r)
         np.add(half0, np.add.reduce(r.take(var_edges), axis=0), out=totals[:-1])
         gathered = totals.take(slots)

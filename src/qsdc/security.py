@@ -7,20 +7,18 @@ state; the bound reduces to closed forms in the check error rates
 (e_x, e_z) measured on the forward path, the message error rate e seen
 by Bob, and the detection-rate asymmetry g between Eve and Bob.
 
-The rate functions take the encoding bias p (and binary_entropy its
-argument) as a scalar or an array.  Python and numpy scalars and 0-d
-arrays are evaluated with math and plain comparisons and give floats;
-arrays of one or more dimensions, such as the bias grid of
+The private kernels take the encoding bias p (and the entropy kernel
+its argument) as a scalar or an array.  Python and numpy scalars and
+0-d arrays are evaluated with math and plain comparisons and give
+floats; arrays of one or more dimensions, such as the bias grid of
 secrecy_capacity, are evaluated elementwise with numpy.
 
-Arguments are checked once, at the public boundary.  Each formula
-(binary entropy, xi, I(A:B) and Eve's bound) has one private kernel,
-which checks nothing; the public functions check their arguments and
-then call it.  secrecy_capacity and half_bias_capacity check their
-inputs once and then evaluate kernels only, and the search's coarse
-grid and its (1 - 2p)^2 term are computed once, at import.  Each kernel
-writes every term as the same expression on the same types as the
-public functions always have, so every value is the same double.
+Each formula (binary entropy, xi, I(A:B) and Eve's bound) has one
+private kernel, which checks nothing.  secrecy_capacity and
+half_bias_capacity check their inputs once and then evaluate kernels
+only, and the search's coarse grid and its (1 - 2p)^2 term are
+computed once, at import.  The argument-checking forms of the four
+rate functions are test references, kept with the tests.
 """
 
 from __future__ import annotations
@@ -66,13 +64,6 @@ class SecurityEstimate:
 def _is_scalar(v: float | np.ndarray) -> bool:
     # Python and numpy scalars and 0-d arrays take the math path
     return not isinstance(v, np.ndarray) or v.ndim == 0
-
-
-def _check_unit(name: str, v: float | np.ndarray) -> None:
-    # the comparisons are written so that NaN fails them too
-    inside = 0.0 <= v <= 1.0 if _is_scalar(v) else np.all((0.0 <= v) & (v <= 1.0))
-    if not inside:
-        raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
 def _check_q_bob(q_bob: float) -> None:
@@ -151,53 +142,6 @@ def _objective(p: np.ndarray, a: np.ndarray, q_bob: float, q_eve: float, e: floa
                s: float) -> np.ndarray:
     """I(A:B) - I(A:E) at the biases p."""
     return _main_information(q_bob, p, e, h_e) - _eve_information(q_eve, p, a, s)
-
-
-def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
-    """Shannon entropy of a coin with bias x, in bits; x may be an array.
-
-    A Python or numpy scalar or a 0-d array takes the math.log2 path and
-    returns a float, so scalar results do not depend on which vectorised
-    log2 numpy was built with; an array of one or more dimensions takes
-    the numpy path and returns an array.
-    """
-    _check_unit("binary_entropy argument", x)
-    return _entropy(x)
-
-
-def xi(p: float | np.ndarray, e_x: float, e_z: float) -> float | np.ndarray:
-    """Effective bias of Eve's optimal measurement on her ancilla.
-
-    xi = (1 - sqrt((1-2p)^2 + (1-2e_x-2e_z)^2 (1 - (1-2p)^2))) / 2
-
-    At p = 0.5 the radical collapses to |1 - 2(e_x+e_z)| and xi equals
-    e_x + e_z; that case is evaluated directly so the cancellation is
-    exact in floating point at the hardware operating point.  p may be
-    an array.
-    """
-    _check_unit("p", p)
-    return _xi(p, _contrast(p), _check_rate_sum(e_x, e_z))
-
-
-def eve_information(q_eve: float, p: float | np.ndarray, rates: ErrorRates) -> float | np.ndarray:
-    """Upper bound on Eve's information per pulse, q_eve * h(xi)."""
-    if not 0.0 <= q_eve <= 1.0:
-        raise ValueError(f"q_eve must be in [0, 1], got {q_eve}")
-    _check_unit("p", p)
-    return _eve_information(q_eve, p, _contrast(p), _check_rate_sum(rates.e_x, rates.e_z))
-
-
-def main_information(q_bob: float, p: float | np.ndarray, e: float) -> float | np.ndarray:
-    """Alice-to-Bob mutual information per pulse.
-
-    Bob sees Alice's bit through a BSC(e); with encoding bias p the
-    output bias is p + e - 2pe, so I = q_bob * (h(p + e - 2pe) - h(e)).
-    p may be an array.
-    """
-    _check_q_bob(q_bob)
-    _check_unit("p", p)
-    _check_e(e)
-    return _main_information(q_bob, p, e, _entropy(e))
 
 
 def half_bias_capacity(rates: ErrorRates, q_bob: float, g: float) -> SecurityEstimate:

@@ -59,5 +59,7 @@ def measure_codes(
 ) -> np.ndarray:
     """Measure each state in the given basis; mismatched bases give uniform bits."""
     matched = (codes >> 1) == bases
-    out = np.where(matched, codes & 1, rng.integers(0, 2, size=codes.shape[0], dtype=np.uint8))
-    return out.astype(np.uint8)
+    guess = rng.integers(0, 2, size=codes.shape[0], dtype=np.uint8)
+    # select codes & 1 where matched by XOR and AND, not np.where: the random
+    # basis-match mask would mispredict a per-element branch half the time
+    return guess ^ ((guess ^ (codes & 1)) & matched)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsdc.security import ErrorRates, binary_entropy, xi
+from qsdc.security import ErrorRates
+from reference_functions import binary_entropy, xi
 
 
 @dataclass(frozen=True)

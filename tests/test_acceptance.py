@@ -16,17 +16,11 @@ from qsdc.cli import main
 from qsdc.experiments import SweepSpec, run_capacity_sweep, run_e2e, run_stability
 from qsdc.ldpc import bp_decode, ldpc_encode
 from qsdc.protocol import nominal_config, run_session
-from qsdc.security import (
-    ErrorRates,
-    binary_entropy,
-    eve_information,
-    half_bias_capacity,
-    secrecy_capacity,
-    xi,
-)
+from qsdc.security import ErrorRates, half_bias_capacity, secrecy_capacity
 from qsdc.spreading import compute_llrs, spread
 from qsdc.wiretap_code import uhf_invert, uhf_map
 from gram_spectrum import AttackOverlaps, gram_eigenvalues, gram_matrix
+from reference_functions import binary_entropy, eve_information, xi
 
 
 def _parse_kv(output: str) -> dict:

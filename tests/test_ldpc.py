@@ -403,7 +403,9 @@ def _reference_graph(edges):
     return _ReferenceTannerGraph(np.nonzero(h.T)[1].reshape(edges.n_vars, -1), edges.n_checks)
 
 
-LLR_FAMILIES = ("gaussian", "erasures", "signed_zeros", "underflow", "beyond_clamp", "noise")
+LLR_FAMILIES = (
+    "gaussian", "erasures", "signed_zeros", "underflow", "subnormal", "beyond_clamp", "noise"
+)
 
 
 def _family_llrs(family, rng, n):
@@ -419,6 +421,12 @@ def _family_llrs(family, rng, n):
     elif family == "underflow":
         # a check's product of tanh(~1e-150) underflows to zero
         llrs = np.sign(llrs) * 10.0 ** rng.uniform(-160.0, -140.0, n)
+    elif family == "subnormal":
+        # halving rounds in the subnormal range, and a check's product
+        # of such messages underflows to zero with no zero factor
+        tiny = rng.random(n) < 0.3
+        sign = rng.choice([-1.0, 1.0], n)
+        llrs[tiny] = (sign * 10.0 ** rng.uniform(-320.0, -305.0, n))[tiny]
     elif family == "beyond_clamp":
         llrs *= 20.0
     elif family == "noise":
@@ -429,7 +437,9 @@ def _family_llrs(family, rng, n):
 def _assert_decoders_agree(edges, llrs, max_iters):
     everything = np.arange(edges.n_vars)
     want = _reference_bp_decode(llrs, _reference_graph(edges), everything, max_iters)
-    got = bp_decode(llrs, edges, everything, max_iters)
+    # an inf * 0 or 0 / 0 brought in by the arithmetic zero masks raises
+    with np.errstate(invalid="raise"):
+        got = bp_decode(llrs, edges, everything, max_iters)
     assert got[0].dtype == want[0].dtype
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:] == want[1:]

@@ -14,16 +14,12 @@ from qsdc.security import (
     SecurityEstimate,
     _COARSE_A,
     _COARSE_P,
-    _check_unit,
     _entropy,
     _objective,
-    binary_entropy,
-    eve_information,
     half_bias_capacity,
-    main_information,
     secrecy_capacity,
-    xi,
 )
+from reference_functions import _check_unit, binary_entropy, eve_information, main_information, xi
 from gram_spectrum import (
     AttackOverlaps,
     entropy_rho_abe,

@@ -1,5 +1,6 @@
 """State preparation, encoding, measurement, channel."""
 
+import copy
 import enum
 from dataclasses import dataclass
 from typing import Optional
@@ -184,9 +185,14 @@ def test_measure_conjugate_basis_uniform(rng):
 def test_measure_codes_matches_scalar_semantics(rng):
     codes = random_state_codes(5000, rng)
     bases = rng.integers(0, 2, 5000, dtype=np.uint8)
+    twin = copy.deepcopy(rng)
     out = measure_codes(codes, bases, rng)
     matched = (codes >> 1) == bases
-    assert (out[matched] == (codes[matched] & 1)).all()
+    # one uniform draw per pulse, kept where the bases differ
+    want = np.where(matched, codes & 1, twin.integers(0, 2, 5000, dtype=np.uint8))
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, want)
+    assert rng.bit_generator.state == twin.bit_generator.state
     # conjugate-basis outcomes unbiased
     assert abs(out[~matched].mean() - 0.5) < 3 * 0.5 / np.sqrt((~matched).sum())
 
