@@ -49,6 +49,14 @@ def _add_rate_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--g", type=float, default=NOMINAL.g, help="Eve detection advantage")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as numpy's seed sequences take."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process."""
@@ -78,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("stability", help="per-block error table over a session")
     st.add_argument("--config", default=None, help="INI config path")
     st.add_argument("--blocks", type=int, default=50)
-    st.add_argument("--seed", type=int, default=1)
+    st.add_argument("--seed", type=_seed, default=1)
     st.add_argument("--output", default="-", help="CSV path, or - for stdout")
     st.set_defaults(run=_cmd_stability)
 
@@ -86,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     snd.add_argument("--config", default=None, help="INI config path")
     snd.add_argument("--input", required=True, help="payload file")
     snd.add_argument("--output", required=True, help="recovered-file path")
-    snd.add_argument("--seed", type=int, default=1)
+    snd.add_argument("--seed", type=_seed, default=1)
     snd.add_argument(
         "--attack",
         choices=["none", "intercept-resend", "collective"],
@@ -122,9 +130,14 @@ def _write_output(text: str, output: str) -> None:
         Path(output).write_text(text)
 
 
+def _rates(args: argparse.Namespace) -> ErrorRates:
+    """The error rates that _add_rate_args' options name."""
+    return ErrorRates(e_x=args.e_x, e_z=args.e_z, e=args.e)
+
+
 def _cmd_capacity(args: argparse.Namespace) -> int:
     q_bob = args.q_bob if args.q_bob is not None else loss_to_survival(args.loss_db)
-    rates = ErrorRates(e_x=args.e_x, e_z=args.e_z, e=args.e)
+    rates = _rates(args)
     half = half_bias_capacity(rates, q_bob, args.g)
     best = secrecy_capacity(rates, q_bob, args.g)
     print(f"q_bob {q_bob:.6e}")
@@ -143,9 +156,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         loss_start_db=args.loss_start,
         loss_stop_db=args.loss_stop,
         loss_step_db=args.loss_step,
-        e=args.e,
-        e_x=args.e_x,
-        e_z=args.e_z,
+        rates=_rates(args),
         g=args.g,
     )
     _write_output(sweep_to_csv(run_capacity_sweep(spec)), args.output)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from qsdc.attacks import AttackKind, AttackModel
-from qsdc.protocol import NOMINAL, ProtocolConfig, payload_bytes_for_blocks, run_session
+from qsdc.protocol import ProtocolConfig, payload_bytes_for_blocks, run_session
 from qsdc.security import ErrorRates, SecurityEstimate, half_bias_capacity
 from qsdc.states import loss_to_survival
 
@@ -91,17 +91,20 @@ def stability_to_csv(rows: list[dict]) -> str:
     return _csv(STABILITY_HEADER, rows, "%s", dict.fromkeys(("e_x", "e_z", "e", "c_s"), "%.8e"))
 
 
+# the most loss points one sweep evaluates; a finer grid is refused
+# before any array is made of it
+MAX_SWEEP_POINTS = 100_000
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Loss range and fixed channel parameters for a capacity sweep."""
+    """Loss range and fixed rates and Eve advantage for a capacity sweep."""
 
     loss_start_db: float
     loss_stop_db: float
     loss_step_db: float
-    e: float = NOMINAL.data_channel.flip_prob
-    e_x: float = NOMINAL.check_channel.flip_prob
-    e_z: float = NOMINAL.check_channel.flip_prob
-    g: float = NOMINAL.g
+    rates: ErrorRates
+    g: float
 
     def __post_init__(self) -> None:
         # the comparisons are written so that NaN fails them too
@@ -111,9 +114,20 @@ class SweepSpec:
             raise ValueError(
                 f"loss range [{self.loss_start_db}, {self.loss_stop_db}] is empty or not finite"
             )
+        # compared as a float, so a span that overflows to inf is refused too
+        if not self._steps() < MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"loss range [{self.loss_start_db}, {self.loss_stop_db}] in steps of "
+                f"{self.loss_step_db} has more than {MAX_SWEEP_POINTS} points"
+            )
+
+    def _steps(self) -> float:
+        """(stop - start) / step, with a tolerance for rounding: floored,
+        the point count less one."""
+        return (self.loss_stop_db - self.loss_start_db) / self.loss_step_db + 1e-9
 
     def losses(self) -> np.ndarray:
-        n = int(math.floor((self.loss_stop_db - self.loss_start_db) / self.loss_step_db + 1e-9)) + 1
+        n = int(math.floor(self._steps())) + 1
         return self.loss_start_db + self.loss_step_db * np.arange(n)
 
 
@@ -126,11 +140,10 @@ def run_capacity_sweep(spec: SweepSpec) -> list[dict]:
     Deterministic: every row is the closed-form evaluation at the
     operating bias p = 0.5 with Q^Bob = 10^(-loss/10).
     """
-    rates = ErrorRates(e_x=spec.e_x, e_z=spec.e_z, e=spec.e)
     rows = []
     for loss_db in spec.losses():
         q_bob = loss_to_survival(loss_db)
-        est = half_bias_capacity(rates, q_bob, spec.g)
+        est = half_bias_capacity(spec.rates, q_bob, spec.g)
         rows.append(dict(zip(SWEEP_HEADER, (float(loss_db), q_bob, est.i_ab, est.i_ae, est.c_s))))
     return rows
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -65,13 +65,15 @@ def realize_code(params: CodeParams) -> WiretapCode:
 class ProtocolConfig:
     """Session parameters.
 
-    block_pulses restates the code's chip footprint n_spread * l and must
-    equal it; the slots emitted per block also include the interleaved
-    forward check bits and head-room for the check pulses Alice consumes.
+    The code sets a block's chip footprint, code.block_chips = n_spread * l;
+    the slots emitted per block also include the interleaved forward check
+    bits and head-room for the check pulses Alice consumes.  block_pulses
+    is not stored: a caller that still restates the footprint may pass it,
+    and any value other than code.block_chips is rejected.
     """
 
     code: CodeParams = field(default_factory=CodeParams)
-    block_pulses: int = CodeParams().block_chips
+    block_pulses: InitVar[Optional[int]] = None
     check_fraction: float = 0.1
     forward_check_fraction: float = 0.05
     check_channel: ChannelParams = field(default_factory=lambda: ChannelParams(25.1, 0.008))
@@ -80,10 +82,10 @@ class ProtocolConfig:
     e_margin: float = 0.03
     repetition_rate_hz: float = 1.0e6
 
-    def __post_init__(self) -> None:
-        if self.block_pulses != self.code.block_chips:
+    def __post_init__(self, block_pulses: Optional[int]) -> None:
+        if block_pulses is not None and block_pulses != self.code.block_chips:
             raise ValueError(
-                f"block_pulses {self.block_pulses} is not the code's footprint n_spread * l; "
+                f"block_pulses {block_pulses} is not the code's footprint n_spread * l; "
                 f"set it to {self.code.block_chips}"
             )
         if not 0.0 < self.check_fraction <= 1.0:
@@ -130,7 +132,7 @@ def nominal_config() -> ProtocolConfig:
     return ProtocolConfig()
 
 
-# built once; SweepSpec and the analytic CLI subcommands default to it
+# built once; the analytic CLI subcommands default to it
 NOMINAL = nominal_config()
 
 

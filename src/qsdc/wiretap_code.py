@@ -53,10 +53,14 @@ class CodeParams:
         if self.n_spread * self.l > 2**32:
             # the keystream indexes a block's chips by uint32
             raise ValueError(f"n_spread * l = {self.n_spread * self.l} chips exceed 2**32")
-        if VAR_DEGREE > self.l - self.k_u:
+        if self.l - self.k_u <= VAR_DEGREE:
+            # with as many checks as a variable has edges, every column of
+            # H is all ones and H has rank 1; with fewer, no column fits
             raise ValueError(
-                f"l - k_u = {self.l - self.k_u} is below the variable degree {VAR_DEGREE}"
+                f"l - k_u = {self.l - self.k_u} must exceed the variable degree {VAR_DEGREE}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def k_m(self) -> int:
@@ -87,7 +91,7 @@ def build_code(params: CodeParams) -> WiretapCode:
 
     The parity-check matrix is redrawn with a derived seed when the
     Gauss-Jordan reduction finds it rank deficient, up to
-    MAX_BUILD_ATTEMPTS times.
+    MAX_BUILD_ATTEMPTS times; ValueError when every draw is.
     """
     m = params.l - params.k_u
     for attempt in range(MAX_BUILD_ATTEMPTS):
@@ -99,7 +103,10 @@ def build_code(params: CodeParams) -> WiretapCode:
         except ValueError:
             continue
     else:
-        raise RuntimeError(f"no full-rank parity-check matrix in {MAX_BUILD_ATTEMPTS} attempts")
+        raise ValueError(
+            f"no full-rank parity-check matrix for l={params.l}, k_u={params.k_u}, "
+            f"seed={params.seed} in {MAX_BUILD_ATTEMPTS} draws; try another seed"
+        )
 
     uhf_rng = np.random.default_rng(np.random.SeedSequence([params.seed, 1]))
     uhf, uhf_inv = random_invertible(params.k_u, uhf_rng)

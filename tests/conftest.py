@@ -36,7 +36,6 @@ def fast_config():
     """
     return ProtocolConfig(
         code=CodeParams(l=256, k_u=128, k_r=32, n_spread=8, seed=99),
-        block_pulses=8 * 256,
         check_channel=ChannelParams(5.0, 0.0),
         data_channel=ChannelParams(5.0, 0.006),
         e_margin=0.12,

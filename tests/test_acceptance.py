@@ -238,7 +238,7 @@ def test_criterion_09_end_to_end_file_transfer(tmp_path):
     assert report["byte_identical"]
     assert dst.read_bytes() == data
     k_m = config.code.k_u - config.code.k_r
-    reference = k_m / config.block_pulses * config.repetition_rate_hz
+    reference = k_m / config.code.block_chips * config.repetition_rate_hz
     measured = report["throughput_bits_per_s"]
     assert 0.5 * reference <= measured <= 2.0 * reference
     # both theoretical conversions are reported side by side
@@ -247,8 +247,11 @@ def test_criterion_09_end_to_end_file_transfer(tmp_path):
 
 
 def test_criterion_10_sweep_consistency():
+    # the nominal rates and advantage, the defaults of `qsdc sweep`
+    rates = ErrorRates(e_x=0.008, e_z=0.008, e=0.006)
+    g = 10 ** (4.1 / 10)
     rows = run_capacity_sweep(
-        SweepSpec(loss_start_db=5.0, loss_stop_db=35.0, loss_step_db=0.5)
+        SweepSpec(loss_start_db=5.0, loss_stop_db=35.0, loss_step_db=0.5, rates=rates, g=g)
     )
     assert len(rows) == 61
     for row in rows:

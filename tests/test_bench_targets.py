@@ -122,6 +122,21 @@ def test_bench_report_failed_run_keeps_every_value_scalar(monkeypatch):
     assert isinstance(flat["bogus.error"], str) and "error" in flat["bogus.error"]
 
 
+def test_bench_report_failed_cold_build_is_recorded(monkeypatch):
+    # a build snippet that fails is reported as the last line of its
+    # stderr, not raised, so the report of the runs before it is written
+    bench_report = _bench_report()
+
+    def failing_run(cmd, root=bench_report.ROOT, **kwargs):
+        stderr = "Traceback (most recent call last):\nValueError: no full-rank parity-check matrix\n"
+        return subprocess.CompletedProcess(cmd, 1, stdout="", stderr=stderr), 0.1
+
+    monkeypatch.setattr(bench_report, "_run", failing_run)
+    assert bench_report.cold_build() == {
+        "build_code.error": "ValueError: no full-rank parity-check matrix"
+    }
+
+
 def test_bench_report_runs_as_long_as_the_benchmark_by_default():
     # a default report measures the run length BENCHMARK.json declares
     run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]

@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 import qsdc
+import qsdc.wiretap_code
 from qsdc.cli import (
     EXIT_DECODE, EXIT_DEFERRED, EXIT_IO, EXIT_OK, EXIT_SECURITY, _build_parser, main,
 )
 from qsdc.config_io import load_config, parse_config, render_config
+from qsdc.experiments import MAX_SWEEP_POINTS
 from qsdc.protocol import CodeParams, ProtocolConfig, nominal_config
 from qsdc.states import ChannelParams
 
@@ -27,7 +29,6 @@ n_spread = 8
 seed = 99
 
 [protocol]
-block_pulses = 2048
 e_margin = 0.12
 
 [check_channel]
@@ -384,9 +385,6 @@ def _off_default(obj):
         value = getattr(obj, f.name)
         if dataclasses.is_dataclass(value):
             changes[f.name] = _off_default(value)
-        elif f.name == "block_pulses":
-            # it restates the footprint of the code, which comes first
-            changes[f.name] = changes["code"].block_chips
         elif isinstance(value, int):
             changes[f.name] = value - 1
         else:
@@ -397,13 +395,12 @@ def _off_default(obj):
 def test_config_roundtrip(tmp_path):
     config = ProtocolConfig(
         code=CodeParams(l=512, k_u=256, k_r=64, n_spread=16, seed=8),
-        block_pulses=16 * 512,
         check_fraction=0.2,
         check_channel=ChannelParams(7.0, 0.001),
     )
     # every field off its default: a field the INI cannot carry fails
     changed = _off_default(nominal_config())
-    assert len(_scalars(changed)) == 15
+    assert len(_scalars(changed)) == 14
     assert all(a != b for a, b in zip(_scalars(changed), _scalars(nominal_config())))
     for i, cfg in enumerate((config, changed)):
         path = tmp_path / f"cfg{i}.ini"
@@ -489,12 +486,13 @@ def test_config_unknown_key_rejected():
         parse_config("[protocol]\nblok_pulses = 10\n")
     with pytest.raises(ValueError):
         parse_config("[codes]\nl = 10\n")
-    # the gate options that could only abort, and the gate threshold and
-    # retry budget that are now constants, are gone from the schema
+    # the gate options that could only abort, the gate threshold and
+    # retry budget that are now constants, and block_pulses, which the
+    # code's footprint sets, are gone from the schema
     for key in (
         "confidence_delta = 0.01", "enforce_code_budget = true",
         "abort_threshold_capacity = nan", "abort_threshold_capacity = -inf",
-        "max_block_retries = 1",
+        "max_block_retries = 1", "block_pulses = 1088960",
     ):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config(f"[protocol]\n{key}\n")
@@ -539,17 +537,18 @@ def test_config_checking_every_slot_is_io_error(tmp_path, capsys):
 
 
 def test_unbuildable_code_config_is_io_error(tmp_path, capsys):
-    # a config that names no code, or a footprint other than the code's,
-    # is rejected when the file is read, even by a send whose empty input
-    # would never build one.  The second case spreads less without
-    # restating block_pulses, which would emit twice the slots it uses.
+    # a config that names no code is rejected when the file is read, even
+    # by a send whose empty input would never build one: k_r not below
+    # k_u, as many checks as a variable has edges (every column of H all
+    # ones, so H has rank 1), or a seed numpy cannot seed from
     cfg = tmp_path / "bad_code.ini"
     src = tmp_path / "empty.bin"
     src.write_bytes(b"")
     report = tmp_path / "report.json"
     for text, message in (
         ("[code]\nk_r = 700\n", "k_r < k_u"),
-        ("[code]\nn_spread = 385\nk_r = 475\n", "set it to 505120"),
+        ("[code]\nl = 20\nk_u = 17\nk_r = 1\nn_spread = 4\n", "must exceed the variable degree 3"),
+        ("[code]\nseed = -3\n", "seed must be >= 0, got -3"),
     ):
         with pytest.raises(ValueError, match=message):
             parse_config(text)
@@ -560,3 +559,61 @@ def test_unbuildable_code_config_is_io_error(tmp_path, capsys):
         assert rc == EXIT_IO
         assert out == "" and not report.exists()
         assert message in err
+
+
+def test_code_whose_draws_are_all_rank_deficient_is_io_error(tmp_path, capsys, monkeypatch):
+    # every parity-check draw rank deficient: the error names the code and
+    # suggests another seed, after the last redraw
+    draws = []
+
+    def rank_deficient(h):
+        draws.append(h)
+        raise ValueError("parity-check matrix is rank deficient")
+
+    monkeypatch.setattr(qsdc.wiretap_code, "systematic_generator", rank_deficient)
+    cfg = tmp_path / "code.ini"
+    # a code no other test builds, so the process-wide cache holds none
+    cfg.write_text("[code]\nl = 64\nk_u = 32\nk_r = 8\nn_spread = 4\nseed = 31337\n")
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"x")
+    rc = main(["send", "--config", str(cfg), "--input", str(src),
+               "--output", str(tmp_path / "out.bin")])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_IO and out == ""
+    assert "l=64, k_u=32, seed=31337" in err and "try another seed" in err
+    assert len(draws) == qsdc.wiretap_code.MAX_BUILD_ATTEMPTS
+
+
+@pytest.mark.parametrize("command", ["stability", "send"])
+def test_negative_seed_is_argument_error(tmp_path, capsys, command):
+    # numpy seeds from integers >= 0 only; the error names --seed
+    argv = [command, "--seed", "-3"]
+    if command == "send":
+        argv += ["--input", str(tmp_path / "in.bin"), "--output", str(tmp_path / "out.bin")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_IO
+    assert "argument --seed: expected an integer >= 0, got '-3'" in capsys.readouterr().err
+
+
+def test_oversized_sweep_is_io_error(capsys):
+    # a grid of 10**18 points is refused before any array is made
+    assert main(["sweep", "--loss-start", "0", "--loss-stop", "1e9", "--loss-step", "1e-9"]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == "" and f"more than {MAX_SWEEP_POINTS} points" in err
+
+
+def test_footprint_follows_the_code(tmp_path, capsys):
+    # the code alone sets a block's footprint: a file that changes
+    # n_spread, and no other key with it, loads and sends
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[code]\nn_spread = 385\nk_r = 475\n")
+    config = load_config(cfg)
+    assert config.slots_per_block < nominal_config().slots_per_block
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"hi\n")
+    dst = tmp_path / "out.bin"
+    assert main(["send", "--config", str(cfg), "--input", str(src), "--output", str(dst),
+                 "--seed", "1"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["byte_identical"]
+    assert dst.read_bytes() == b"hi\n"

@@ -9,6 +9,7 @@ import pytest
 import qsdc.protocol
 from qsdc.attacks import AttackModel
 from qsdc.experiments import (
+    MAX_SWEEP_POINTS,
     STABILITY_HEADER,
     SWEEP_HEADER,
     SweepSpec,
@@ -17,29 +18,51 @@ from qsdc.experiments import (
     run_stability,
     sweep_to_csv,
 )
-from qsdc.protocol import CodeParams, ProtocolConfig
+from qsdc.protocol import NOMINAL, CodeParams, ProtocolConfig
+from qsdc.security import ErrorRates
 from qsdc.states import ChannelParams
+
+# the rates of the nominal operating point, the defaults of `qsdc sweep`
+NOMINAL_RATES = ErrorRates(
+    e_x=NOMINAL.check_channel.flip_prob,
+    e_z=NOMINAL.check_channel.flip_prob,
+    e=NOMINAL.data_channel.flip_prob,
+)
+
+
+def _sweep(start: float, stop: float, step: float, rates: ErrorRates = NOMINAL_RATES) -> SweepSpec:
+    return SweepSpec(
+        loss_start_db=start, loss_stop_db=stop, loss_step_db=step, rates=rates, g=NOMINAL.g
+    )
 
 
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
-        SweepSpec(loss_start_db=5, loss_stop_db=35, loss_step_db=0)
+        _sweep(5, 35, 0)
     with pytest.raises(ValueError):
-        SweepSpec(loss_start_db=20, loss_stop_db=5, loss_step_db=1)
+        _sweep(20, 5, 1)
+
+
+def test_sweep_spec_refuses_a_grid_past_the_point_limit():
+    # only the spec is built: a refused grid never becomes an array
+    _sweep(0, MAX_SWEEP_POINTS - 1, 1)
+    for start, stop, step in ((0, MAX_SWEEP_POINTS, 1), (0, 1e9, 1e-9), (-1e308, 1e308, 1)):
+        with pytest.raises(ValueError, match=f"more than {MAX_SWEEP_POINTS} points"):
+            _sweep(start, stop, step)
 
 
 def test_sweep_losses_inclusive():
-    spec = SweepSpec(loss_start_db=5, loss_stop_db=35, loss_step_db=5)
+    spec = _sweep(5, 35, 5)
     assert np.allclose(spec.losses(), [5, 10, 15, 20, 25, 30, 35])
 
 
 def test_sweep_is_pure():
-    spec = SweepSpec(loss_start_db=5, loss_stop_db=15, loss_step_db=2.5)
+    spec = _sweep(5, 15, 2.5)
     assert run_capacity_sweep(spec) == run_capacity_sweep(spec)
 
 
 def test_sweep_rows_q_relation():
-    spec = SweepSpec(loss_start_db=10, loss_stop_db=30, loss_step_db=10)
+    spec = _sweep(10, 30, 10)
     rows = run_capacity_sweep(spec)
     for row in rows:
         assert row["q_bob"] == pytest.approx(10 ** (-row["loss_db"] / 10), rel=1e-12)
@@ -48,7 +71,7 @@ def test_sweep_rows_q_relation():
 
 
 def test_sweep_secure_area_consistency():
-    rows = run_capacity_sweep(SweepSpec(loss_start_db=5, loss_stop_db=35, loss_step_db=0.5))
+    rows = run_capacity_sweep(_sweep(5, 35, 0.5))
     assert any(r["c_s"] > 0 for r in rows)
     for r in rows:
         if r["c_s"] > 0:
@@ -57,13 +80,13 @@ def test_sweep_secure_area_consistency():
 
 def test_sweep_hopeless_noise_never_secure():
     # h(e) + g*h(e_x+e_z) >= 1 makes every row insecure regardless of loss
-    spec = SweepSpec(loss_start_db=5, loss_stop_db=35, loss_step_db=5, e=0.006, e_x=0.25, e_z=0.25)
+    spec = _sweep(5, 35, 5, ErrorRates(e_x=0.25, e_z=0.25, e=0.006))
     rows = run_capacity_sweep(spec)
     assert all(r["c_s"] <= 0 for r in rows)
 
 
 def test_sweep_csv_shape():
-    spec = SweepSpec(loss_start_db=5, loss_stop_db=10, loss_step_db=1)
+    spec = _sweep(5, 10, 1)
     csv = sweep_to_csv(run_capacity_sweep(spec))
     lines = csv.strip().split("\n")
     assert lines[0] == ",".join(SWEEP_HEADER)
@@ -88,7 +111,6 @@ def test_stability_rows_and_summary(fast_config):
 def test_stability_zero_noise_rows_all_zero():
     config = ProtocolConfig(
         code=CodeParams(l=256, k_u=128, k_r=32, n_spread=8, seed=99),
-        block_pulses=8 * 256,
         check_channel=ChannelParams(5.0, 0.0),
         data_channel=ChannelParams(5.0, 0.0),
     )
@@ -124,7 +146,6 @@ def test_stability_runs_exactly_the_blocks_asked_or_refuses():
     # 36) hold no whole number of bytes above the 32-bit header
     config = ProtocolConfig(
         code=CodeParams(8, 4, 1, 4, seed=7),
-        block_pulses=32,
         check_channel=ChannelParams(0.0, 0.0),
         data_channel=ChannelParams(0.0, 0.0),
     )

@@ -193,10 +193,17 @@ def test_code_params_key_roundtrip():
 
 
 def test_config_validation():
-    # block_pulses restates the code's footprint: any other value is rejected
+    # block_pulses is accepted only as the code's footprint, and not stored
     for pulses in (10, 1_088_961):
         with pytest.raises(ValueError, match="set it to 1088960"):
             ProtocolConfig(block_pulses=pulses)
+    assert ProtocolConfig(block_pulses=1_088_960) == ProtocolConfig()
+    code = CodeParams(l=256, k_u=128, k_r=32, n_spread=8, seed=99)
+    replaced = dataclasses.replace(ProtocolConfig(), code=code, block_pulses=code.block_chips)
+    assert replaced.code == code
+    with pytest.raises(ValueError, match="set it to 2048"):
+        dataclasses.replace(ProtocolConfig(), code=code, block_pulses=1_088_960)
+    assert "block_pulses" not in {f.name for f in dataclasses.fields(ProtocolConfig)}
     with pytest.raises(ValueError):
         ProtocolConfig(check_fraction=0.0)
     with pytest.raises(ValueError):
@@ -212,17 +219,17 @@ def test_config_validation():
 
 def test_nominal_config_values():
     cfg = nominal_config()
-    assert cfg.block_pulses == 1_088_960
+    assert cfg.code.block_chips == 1_088_960
     assert cfg.code.l == 1312 and cfg.code.k_u == 656 and cfg.code.n_spread == 830
     assert cfg.g == pytest.approx(2.5703957827688635)
     assert cfg.check_channel.loss_db == 25.1
-    assert cfg.slots_per_block >= cfg.block_pulses + cfg.n_forward_checks
+    assert cfg.slots_per_block >= cfg.code.block_chips + cfg.n_forward_checks
 
 
 def test_slots_accounting():
     cfg = nominal_config()
     chips = cfg.code.n_spread * cfg.code.l
-    assert cfg.block_pulses == chips
+    assert cfg.code.block_chips == chips
     assert cfg.n_forward_checks == math.ceil(chips * 0.05 / 0.95)
 
 
@@ -577,7 +584,6 @@ def test_session_decode_failure_after_retries(monkeypatch):
     calls = _count_bp_calls(monkeypatch)
     config = ProtocolConfig(
         code=CodeParams(l=256, k_u=128, k_r=32, n_spread=8, seed=99),
-        block_pulses=8 * 256,
         check_channel=ChannelParams(5.0, 0.0),
         data_channel=ChannelParams(5.0, 0.2),
     )
@@ -619,7 +625,6 @@ def test_session_throughput_accounting(fast_config):
 def test_session_zero_noise_perfect():
     config = ProtocolConfig(
         code=CodeParams(l=256, k_u=128, k_r=32, n_spread=8, seed=99),
-        block_pulses=8 * 256,
         check_channel=ChannelParams(3.0, 0.0),
         data_channel=ChannelParams(3.0, 0.0),
     )

@@ -73,6 +73,11 @@ def test_code_params_validation():
         CodeParams(64, 32, 8, 0, seed=1)
     with pytest.raises(ValueError):
         CodeParams(64, 62, 8, 4, seed=1)  # two checks for degree-3 variables
+    with pytest.raises(ValueError, match="must exceed the variable degree 3"):
+        CodeParams(20, 17, 1, 4, seed=1)  # three checks: every column of H all ones
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        CodeParams(64, 32, 8, 4, seed=-1)
+    CodeParams(20, 16, 1, 4, seed=0)
     with pytest.raises(ValueError):
         CodeParams(1312, 656, 128, 2**32 // 1312 + 1, seed=1)  # chips past uint32
     CodeParams(2**12, 656, 128, 2**20, seed=1)  # exactly 2**32 chips

@@ -11,7 +11,10 @@ times a cold nominal `build_code` in a fresh process, takes the
 tracemalloc peak of another in a second fresh process, times a 10 KiB
 `qsdc send` at the default configuration, and the Tier-1 test suite,
 and records the machine: cores, Python, numpy, the git head and, for a
-tree with uncommitted changes, a digest that names them.
+tree with uncommitted changes, a digest that names them.  A perfbench
+run or cold build that fails leaves the last line of its stderr under
+`<workload>[.trace].error` or `build_code.error`, and the report is
+still written.
 
 Every key of the output is a top-level scalar, so two reports diff with
 
@@ -95,6 +98,12 @@ def _run(cmd: list[str], root: Path = ROOT, **kwargs) -> tuple[subprocess.Comple
     return proc, time.perf_counter() - t0
 
 
+def _failure(proc: subprocess.CompletedProcess) -> str:
+    """The last line of a failed process's stderr, or its exit status."""
+    lines = proc.stderr.strip().splitlines()
+    return lines[-1] if lines else f"exit {proc.returncode}"
+
+
 def _perfbench_run(workload: str, seed: int, seconds: float, trace: int,
                    root: Path = ROOT) -> dict | str:
     """One run.py call in the checkout at root: its summary, or the last
@@ -103,8 +112,7 @@ def _perfbench_run(workload: str, seed: int, seconds: float, trace: int,
            "--seconds", str(seconds), "--trace", str(trace)]
     proc, _ = _run(cmd, root)
     if proc.returncode != 0:
-        lines = proc.stderr.strip().splitlines()
-        return lines[-1] if lines else f"exit {proc.returncode}"
+        return _failure(proc)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -121,8 +129,12 @@ def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 
 def cold_build() -> dict:
+    """The timed and the traced build, or build_code.error if either failed."""
     proc, wall = _run([sys.executable, "-c", BUILD_SNIPPET])
     traced, _ = _run([sys.executable, "-c", BUILD_SNIPPET, "traced"])
+    for run in (proc, traced):
+        if run.returncode != 0:
+            return {"build_code.error": _failure(run)}
     return {"build_code.cold_s": float(proc.stdout.strip()), "build_code.process_s": wall,
             "build_code.traced_peak_mb": float(traced.stdout.strip())}
 
