@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qsdc.security import ErrorRates
 from qsdc.states import measure_codes
 
 
@@ -34,15 +35,8 @@ class AttackModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
-        for name in ("e_x_target", "e_z_target"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 0.5:
-                raise ValueError(f"{name} must be in [0, 0.5], got {v}")
-        if self.e_x_target + self.e_z_target > 0.5:
-            raise ValueError(
-                "collective-attack targets must satisfy e_x + e_z <= 0.5, got "
-                f"{self.e_x_target + self.e_z_target}"
-            )
+        # the targets are check rates, so ErrorRates checks them
+        ErrorRates(e_x=self.e_x_target, e_z=self.e_z_target, e=0.0)
 
     @classmethod
     def none(cls) -> "AttackModel":

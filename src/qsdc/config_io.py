@@ -55,6 +55,9 @@ def parse_config(text: str) -> ProtocolConfig:
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
+        if parser.defaults():
+            # sections() never lists [DEFAULT], whose keys leak into the others
+            raise ValueError("unknown section [DEFAULT]")
         for section in parser.sections():
             if section not in _SECTIONS:
                 raise ValueError(f"unknown section [{section}]")

@@ -154,8 +154,9 @@ def sweep_to_csv(rows: list[dict]) -> str:
 
 
 def _data_path_estimate(config: ProtocolConfig, e_x: float, e_z: float) -> SecurityEstimate:
-    """The closed forms at p = 0.5 on the data channel, at check rates e_x, e_z."""
-    rates = ErrorRates(e_x=e_x, e_z=e_z, e=config.data_channel.flip_prob)
+    """The closed forms at p = 0.5 on the data channel, at check rates e_x, e_z,
+    capped into the rate domain as the gate caps them."""
+    rates = ErrorRates.capped(e_x, e_z, config.data_channel.flip_prob)
     return half_bias_capacity(rates, config.data_channel.survival, config.g)
 
 

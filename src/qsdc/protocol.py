@@ -193,14 +193,9 @@ def gate_on_capacity(
     rate.  Returns whether the closed-form secrecy capacity at the
     operating bias p = 0.5 is positive, and the estimate it was
     decided on.  Measured rates can leave the entropy-formula domain
-    under attack, so e_x + e_z and e are each capped at 0.5.
+    under attack, so they are capped into it by ErrorRates.capped.
     """
-    # at p = 1/2 the estimate reads only e and the sum e_x + e_z, and
-    # Eve's bound is maximal from a sum of 0.5 on; a conditional caps
-    # in less time than min(), and passes a NaN on to be rejected
-    s = e_x + e_z
-    rates = ErrorRates(e_x=0.5 if s > 0.5 else s, e_z=0.0, e=0.5 if e > 0.5 else e)
-    estimate = half_bias_capacity(rates, q_bob, g)
+    estimate = half_bias_capacity(ErrorRates.capped(e_x, e_z, e), q_bob, g)
     return estimate.c_s > 0.0, estimate
 
 

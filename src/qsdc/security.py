@@ -14,11 +14,13 @@ floats; arrays of one or more dimensions, such as the bias grid of
 secrecy_capacity, are evaluated elementwise with numpy.
 
 Each formula (binary entropy, xi, I(A:B) and Eve's bound) has one
-private kernel, which checks nothing.  secrecy_capacity and
-half_bias_capacity check their inputs once and then evaluate kernels
-only, and the search's coarse grid and its (1 - 2p)^2 term are
-computed once, at import.  The argument-checking forms of the four
-rate functions are test references, kept with the tests.
+private kernel, which checks nothing.  ErrorRates owns the rate
+domain, and ErrorRates.capped maps measured rates into it.
+secrecy_capacity and half_bias_capacity check q_bob and g once and
+then evaluate kernels only, and the search's coarse grid and its
+(1 - 2p)^2 term are computed once, at import.  The argument-checking
+forms of the four rate functions are test references, kept with the
+tests.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ class ErrorRates:
 
     e_x, e_z come from Alice's disclosed check measurements on the
     forward path; e is the rate Bob sees on decoded message chips.
+    This is the one check of the domain the closed forms accept: each
+    rate in [0, 0.5] and e_x + e_z <= 0.5.
     """
 
     e_x: float
@@ -45,10 +49,24 @@ class ErrorRates:
     e: float
 
     def __post_init__(self) -> None:
+        # written so that a NaN rate fails the first check
         for name in ("e_x", "e_z", "e"):
             v = getattr(self, name)
             if not 0.0 <= v <= 0.5:
                 raise ValueError(f"{name} must be in [0, 0.5], got {v}")
+        if self.e_x + self.e_z > 0.5:
+            raise ValueError(f"e_x + e_z must be <= 0.5, got {self.e_x}, {self.e_z}")
+
+    @classmethod
+    def capped(cls, e_x: float, e_z: float, e: float) -> ErrorRates:
+        """Rates, measured ones too, with e_x + e_z and e each capped at 0.5.
+
+        The closed forms read only e and the sum, which goes into e_x, and
+        Eve's bound is maximal from a sum of 0.5 on.  A NaN is passed on
+        to be rejected; a conditional caps in less time than min().
+        """
+        s = e_x + e_z
+        return cls(e_x=0.5 if s > 0.5 else s, e_z=0.0, e=0.5 if e > 0.5 else e)
 
 
 @dataclass(frozen=True)
@@ -66,27 +84,12 @@ def _is_scalar(v: float | np.ndarray) -> bool:
     return not isinstance(v, np.ndarray) or v.ndim == 0
 
 
-def _check_q_bob(q_bob: float) -> None:
+def _eve_detection_rate(q_bob: float, g: float) -> float:
+    # checks q_bob and g; Eve's detection rate saturates at one pulse
+    # per pulse in the low-loss regime.  The checks are written so that
+    # NaN fails them too
     if not 0.0 <= q_bob <= 1.0:
         raise ValueError(f"q_bob must be in [0, 1], got {q_bob}")
-
-
-def _check_e(e: float) -> None:
-    if not 0.0 <= e <= 0.5:
-        raise ValueError(f"e must be in [0, 0.5], got {e}")
-
-
-def _check_rate_sum(e_x: float, e_z: float) -> float:
-    # returns s = e_x + e_z; written so that a NaN rate fails it too
-    s = e_x + e_z
-    if not (e_x >= 0.0 and e_z >= 0.0 and s <= 0.5):
-        raise ValueError(f"need e_x, e_z >= 0 and e_x + e_z <= 0.5, got {e_x}, {e_z}")
-    return s
-
-
-def _eve_detection_rate(q_bob: float, g: float) -> float:
-    # Eve's detection rate saturates at one pulse per pulse in the
-    # low-loss regime; the check is written so that NaN fails it too
     if not 0.0 <= g < math.inf:
         raise ValueError(f"g must be in [0, inf), got {g}")
     return min(g * q_bob, 1.0)
@@ -154,10 +157,8 @@ def half_bias_capacity(rates: ErrorRates, q_bob: float, g: float) -> SecurityEst
     negative c_s is returned as is so callers can log the margin to
     abort.
     """
-    _check_q_bob(q_bob)
-    _check_e(rates.e)
     q_eve = _eve_detection_rate(q_bob, g)
-    s = _check_rate_sum(rates.e_x, rates.e_z)
+    s = rates.e_x + rates.e_z
     h_e = _entropy(rates.e)
     h_s = _entropy(s)
     i_ab = _main_information(q_bob, 0.5, rates.e, h_e)
@@ -179,10 +180,8 @@ def secrecy_capacity(rates: ErrorRates, q_bob: float, g: float) -> SecurityEstim
     maximiser, with c_s = i_ab - i_ae.
     """
     q_eve = _eve_detection_rate(q_bob, g)
-    _check_q_bob(q_bob)
     e = rates.e
-    _check_e(e)
-    s = _check_rate_sum(rates.e_x, rates.e_z)
+    s = rates.e_x + rates.e_z
     h_e = _entropy(e)
 
     grid = _COARSE_P

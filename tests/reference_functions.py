@@ -1,10 +1,11 @@
 """Argument-checking forms of runtime kernels, kept as test references.
 
 The runtime calls only the private kernels: `qsdc.security` checks its
-inputs once in `half_bias_capacity` and `secrecy_capacity`, and
-`qsdc.gf2` inverts only through `random_invertible`.  The tests reach
-the same kernels through the functions below, which first check each
-argument and name it in the error.
+rates once, in `ErrorRates`, and q_bob and g once in `half_bias_capacity`
+and `secrecy_capacity`, and `qsdc.gf2` inverts only through
+`random_invertible`.  The tests reach the same kernels through the
+functions below, which first check each argument and name it in the
+error; rates are checked through `ErrorRates`.
 
 The rate functions take the bias p (and binary_entropy its argument)
 as a scalar or an array, as the kernels do.
@@ -17,9 +18,6 @@ import numpy as np
 from qsdc.gf2 import PackedRows, _invert
 from qsdc.security import (
     ErrorRates,
-    _check_e,
-    _check_q_bob,
-    _check_rate_sum,
     _contrast,
     _entropy,
     _eve_information,
@@ -59,7 +57,8 @@ def xi(p: float | np.ndarray, e_x: float, e_z: float) -> float | np.ndarray:
     an array.
     """
     _check_unit("p", p)
-    return _xi(p, _contrast(p), _check_rate_sum(e_x, e_z))
+    ErrorRates(e_x=e_x, e_z=e_z, e=0.0)
+    return _xi(p, _contrast(p), e_x + e_z)
 
 
 def eve_information(q_eve: float, p: float | np.ndarray, rates: ErrorRates) -> float | np.ndarray:
@@ -67,7 +66,7 @@ def eve_information(q_eve: float, p: float | np.ndarray, rates: ErrorRates) -> f
     if not 0.0 <= q_eve <= 1.0:
         raise ValueError(f"q_eve must be in [0, 1], got {q_eve}")
     _check_unit("p", p)
-    return _eve_information(q_eve, p, _contrast(p), _check_rate_sum(rates.e_x, rates.e_z))
+    return _eve_information(q_eve, p, _contrast(p), rates.e_x + rates.e_z)
 
 
 def main_information(q_bob: float, p: float | np.ndarray, e: float) -> float | np.ndarray:
@@ -77,9 +76,9 @@ def main_information(q_bob: float, p: float | np.ndarray, e: float) -> float | n
     output bias is p + e - 2pe, so I = q_bob * (h(p + e - 2pe) - h(e)).
     p may be an array.
     """
-    _check_q_bob(q_bob)
+    _check_unit("q_bob", q_bob)
     _check_unit("p", p)
-    _check_e(e)
+    ErrorRates(e_x=0.0, e_z=0.0, e=e)
     return _main_information(q_bob, p, e, _entropy(e))
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -617,3 +618,67 @@ def test_footprint_follows_the_code(tmp_path, capsys):
                  "--seed", "1"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["byte_identical"]
     assert dst.read_bytes() == b"hi\n"
+
+
+# a noisy check path: e_x + e_z near 0.6, outside the closed forms'
+# domain, which the gate caps at 0.5 and so aborts on block 0
+NOISY_CHECK_INI = FAST_INI.replace("flip_prob = 0.0", "flip_prob = 0.3")
+
+
+def test_send_on_a_noisy_check_channel_is_a_security_abort(tmp_path, capsys):
+    # the report's capacity conversion caps the rates as the gate does,
+    # so the session's abort is reported, not lost to a rate error
+    cfg = tmp_path / "noisy.ini"
+    cfg.write_text(NOISY_CHECK_INI)
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"abc")
+    transcript = tmp_path / "t.jsonl"
+    rc = main(["send", "--config", str(cfg), "--input", str(src),
+               "--output", str(tmp_path / "out.bin"), "--transcript", str(transcript)])
+    assert rc == EXIT_SECURITY
+    report = json.loads(capsys.readouterr().out)
+    assert report["abort_reason"] == "capacity-gate"
+    assert math.isfinite(report["capacity_rate_bits_per_s"])
+    lines = [json.loads(line) for line in transcript.read_text().splitlines()]
+    blocks = [line for line in lines if line["record"] == "block"]
+    assert [b["status"] for b in blocks] == ["gate-abort"]
+    assert main(["stability", "--config", str(cfg), "--blocks", "2",
+                 "--output", str(tmp_path / "rows.csv")]) == EXIT_SECURITY
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--e-x", "0.3", "--e-z", "0.3"],
+    ["sweep", "--e-x", "0.3", "--e-z", "0.3"],
+    ["send", "--attack", "collective", "--attack-ex", "0.3", "--attack-ez", "0.3"],
+])
+def test_rates_outside_the_domain_are_io_errors(tmp_path, capsys, monkeypatch, argv):
+    # configured rates are not capped: ErrorRates refuses them before
+    # any capacity, grid or session is computed
+    def not_reached(*args, **kwargs):
+        raise AssertionError("reached past the rate check")
+
+    for name in ("half_bias_capacity", "secrecy_capacity", "run_capacity_sweep", "run_e2e"):
+        monkeypatch.setattr(f"qsdc.cli.{name}", not_reached)
+    if argv[0] == "send":
+        argv = argv + ["--input", str(tmp_path / "in.bin"), "--output", str(tmp_path / "out.bin")]
+    assert main(argv) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == "" and "error: e_x + e_z must be <= 0.5, got 0.3, 0.3" in err
+
+
+def test_default_section_is_rejected(tmp_path, capsys):
+    # configparser's [DEFAULT] is never among its sections(), and its
+    # keys would leak into every other section; an empty one is harmless
+    assert parse_config("[DEFAULT]\n") == nominal_config()
+    for text in ("[DEFAULT]\ne_margin = 0.5\n",
+                 "[DEFAULT]\nflip_prob = 0.4\n[check_channel]\nloss_db = 5.0\n"):
+        with pytest.raises(ValueError, match=r"unknown section \[DEFAULT\]"):
+            parse_config(text)
+    cfg = tmp_path / "default.ini"
+    cfg.write_text("[DEFAULT]\nflip_prob = 0.4\n[check_channel]\nloss_db = 5.0\n")
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"abc")
+    rc = main(["send", "--config", str(cfg), "--input", str(src), "--output", str(tmp_path / "out.bin")])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_IO and out == ""
+    assert "unknown section [DEFAULT]" in err

@@ -1,7 +1,6 @@
 """Information-rate formulas and the Gram-spectrum bound on Eve."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -357,6 +356,22 @@ def _capacity_inputs(draw):
 @given(_capacity_inputs())
 def test_secrecy_capacity_equals_reference_search_anywhere(inputs):
     assert _bits(secrecy_capacity(*inputs)) == _bits(_reference_secrecy_capacity(*inputs))
+    # on in-domain rates the cap is the identity for the closed forms
+    rates, q_bob, g = inputs
+    capped = ErrorRates.capped(rates.e_x, rates.e_z, rates.e)
+    assert _bits(half_bias_capacity(capped, q_bob, g)) == _bits(half_bias_capacity(rates, q_bob, g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_capped_rates_are_always_in_the_domain(e_x, e_z, e):
+    capped = ErrorRates.capped(e_x, e_z, e)
+    assert (capped.e_x, capped.e_z, capped.e) == (min(e_x + e_z, 0.5), 0.0, min(e, 0.5))
+    for nan_at in range(3):
+        args = [e_x, e_z, e]
+        args[nan_at] = math.nan
+        with pytest.raises(ValueError, match="got nan"):
+            ErrorRates.capped(*args)
 
 
 @pytest.mark.parametrize("rates, q_bob, g", _EDGE_POINTS)
@@ -406,13 +421,10 @@ def test_bad_p_is_rejected_at_every_boundary(p):
 
 @pytest.mark.parametrize("e", _BAD_E)
 def test_bad_e_is_rejected_at_every_boundary(e):
+    # ErrorRates is the one check of e, so no capacity call sees a bad one
     want = f"e must be in [0, 0.5], got {e}"
     assert _raises(ErrorRates, 0.008, 0.008, e) == want
     assert _raises(main_information, 0.003, 0.5, e) == want
-    # an object other than ErrorRates reaches the functions' own checks
-    rates = SimpleNamespace(e_x=0.008, e_z=0.008, e=e)
-    assert _raises(half_bias_capacity, rates, 0.003, G_NOMINAL) == want
-    assert _raises(secrecy_capacity, rates, 0.003, G_NOMINAL) == want
 
 
 @pytest.mark.parametrize("g", _BAD_G)
@@ -422,22 +434,21 @@ def test_bad_g_is_rejected_at_every_boundary(g):
     assert _raises(secrecy_capacity, NOMINAL, 0.003, g) == want
 
 
-@pytest.mark.parametrize("e_x, e_z", [(0.3, 0.3), (0.5, 0.01), (-0.1, 0.1), (0.1, -0.1)])
-def test_bad_check_rates_are_rejected_at_every_boundary(e_x, e_z):
-    want = f"need e_x, e_z >= 0 and e_x + e_z <= 0.5, got {e_x}, {e_z}"
-    rates = SimpleNamespace(e_x=e_x, e_z=e_z, e=0.006)
+@pytest.mark.parametrize("e_x, e_z, want", [
+    pytest.param(0.3, 0.3, "e_x + e_z must be <= 0.5, got 0.3, 0.3", id="0.3-0.3"),
+    pytest.param(0.5, 0.01, "e_x + e_z must be <= 0.5, got 0.5, 0.01", id="0.5-0.01"),
+    pytest.param(-0.1, 0.1, "e_x must be in [0, 0.5], got -0.1", id="-0.1-0.1"),
+    pytest.param(0.1, -0.1, "e_z must be in [0, 0.5], got -0.1", id="0.1--0.1"),
+])
+def test_bad_check_rates_are_rejected_at_every_boundary(e_x, e_z, want):
+    # ErrorRates is the one check of the check rates, each and their sum
+    assert _raises(ErrorRates, e_x, e_z, 0.006) == want
     assert _raises(xi, 0.5, e_x, e_z) == want
-    assert _raises(eve_information, 0.003, 0.5, rates) == want
-    assert _raises(half_bias_capacity, rates, 0.003, G_NOMINAL) == want
-    assert _raises(secrecy_capacity, rates, 0.003, G_NOMINAL) == want
 
 
 @pytest.mark.parametrize("e_x, e_z", [(math.nan, 0.01), (0.01, math.nan)])
 def test_nan_check_rate_fails_the_rate_check(e_x, e_z):
-    # ErrorRates rejects NaN; any other rates object meets the same check
-    want = f"need e_x, e_z >= 0 and e_x + e_z <= 0.5, got {e_x}, {e_z}"
-    rates = SimpleNamespace(e_x=e_x, e_z=e_z, e=0.006)
+    # the per-rate check fails first on a NaN, and names the rate
+    want = "e_x must be in [0, 0.5], got nan" if math.isnan(e_x) else "e_z must be in [0, 0.5], got nan"
+    assert _raises(ErrorRates, e_x, e_z, 0.006) == want
     assert _raises(xi, 0.3, e_x, e_z) == want
-    assert _raises(eve_information, 0.003, 0.5, rates) == want
-    assert _raises(half_bias_capacity, rates, 0.003, G_NOMINAL) == want
-    assert _raises(secrecy_capacity, rates, 0.003, G_NOMINAL) == want

@@ -154,8 +154,11 @@ def tier1() -> dict:
     proc, wall = _run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                        "--continue-on-collection-errors"])
     tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    counts = {f"tier1.{word}": int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)", tail)}
-    return {"tier1.wall_s": wall, "tier1.passed": 0, "tier1.failed": 0, **counts}
+    counts = {"tier1.wall_s": wall, "tier1.passed": 0, "tier1.failed": 0, "tier1.errors": 0}
+    # pytest writes "1 error" but "2 errors"; both are counted as tier1.errors
+    for n, word in re.findall(r"(\d+) (passed|failed|error)", tail):
+        counts[f"tier1.{'errors' if word == 'error' else word}"] = int(n)
+    return counts
 
 
 def _git(*args: str) -> bytes:
