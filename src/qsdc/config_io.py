@@ -46,7 +46,12 @@ def _parse_section(parser: configparser.ConfigParser, section: str) -> dict:
     for key, raw in parser.items(section):
         if key not in known:
             raise ValueError(f"unknown key '{key}' in section [{section}]")
-        out[key] = known[key](raw)
+        try:
+            out[key] = known[key](raw)
+        except ValueError:
+            raise ValueError(
+                f"[{section}] {key}: {raw!r} does not parse as {known[key].__name__}"
+            ) from None
     return out
 
 

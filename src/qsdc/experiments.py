@@ -51,6 +51,14 @@ _STABILITY_FIELDS = {
 STABILITY_HEADER = tuple(_STABILITY_FIELDS)
 
 
+# the most blocks one stability run frames; more are refused before any
+# array is made.  A nominal run holds about 2.8 KB per block at its peak
+# (tracemalloc, 200 against 800 blocks, rows and CSV text included), so
+# the bound keeps a run near 270 MiB; at about 1.8 ms per block it takes
+# about 3 minutes
+MAX_STABILITY_BLOCKS = 100_000
+
+
 def run_stability(config: ProtocolConfig, n_blocks: int, seed: int) -> StabilityReport:
     """Run n_blocks consecutive protocol blocks and tabulate the
     per-block error estimates.
@@ -61,8 +69,8 @@ def run_stability(config: ProtocolConfig, n_blocks: int, seed: int) -> Stability
     error seen on the data path.  The summary reports per-column means
     and standard deviations plus the pooled counts behind them.
     """
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
+    if not 1 <= n_blocks <= MAX_STABILITY_BLOCKS:
+        raise ValueError(f"n_blocks must lie in [1, {MAX_STABILITY_BLOCKS}], got {n_blocks}")
     payload_bytes = payload_bytes_for_blocks(n_blocks, config.code.k_m)
     payload = np.random.default_rng(seed).integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
     transcript = run_session(config, payload, seed)
@@ -209,9 +217,10 @@ def run_e2e(
         report["eve_bound_bits_per_pulse"] = _data_path_estimate(
             config, attack.e_x_target, attack.e_z_target
         ).i_ae
+    # the transcript first: a bad output path must not lose the session's record
+    if transcript_path is not None:
+        Path(transcript_path).write_text(transcript.to_jsonl())
     if transcript.ok:
         Path(output_path).write_bytes(transcript.delivered)
         report["output_path"] = str(output_path)
-    if transcript_path is not None:
-        Path(transcript_path).write_text(transcript.to_jsonl())
     return report

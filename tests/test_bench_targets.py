@@ -9,8 +9,9 @@ those.  Each workload also runs once, untimed, so that a break in
 anything else the harness reads from the package fails here too, and
 one traced nominal round must time every layer of the nominal hot path
 above zero.  The report writer in tools/ must keep a failed run's
-report flat, and its pairs mode must alternate the two trees and mark a
-side whose runs failed as not correct.
+report flat, alternate the two trees in its pairs and mark a side whose
+runs failed as not correct, and write one report of the pairs and the
+traced runs.
 """
 
 import ast
@@ -117,17 +118,19 @@ def test_bench_report_failed_run_keeps_every_value_scalar(monkeypatch):
     # a perfbench call that fails is reported as the last line of its
     # stderr, so the report stays diffable key by key
     bench_report = _bench_report()
-    flat = bench_report.perfbench("bogus", 1, 0, 0)
-    assert list(flat) == ["bogus.error"]
-    assert isinstance(flat["bogus.error"], str) and "error" in flat["bogus.error"]
+    flat = bench_report.perfbench("bogus", 1, 0)
+    assert list(flat) == ["bogus.trace.error"]
+    assert isinstance(flat["bogus.trace.error"], str) and "error" in flat["bogus.trace.error"]
 
 
 def test_bench_report_failed_cold_build_is_recorded(monkeypatch):
     # a build snippet that fails is reported as the last line of its
     # stderr, not raised, so the report of the runs before it is written
     bench_report = _bench_report()
+    calls = []
 
     def failing_run(cmd, root=bench_report.ROOT, **kwargs):
+        calls.append(cmd)
         stderr = "Traceback (most recent call last):\nValueError: no full-rank parity-check matrix\n"
         return subprocess.CompletedProcess(cmd, 1, stdout="", stderr=stderr), 0.1
 
@@ -135,6 +138,8 @@ def test_bench_report_failed_cold_build_is_recorded(monkeypatch):
     assert bench_report.cold_build() == {
         "build_code.error": "ValueError: no full-rank parity-check matrix"
     }
+    # one snippet run: the traced runs already time the build
+    assert calls == [[sys.executable, "-c", bench_report.BUILD_SNIPPET]]
 
 
 def test_bench_report_tier1_names_errors_one_way(monkeypatch):
@@ -207,3 +212,53 @@ def test_bench_report_compare_alternates_and_marks_a_failed_side(monkeypatch):
         assert report[f"{w}.change.correct"] is True
         assert report[f"{w}.pairs"] == 0
         assert f"{w}.ops_per_s.wins" not in report
+
+
+def test_bench_report_main_writes_pairs_and_traced_runs_in_one_report(monkeypatch, tmp_path):
+    # every step stubbed: the one report holds the pair statistics and the
+    # traced per-layer metrics, REV defaults to HEAD, and the working tree
+    # runs untraced only inside the pairs
+    bench_report = _bench_report()
+    base_root = Path("base")
+    calls, revs = [], []
+
+    def fake_run(workload, seed, seconds, trace, root=bench_report.ROOT):
+        calls.append((workload, trace, "base" if root == base_root else "change"))
+        metrics = {m: {"value": 1.0} for m in bench_report.END_TO_END}
+        if trace:
+            metrics = {"ldpc.bp_ms": {"value": 0.2}, "process.cpu_ms_per_op": {"value": 3.0}}
+        return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+
+    def fake_worktree(rev):
+        revs.append(rev)
+        return contextlib.nullcontext(base_root)
+
+    monkeypatch.setattr(bench_report, "_git", lambda *args: b"0123abc\n")
+    monkeypatch.setattr(bench_report, "_worktree", fake_worktree)
+    monkeypatch.setattr(bench_report, "_perfbench_run", fake_run)
+    monkeypatch.setattr(bench_report, "machine", lambda: {"cores": 2})
+    monkeypatch.setattr(bench_report, "cold_build", lambda: {"build_code.traced_peak_mb": 9.0})
+    monkeypatch.setattr(bench_report, "send_10k", lambda seed: {"send_10k.identical": True})
+    monkeypatch.setattr(bench_report, "tier1", lambda: {"tier1.failed": 0})
+    monkeypatch.setattr(bench_report.signal, "signal", lambda *args: None)
+    out = tmp_path / "report.json"
+    assert bench_report.main(["--output", str(out), "--seconds", "0"]) == 0
+    report = json.loads(out.read_text())
+
+    workloads = bench_report.WORKLOADS
+    assert revs == ["HEAD"] and report["against"] == "HEAD"
+    untraced = [c for c in calls if c[1] == 0]
+    assert len(untraced) == 2 * bench_report.PAIRS * len(workloads)
+    assert sum(side == "change" for _, _, side in untraced) == bench_report.PAIRS * len(workloads)
+    assert [c for c in calls if c[1] != 0] == [(w, 1, "change") for w in workloads]
+    for w in workloads:
+        for metric in bench_report.END_TO_END:
+            assert report[f"{w}.{metric}.wins"] == 0
+            assert report[f"{w}.{metric}.change_median"] == 1.0
+            assert f"{w}.{metric}" not in report
+        assert report[f"{w}.trace.ldpc.bp_ms"] == 0.2
+        assert report[f"{w}.trace.process.cpu_ms_per_op"] == 3.0
+        assert report[f"{w}.trace.correct"] is True
+    assert report["build_code.traced_peak_mb"] == 9.0
+    assert report["send_10k.identical"] and report["tier1.failed"] == 0 and report["cores"] == 2
+    assert all(not isinstance(v, (dict, list)) for v in report.values())

@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 
 import qsdc
+import qsdc.experiments
 import qsdc.wiretap_code
 from qsdc.cli import (
     EXIT_DECODE, EXIT_DEFERRED, EXIT_IO, EXIT_OK, EXIT_SECURITY, _build_parser, main,
 )
 from qsdc.config_io import load_config, parse_config, render_config
-from qsdc.experiments import MAX_SWEEP_POINTS
+from qsdc.experiments import MAX_STABILITY_BLOCKS, MAX_SWEEP_POINTS
 from qsdc.protocol import CodeParams, ProtocolConfig, nominal_config
 from qsdc.states import ChannelParams
 
@@ -453,6 +454,10 @@ def test_config_partial_section_keeps_defaults():
     assert partial.data_channel == nominal.data_channel
 
 
+# the values below that no int or float conversion accepts
+_UNPARSABLE = ("twelve", "1.5", "abc")
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -470,6 +475,9 @@ def test_config_partial_section_keeps_defaults():
         # switched the gate off is rejected with its key
         ("protocol", "abort_threshold_capacity", "nan"),
         ("protocol", "abort_threshold_capacity", "-inf"),
+        # values that do not parse as their key's type
+        pytest.param("code", "l", "1.5", id="1.5 as int"),
+        pytest.param("protocol", "e_margin", "abc", id="abc as float"),
     ],
 )
 def test_bad_partial_section_value_is_io_error(tmp_path, capsys, section, key, value):
@@ -480,6 +488,11 @@ def test_bad_partial_section_value_is_io_error(tmp_path, capsys, section, key, v
         load_config(cfg)
     rc = main(["stability", "--config", str(cfg), "--blocks", "1"])
     assert rc == EXIT_IO
+    err = capsys.readouterr().err
+    assert key in err
+    if value in _UNPARSABLE:
+        # the message names where the value is, not only the failed conversion
+        assert f"[{section}] {key}: {value!r} does not parse as " in err
 
 
 def test_config_unknown_key_rejected():
@@ -602,6 +615,35 @@ def test_oversized_sweep_is_io_error(capsys):
     assert main(["sweep", "--loss-start", "0", "--loss-stop", "1e9", "--loss-step", "1e-9"]) == EXIT_IO
     out, err = capsys.readouterr()
     assert out == "" and f"more than {MAX_SWEEP_POINTS} points" in err
+
+
+def test_oversized_stability_is_io_error(capsys, monkeypatch):
+    # a run of 10**11 blocks would frame a 6 TiB payload: refused before
+    # any payload is sized or made, like the oversized sweep above
+    def unreachable(*args):
+        raise AssertionError("payload sized for a refused run")
+
+    monkeypatch.setattr(qsdc.experiments, "payload_bytes_for_blocks", unreachable)
+    for blocks in (10**11, MAX_STABILITY_BLOCKS + 1):
+        assert main(["stability", "--blocks", str(blocks)]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == "" and f"n_blocks must lie in [1, {MAX_STABILITY_BLOCKS}], got {blocks}" in err
+
+
+def test_send_to_a_bad_output_path_keeps_the_transcript(tmp_path, capsys):
+    # the session runs, the output file cannot be written, and the record
+    # of the session is written first
+    cfg = tmp_path / "fast.ini"
+    cfg.write_text(FAST_INI)
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"abc")
+    transcript = tmp_path / "t.jsonl"
+    rc = main(["send", "--config", str(cfg), "--input", str(src),
+               "--output", str(tmp_path / "missing" / "out.bin"), "--transcript", str(transcript)])
+    assert rc == EXIT_IO
+    assert "No such file or directory" in capsys.readouterr().err
+    summary = json.loads(transcript.read_text().splitlines()[-1])
+    assert (summary["record"], summary["abort_reason"], summary["delivered_bytes"]) == ("summary", None, 3)
 
 
 def test_footprint_follows_the_code(tmp_path, capsys):

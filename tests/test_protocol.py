@@ -597,6 +597,28 @@ def test_session_decode_failure_after_retries(monkeypatch):
     assert all(b.bp_iterations == 0 for b in tr.blocks)
 
 
+def _fading_data_path(fast_config) -> ProtocolConfig:
+    # 10 dB on the data path: about 0.8 detected chips per coded bit, near
+    # the code's threshold, so BP often runs all its iterations unconverged
+    return dataclasses.replace(fast_config, data_channel=ChannelParams(10.0, 0.006))
+
+
+def test_session_retries_a_block_bp_did_not_converge_on(fast_config):
+    tr = run_session(_fading_data_path(fast_config), b"x", seed=14)
+    assert tr.ok and tr.delivered == b"x"
+    failed, delivered = (json.loads(line) for line in tr.to_jsonl().splitlines()[:-1])
+    assert (failed["status"], failed["attempt"], failed["bp_iterations"]) == ("fail-no-converge", 0, 100)
+    assert (delivered["status"], delivered["attempt"], delivered["block_index"]) == ("ok", 1, 0)
+
+
+def test_session_decode_failure_after_unconverged_decodes(fast_config):
+    tr = run_session(_fading_data_path(fast_config), b"x", seed=8)
+    assert tr.abort_reason == "decode-failure" and not tr.security_abort
+    assert tr.delivered == b""
+    assert [b.status for b in tr.blocks] == ["fail-no-converge"] * (MAX_BLOCK_RETRIES + 1)
+    assert all(b.bp_iterations == 100 for b in tr.blocks)
+
+
 def test_session_transcript_jsonl(fast_config):
     tr = run_session(fast_config, b"json lines", seed=17)
     lines = tr.to_jsonl().strip().split("\n")

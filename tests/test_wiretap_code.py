@@ -2,13 +2,15 @@
 
 import configparser
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsdc.gf2 import PackedRows
-from qsdc.ldpc import TannerGraph, ldpc_encode
+from qsdc.gf2 import MAX_INVERTIBLE_DRAWS, PackedRows, random_invertible
+from qsdc.ldpc import TannerGraph, ldpc_encode, peg_construct
+from qsdc.spreading import keystream
 from qsdc.wiretap_code import (
     CodeParams,
     _checksums,
@@ -129,6 +131,41 @@ def test_uhf_map_rejects_bad_lengths(small_code):
             np.zeros(small_code.k_r, dtype=np.uint8),
             small_code,
         )
+
+
+class _SingularDraws:
+    """A generator whose every draw is the all-zero matrix, singular at any size."""
+
+    def integers(self, low, high, size, dtype):
+        return np.zeros(size, dtype=dtype)
+
+
+def _zeros(n: int) -> np.ndarray:
+    return np.zeros(n, dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda c: peg_construct(4, 8, 5, np.random.default_rng(0)), ValueError,
+                     "var_degree 5 exceeds check count 4", id="peg_construct var_degree"),
+        pytest.param(lambda c: ldpc_encode(_zeros(c.k_u + 1), c.g_rows), ValueError,
+                     "information-word shape (129,) != (128,)", id="ldpc_encode shape"),
+        pytest.param(lambda c: uhf_map(_zeros(c.k_m), _zeros(c.k_r - 1), c), ValueError,
+                     "random-bit length (31,) != (32,)", id="uhf_map random bits"),
+        pytest.param(lambda c: uhf_invert(_zeros(c.k_u - 1), c), ValueError,
+                     "information-word length (127,) != (128,)", id="uhf_invert length"),
+        pytest.param(lambda c: keystream(c.seed, 0, 2**32 + 1), ValueError,
+                     f"length must lie in [0, 2**32], got {2**32 + 1}", id="keystream length"),
+        pytest.param(lambda c: random_invertible(4, _SingularDraws()), RuntimeError,
+                     f"no invertible matrix found in {MAX_INVERTIBLE_DRAWS} draws",
+                     id="random_invertible gives up"),
+    ],
+)
+def test_input_checks_name_the_bad_input(small_code, call, error, message):
+    # small_code is CodeParams(256, 128, 32, 8): k_u 128, k_r 32
+    with pytest.raises(error, match=re.escape(message)):
+        call(small_code)
 
 
 def test_uhf_mixes_random_bits(small_code, rng):

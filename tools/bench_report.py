@@ -1,42 +1,39 @@
-"""Write one flat JSON benchmark report for the checkout this file is in.
+"""Write one flat JSON benchmark report for the working tree this file is in.
 
-    python3 tools/bench_report.py --output BENCH_<n>.json [--seconds S] [--seed 1]
-    python3 tools/bench_report.py --output BENCH_<n>.json --against <rev> [--seconds S] [--seed 1]
+    python3 tools/bench_report.py --output BENCH_<n>.json [--against REV] [--seconds S] [--seed 1]
 
-S, the timed seconds of each run, defaults to BENCHMARK.json's
-run_seconds, the run length the benchmark itself uses.
+REV, the revision the tree is compared with, defaults to HEAD; S, the
+timed seconds of each run, defaults to BENCHMARK.json's run_seconds,
+the run length the benchmark itself uses.
 
-It runs perfbench/run.py for every workload, untraced and traced, then
-times a cold nominal `build_code` in a fresh process, takes the
-tracemalloc peak of another in a second fresh process, times a 10 KiB
-`qsdc send` at the default configuration, and the Tier-1 test suite,
-and records the machine: cores, Python, numpy, the git head and, for a
-tree with uncommitted changes, a digest that names them.  A perfbench
-run or cold build that fails leaves the last line of its stderr under
-`<workload>[.trace].error` or `build_code.error`, and the report is
-still written.
+Every report is made the same way.  First the pairs: it checks REV out
+with `git worktree` under a temporary directory and runs every workload
+of BENCHMARK.json untraced PAIRS times on that checkout (base) and on
+this working tree (change), alternating, with REV first in
+odd-numbered pairs, then removes the worktree.  For each workload and
+end-to-end metric it records
+`<workload>.<metric>.{base,change}_{median,q1,q3}` (quartiles by linear
+interpolation), and `.wins` and `.losses`, the pairs in which the
+change was better or worse; a tie counts for neither.  A run that fails
+is left out of the statistics and its last stderr line kept as
+`<workload>.<base|change>.error`; that side's `.correct` is then false.
+Only alternating pairs compare two trees: the machine's speed drifts
+between runs.
+
+Then the working tree alone: one traced run of each workload, whose
+per-layer metrics and CPU per operation land under
+`<workload>.trace.<metric>`; the tracemalloc peak of a cold nominal
+`build_code` in a fresh process (the traced runs time the same build
+as `wiretap_code.build_s`); a 10 KiB `qsdc send` at the default
+configuration; and the Tier-1 test suite.  It records the machine:
+cores, Python, numpy, the git head and, for a tree with uncommitted
+changes, a digest that names them.  A traced run or build that fails
+leaves the last line of its stderr under `<workload>.trace.error` or
+`build_code.error`, and the report is still written.
 
 Every key of the output is a top-level scalar, so two reports diff with
 
     jq -S . A.json > a; jq -S . B.json > b; diff a b
-
-Keys are `<workload>.<metric>` for the untraced end-to-end metrics,
-`<workload>.trace.<metric>` for the traced per-layer ones, and plain
-names for the rest.  A figure is from one run: it describes one tree,
-and does not compare two.
-
-With --against <rev> the report compares instead: it checks <rev> out
-with `git worktree` under a temporary directory and runs every workload
-untraced PAIRS times on that checkout and on this working tree,
-alternating, with <rev> first in odd-numbered pairs, then removes the
-worktree.  For each workload and end-to-end metric of BENCHMARK.json it
-records `<workload>.<metric>.{base,change}_{median,q1,q3}` (quartiles
-by linear interpolation), and `.wins` and `.losses`, the pairs in which
-the change was better or worse; a tie counts for neither.  A run that
-fails is left out of the statistics and its last stderr line kept as
-`<workload>.<base|change>.error`; that side's `.correct` is then false.
-Only alternating pairs compare two trees: the machine's speed drifts
-between runs.
 """
 
 from __future__ import annotations
@@ -67,22 +64,16 @@ END_TO_END = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 # from the git head
 TREE_PATHS = ("src", "tests", "perfbench", "tools")
 SEND_BYTES = 10 * 1024
-# pairs of runs with --against: the fewest from which a gain may be claimed
+# untraced pairs of runs per workload: the fewest from which a gain may be claimed
 PAIRS = 10
-# builds the default CodeParams() code and prints the build's seconds, or
-# with the argument "traced" the peak MiB that tracemalloc saw, which
-# would slow the timed build
+# builds the default CodeParams() code under tracemalloc and prints the
+# peak MiB it saw
 BUILD_SNIPPET = """
-import sys, time, tracemalloc
+import tracemalloc
 from qsdc.wiretap_code import CodeParams, build_code
-p = CodeParams()
-traced = sys.argv[1:] == ["traced"]
-if traced:
-    tracemalloc.start()
-t0 = time.perf_counter()
-build_code(p)
-elapsed = time.perf_counter() - t0
-print(tracemalloc.get_traced_memory()[1] / 2**20 if traced else elapsed)
+tracemalloc.start()
+build_code(CodeParams())
+print(tracemalloc.get_traced_memory()[1] / 2**20)
 """
 
 
@@ -116,10 +107,10 @@ def _perfbench_run(workload: str, seed: int, seconds: float, trace: int,
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One run.py call, flattened to `<workload>[.trace].<key>` entries."""
-    prefix = f"{workload}.trace" if trace else workload
-    summary = _perfbench_run(workload, seed, seconds, trace)
+def perfbench(workload: str, seed: int, seconds: float) -> dict:
+    """One traced run.py call, flattened to `<workload>.trace.<key>` entries."""
+    prefix = f"{workload}.trace"
+    summary = _perfbench_run(workload, seed, seconds, 1)
     if isinstance(summary, str):
         return {f"{prefix}.error": summary}
     flat = {f"{prefix}.{key}": summary[key] for key in ("correct", "attempted", "failed")}
@@ -129,14 +120,11 @@ def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 
 def cold_build() -> dict:
-    """The timed and the traced build, or build_code.error if either failed."""
-    proc, wall = _run([sys.executable, "-c", BUILD_SNIPPET])
-    traced, _ = _run([sys.executable, "-c", BUILD_SNIPPET, "traced"])
-    for run in (proc, traced):
-        if run.returncode != 0:
-            return {"build_code.error": _failure(run)}
-    return {"build_code.cold_s": float(proc.stdout.strip()), "build_code.process_s": wall,
-            "build_code.traced_peak_mb": float(traced.stdout.strip())}
+    """The traced build's peak, or build_code.error if it failed."""
+    proc, _ = _run([sys.executable, "-c", BUILD_SNIPPET])
+    if proc.returncode != 0:
+        return {"build_code.error": _failure(proc)}
+    return {"build_code.traced_peak_mb": float(proc.stdout.strip())}
 
 
 def send_10k(seed: int) -> dict:
@@ -272,32 +260,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"],
                         help="timed seconds per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--against", metavar="REV",
-                        help=f"compare this working tree with git revision REV in {PAIRS} alternating pairs")
+    parser.add_argument("--against", metavar="REV", default="HEAD",
+                        help=f"compare this working tree with git revision REV in {PAIRS} "
+                             "alternating pairs (default: HEAD)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
-    report = {"schema": 1, "seconds": args.seconds, "seed": args.seed, **machine()}
-    if args.against is not None:
-        # SIGTERM raises SystemExit, so the worktree is still removed
-        signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-        report.update(compare(args.against, args.seed, args.seconds))
-        Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
-        return 0
+    report = {"schema": 2, "seconds": args.seconds, "seed": args.seed, **machine()}
+    # SIGTERM raises SystemExit, so the worktree is still removed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    report.update(compare(args.against, args.seed, args.seconds))
     for workload in WORKLOADS:
-        for trace in (0, 1):
-            print(f"{workload} trace {trace}", file=sys.stderr)
-            report.update(perfbench(workload, args.seed, args.seconds, trace))
+        print(f"{workload} traced", file=sys.stderr)
+        report.update(perfbench(workload, args.seed, args.seconds))
     for name, step in (("cold build_code", cold_build), ("10 KiB send", lambda: send_10k(args.seed)),
                        ("tier-1", tier1)):
         print(name, file=sys.stderr)
         report.update(step())
     Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
