@@ -51,10 +51,21 @@ def _add_rate_args(parser: argparse.ArgumentParser) -> None:
 
 def _seed(text: str) -> int:
     """A --seed value: an integer >= 0, as numpy's seed sequences take."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # refused below, with the negative seeds
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return value
+
+
+# each --attack's constructor and the options it reads, with their values when not given
+_ATTACKS = {
+    "none": (AttackModel.none, {}),
+    "intercept-resend": (AttackModel.intercept_resend, {"attack_fraction": 1.0}),
+    "collective": (AttackModel.optimal_collective, {"attack_ex": 0.0, "attack_ez": 0.0}),
+}
 
 
 @functools.cache
@@ -95,14 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
     snd.add_argument("--input", required=True, help="payload file")
     snd.add_argument("--output", required=True, help="recovered-file path")
     snd.add_argument("--seed", type=_seed, default=1)
-    snd.add_argument(
-        "--attack",
-        choices=["none", "intercept-resend", "collective"],
-        default="none",
-    )
-    snd.add_argument("--attack-fraction", type=float, default=1.0)
-    snd.add_argument("--attack-ex", type=float, default=0.0)
-    snd.add_argument("--attack-ez", type=float, default=0.0)
+    snd.add_argument("--attack", choices=list(_ATTACKS), default="none")
+    snd.add_argument("--attack-fraction", type=float, help="intercept-resend only (default 1.0)")
+    snd.add_argument("--attack-ex", type=float, help="collective only (default 0.0)")
+    snd.add_argument("--attack-ez", type=float, help="collective only (default 0.0)")
     snd.add_argument("--report", default=None, help="write the JSON report here as well")
     snd.add_argument("--transcript", default=None, help="write per-block JSONL here")
     snd.set_defaults(run=_cmd_send)
@@ -110,11 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _attack_from_args(args: argparse.Namespace) -> AttackModel:
-    if args.attack == "none":
-        return AttackModel.none()
-    if args.attack == "intercept-resend":
-        return AttackModel.intercept_resend(args.attack_fraction)
-    return AttackModel.optimal_collective(args.attack_ex, args.attack_ez)
+    """The --attack model; raises ValueError on an option that it does not read."""
+    make, reads = _ATTACKS[args.attack]
+    given = {name: getattr(args, name) for name in ("attack_fraction", "attack_ex", "attack_ez")}
+    for name, value in given.items():
+        if value is not None and name not in reads:
+            raise ValueError(f"--{name.replace('_', '-')} is not read by --attack {args.attack}")
+    return make(*(reads[name] if given[name] is None else given[name] for name in reads))
 
 
 def _exit_code(abort_reason: str | None) -> int:
@@ -173,8 +182,8 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 
 
 def _cmd_send(args: argparse.Namespace) -> int:
-    config = NOMINAL if args.config is None else load_config(args.config)
     attack = _attack_from_args(args)
+    config = NOMINAL if args.config is None else load_config(args.config)
     report = run_e2e(
         config,
         args.input,

@@ -61,12 +61,10 @@ def _gauss_jordan(a: np.ndarray, n_cols: int) -> np.ndarray:
         if i == holders.size:
             continue
         p = int(holders[i])
-        if p != r or holders.size > 1:
-            pivot = a[p].copy()
-            if holders.size > 1:
-                a[holders] ^= pivot  # clears row p too; the swap refills it
-            a[p] = a[r]
-            a[r] = pivot
+        pivot = a[p].copy()
+        a[holders] ^= pivot  # clears row p too; the swap refills it
+        a[p] = a[r]
+        a[r] = pivot
         pivots.append(c)
     return np.array(pivots, dtype=np.int64)
 

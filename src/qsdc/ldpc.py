@@ -52,9 +52,7 @@ def peg_construct(
     checks count as infinitely far), breaking ties by lowest check
     degree and then by one uniform draw over the tied checks in
     ascending index order.  The first edge of a variable has no graph
-    to search, so every check is a candidate.  The checks at the lowest
-    degree overall are tracked as edges land; only when no candidate is
-    among them are the candidates' degrees compared.
+    to search, so every check is a candidate.
 
     The growing graph is held as packed bit rows, row c having bit c2
     set when some variable joins checks c and c2, so one breadth-first
@@ -67,9 +65,6 @@ def peg_construct(
     check_degree = np.zeros(n_checks, dtype=np.int64)
     linked = np.zeros((n_checks, (n_checks + 7) // 8), dtype=np.uint8)
     every_check = np.packbits(np.ones(n_checks, dtype=bool))
-    # the checks of the lowest degree, as packed bits, and how many there are:
-    # when a candidate has that degree, the tied candidates are those checks
-    min_degree, at_min, n_at_min = 0, every_check.copy(), n_checks
     unpack, or_reduce, take, draw = np.unpackbits, np.bitwise_or.reduce, linked.take, rng.integers
 
     for v in range(n_vars):
@@ -94,24 +89,15 @@ def peg_construct(
                     prev, unreached = unreached, unreached ^ new
                     n_reached += frontier.size
                 candidates = unreached if n_reached < n_checks else prev
-            low = unpack(candidates & at_min, count=n_checks).view(bool).nonzero()[0]
-            if not low.size:
-                cand = unpack(candidates, count=n_checks).view(bool).nonzero()[0]
-                degs = check_degree[cand]
-                low = cand[degs == degs.min()]
+            cand = unpack(candidates, count=n_checks).view(bool).nonzero()[0]
+            degs = check_degree[cand]
+            low = cand[degs == degs.min()]
             c = int(low[draw(0, low.size)])
             for c2 in adjacent:
                 linked[c, c2 >> 3] |= 0x80 >> (c2 & 7)
                 linked[c2, c >> 3] |= 0x80 >> (c & 7)
             adjacent.append(c)
             check_degree[c] += 1
-            if check_degree[c] == min_degree + 1:
-                at_min[c >> 3] ^= 0x80 >> (c & 7)
-                n_at_min -= 1
-                if not n_at_min:
-                    min_degree += 1
-                    lowest = check_degree == min_degree
-                    at_min, n_at_min = np.packbits(lowest), int(lowest.sum())
         var_checks[v] = adjacent
     return var_checks
 

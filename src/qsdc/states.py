@@ -27,8 +27,7 @@ class ChannelParams:
     flip_prob: float
 
     def __post_init__(self) -> None:
-        if not self.loss_db >= 0.0:  # NaN fails this too
-            raise ValueError(f"loss_db must be >= 0, got {self.loss_db}")
+        loss_to_survival(self.loss_db)  # refuses a negative or NaN loss
         if not 0.0 <= self.flip_prob <= 0.5:
             raise ValueError(f"flip_prob must be in [0, 0.5], got {self.flip_prob}")
 
@@ -38,7 +37,10 @@ class ChannelParams:
 
 
 def loss_to_survival(loss_db: float) -> float:
-    """Fraction of pulses that survive loss_db of channel loss."""
+    """Fraction of pulses that survive loss_db of channel loss; raises
+    ValueError unless loss_db >= 0."""
+    if not loss_db >= 0.0:  # NaN fails this too
+        raise ValueError(f"loss_db must be >= 0, got {loss_db}")
     return 10.0 ** (-loss_db / 10.0)
 
 

@@ -261,4 +261,9 @@ def test_bench_report_main_writes_pairs_and_traced_runs_in_one_report(monkeypatc
         assert report[f"{w}.trace.correct"] is True
     assert report["build_code.traced_peak_mb"] == 9.0
     assert report["send_10k.identical"] and report["tier1.failed"] == 0 and report["cores"] == 2
+    # the line totals are `cat <files> | wc -l` of the measured tree
+    root = bench_report.ROOT
+    for key, pattern in (("lines.src", "src/qsdc/*.py"), ("lines.tests", "tests/*.py")):
+        text = "".join(path.read_text() for path in root.glob(pattern))
+        assert report[key] == text.count("\n") > 0
     assert all(not isinstance(v, (dict, list)) for v in report.values())

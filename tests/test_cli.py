@@ -214,13 +214,16 @@ def test_bad_g_is_io_error(capsys, command, g):
 
 @pytest.mark.parametrize(
     "flag", ["--loss-stop=inf", "--loss-start=-inf", "--loss-step=inf", "--loss-step=nan",
-             "--loss-start=nan", "--loss-stop=3"],
+             "--loss-start=nan", "--loss-stop=3", "--loss-start=-1", "--loss-db=-1"],
 )
 def test_sweep_bad_loss_range_is_io_error(capsys, flag):
     # an infinite or NaN bound is rejected as a usage error, not left to
-    # overflow or to poison q_bob further on
-    assert main(["sweep", flag]) == EXIT_IO
-    assert "loss" in capsys.readouterr().err
+    # overflow or to poison q_bob further on; a negative loss, in a sweep
+    # or at capacity's single point, is named as a loss, not as a q_bob
+    command = "capacity" if flag.startswith("--loss-db") else "sweep"
+    assert main([command, flag]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "loss" in err and "q_bob" not in err
 
 
 def test_stability_csv(tmp_path, capsys):
@@ -600,14 +603,16 @@ def test_code_whose_draws_are_all_rank_deficient_is_io_error(tmp_path, capsys, m
 
 @pytest.mark.parametrize("command", ["stability", "send"])
 def test_negative_seed_is_argument_error(tmp_path, capsys, command):
-    # numpy seeds from integers >= 0 only; the error names --seed
-    argv = [command, "--seed", "-3"]
-    if command == "send":
-        argv += ["--input", str(tmp_path / "in.bin"), "--output", str(tmp_path / "out.bin")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == EXIT_IO
-    assert "argument --seed: expected an integer >= 0, got '-3'" in capsys.readouterr().err
+    # numpy seeds from integers >= 0 only; the error names --seed, and text
+    # that is no integer gets the same message
+    for seed in ("-3", "abc", "1.5"):
+        argv = [command, "--seed", seed]
+        if command == "send":
+            argv += ["--input", str(tmp_path / "in.bin"), "--output", str(tmp_path / "out.bin")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_IO
+        assert f"argument --seed: expected an integer >= 0, got '{seed}'" in capsys.readouterr().err
 
 
 def test_oversized_sweep_is_io_error(capsys):
@@ -686,6 +691,23 @@ def test_send_on_a_noisy_check_channel_is_a_security_abort(tmp_path, capsys):
     assert [b["status"] for b in blocks] == ["gate-abort"]
     assert main(["stability", "--config", str(cfg), "--blocks", "2",
                  "--output", str(tmp_path / "rows.csv")]) == EXIT_SECURITY
+
+
+@pytest.mark.parametrize("option", [
+    ["--attack-fraction", "0.5"],
+    ["--attack", "intercept-resend", "--attack-ex", "0.2"],
+    ["--attack", "collective", "--attack-fraction", "0.5", "--attack-ez", "0.2"],
+])
+def test_send_attack_option_the_attack_does_not_read_is_io_error(tmp_path, capsys, option):
+    # an option that --attack ignores would run another session than the
+    # one asked for; it is refused, and named, before any session runs
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    src.write_bytes(b"abc")
+    rc = main(["send", "--input", str(src), "--output", str(dst)] + option)
+    out, err = capsys.readouterr()
+    assert rc == EXIT_IO and out == "" and not dst.exists()
+    name = next(word for word in option if word.startswith("--attack-"))
+    assert f"error: {name} is not read by --attack" in err
 
 
 @pytest.mark.parametrize("argv", [

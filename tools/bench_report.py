@@ -25,11 +25,14 @@ per-layer metrics and CPU per operation land under
 `<workload>.trace.<metric>`; the tracemalloc peak of a cold nominal
 `build_code` in a fresh process (the traced runs time the same build
 as `wiretap_code.build_s`); a 10 KiB `qsdc send` at the default
-configuration; and the Tier-1 test suite.  It records the machine:
-cores, Python, numpy, the git head and, for a tree with uncommitted
-changes, a digest that names them.  A traced run or build that fails
-leaves the last line of its stderr under `<workload>.trace.error` or
-`build_code.error`, and the report is still written.
+configuration; and the Tier-1 test suite.  It records the line totals
+of the package and of the tests, `lines.src` and `lines.tests`, as
+`cat src/qsdc/*.py | wc -l` and `cat tests/*.py | wc -l` count them,
+and the machine: cores, Python, numpy, the git head and, for a tree
+with uncommitted changes, a digest that names them.  A traced run or
+build that fails leaves the last line of its stderr under
+`<workload>.trace.error` or `build_code.error`, and the report is
+still written.
 
 Every key of the output is a top-level scalar, so two reports diff with
 
@@ -147,6 +150,14 @@ def tier1() -> dict:
     for n, word in re.findall(r"(\d+) (passed|failed|error)", tail):
         counts[f"tier1.{'errors' if word == 'error' else word}"] = int(n)
     return counts
+
+
+def line_counts() -> dict:
+    """Newline totals of the package's and the tests' Python files."""
+    def total(pattern: str) -> int:
+        return sum(path.read_bytes().count(b"\n") for path in ROOT.glob(pattern))
+
+    return {"lines.src": total("src/qsdc/*.py"), "lines.tests": total("tests/*.py")}
 
 
 def _git(*args: str) -> bytes:
@@ -269,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
-    report = {"schema": 2, "seconds": args.seconds, "seed": args.seed, **machine()}
+    report = {"schema": 2, "seconds": args.seconds, "seed": args.seed, **machine(), **line_counts()}
     # SIGTERM raises SystemExit, so the worktree is still removed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     report.update(compare(args.against, args.seed, args.seconds))
