@@ -32,7 +32,7 @@ O(detections), not O(slots).
 All randomness is drawn from per-attempt generators derived from
 (session seed, attempt serial number), so transcripts are reproducible.
 The attempts of a session still run in order: the capacity gate pools
-the check counts of every earlier attempt (_PooledCounts), so each
+the check counts of every earlier attempt (_Session.gate), so each
 attempt's gate decision depends on the attempts before it.
 """
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -335,45 +335,6 @@ class BlockRecord:
 
 
 @dataclass
-class _PooledCounts:
-    """Running sums of the counts of a session's attempts so far, on
-    which the capacity gate decides.
-
-    The channel and any eavesdropping are treated as stationary within
-    a session, so the gate pools: one block's ~300 disclosed pulses put
-    the nominal error rate only about 4 sigma below the abort point, and
-    a session of a hundred blocks gated block by block would flap.
-    Per-block rates are still logged unpooled, and the forward-check
-    margin in the decode step guards each block individually.
-    """
-
-    err_x: int = 0
-    n_x: int = 0
-    err_z: int = 0
-    n_z: int = 0
-    fwd_errors: int = 0
-    n_fwd_detected: int = 0
-
-    def add(self, record: BlockRecord) -> None:
-        """Pool an attempt's counts: the BlockRecord fields of these names."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(record, f.name))
-
-    def gate(
-        self, config: ProtocolConfig, counts: dict, q_hat: float
-    ) -> tuple[bool, SecurityEstimate]:
-        """The capacity gate on this attempt's check counts (the fields
-        bob_estimate_errors returns) pooled with the earlier ones;
-        gate_on_capacity's result.  The data-path rate pools the earlier
-        forward checks, or is flip_prob before there are any."""
-        e_x = (self.err_x + counts["err_x"]) / (self.n_x + counts["n_x"])
-        e_z = (self.err_z + counts["err_z"]) / (self.n_z + counts["n_z"])
-        n_fwd = self.n_fwd_detected
-        e = self.fwd_errors / n_fwd if n_fwd else config.data_channel.flip_prob
-        return gate_on_capacity(e_x, e_z, e, q_hat, config.g)
-
-
-@dataclass
 class SessionTranscript:
     """Full account of one session: per-block records plus the outcome.
 
@@ -461,78 +422,109 @@ def _unframe_message(bit_chunks: list[np.ndarray]) -> bytes:
     return data[FRAME_HEADER_BYTES : FRAME_HEADER_BYTES + length]
 
 
-def _run_block_attempt(
-    config: ProtocolConfig,
-    code: WiretapCode,
-    chunk_bits: np.ndarray,
-    seed: int,
-    serial: int,
-    block_index: int,
-    attempt: int,
-    attack: AttackModel,
-    pooled: _PooledCounts,
-) -> tuple[BlockRecord, Optional[np.ndarray]]:
-    """Simulate one block attempt end to end: its record and Bob's
-    decoded message bits, which are None unless the block is delivered.
+# the BlockRecord counts the capacity gate pools over a session's attempts
+_POOLED = ("err_x", "n_x", "err_z", "n_z", "fwd_errors", "n_fwd_detected")
 
-    serial is the attempt's number in the session; it seeds the
-    attempt's generators and its keystream.  The capacity gate decides
-    on this attempt's check counts pooled with the session's earlier
-    ones in pooled.
 
-    Slots nobody observes are only counted (see the module docstring):
-    Bob's states, the attack, the flips and the measurements are drawn
-    for the checked pulses and the detected data slots alone.
+@dataclass
+class _Session:
+    """What a session's block attempts share: the config, the built code,
+    the seed, the attack, the attempts' records so far and the running
+    sums of their counts, on which the capacity gate decides.
+
+    The channel and any eavesdropping are treated as stationary within
+    a session, so the gate pools: one block's ~300 disclosed pulses put
+    the nominal error rate only about 4 sigma below the abort point, and
+    a session of a hundred blocks gated block by block would flap.
+    Per-block rates are still logged unpooled, and the forward-check
+    margin in the decode step guards each block individually.
     """
-    ss = np.random.SeedSequence([seed, serial])
-    bob_rng, channel_rng, alice_rng, attack_rng = (
-        np.random.default_rng(child) for child in ss.spawn(4)
-    )
 
-    # check path: how many slots fire Alice's check detector, and which
-    # of those she checks
-    n_sent = config.slots_per_block
-    n_received = int(channel_rng.binomial(n_sent, config.check_channel.survival))
-    base_record = dict(
-        block_index=block_index,
-        attempt=attempt,
-        n_sent=n_sent,
-        n_received_check=n_received,
-    )
-    n_checked = int(alice_rng.binomial(n_received, config.check_fraction))
-    prepared = bob_prepare_block(n_checked, bob_rng)
-    wire = attack.apply(prepared, attack_rng)
-    arriving = flip_codes(wire, config.check_channel.flip_prob, channel_rng)
-    counts = bob_estimate_errors(*alice_sample_check(arriving, alice_rng), prepared)
-    q_hat = n_received / n_sent
-    base_record.update(counts, n_checked=n_checked, q_hat=q_hat)
-    if not (counts["n_x"] and counts["n_z"]):
-        return BlockRecord(**base_record, status="deferred-empty-basis"), None
+    config: ProtocolConfig
+    code: WiretapCode
+    seed: int
+    attack: AttackModel
+    blocks: list[BlockRecord] = field(default_factory=list)
+    pooled: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_POOLED, 0))
 
-    proceed, estimate = pooled.gate(config, counts, q_hat)
-    base_record.update(c_s=estimate.c_s, i_ab=estimate.i_ab, i_ae=estimate.i_ae)
-    if not proceed:
-        return BlockRecord(**base_record, status="gate-abort"), None
+    def gate(self, counts: dict, q_hat: float) -> tuple[bool, SecurityEstimate]:
+        """The capacity gate on this attempt's check counts (the fields
+        bob_estimate_errors returns) pooled with the earlier ones;
+        gate_on_capacity's result.  The data-path rate pools the earlier
+        forward checks, or is flip_prob before there are any."""
+        p = self.pooled
+        e_x = (p["err_x"] + counts["err_x"]) / (p["n_x"] + counts["n_x"])
+        e_z = (p["err_z"] + counts["err_z"]) / (p["n_z"] + counts["n_z"])
+        n_fwd = p["n_fwd_detected"]
+        e = p["fwd_errors"] / n_fwd if n_fwd else self.config.data_channel.flip_prob
+        return gate_on_capacity(e_x, e_z, e, q_hat, self.config.g)
 
-    n_fwd = config.n_forward_checks
-    if n_sent - n_checked < code.block_chips + n_fwd:
-        return BlockRecord(**base_record, status="deferred-insufficient-slots"), None
+    def attempt(
+        self, chunk_bits: np.ndarray, serial: int, block_index: int, attempt: int
+    ) -> tuple[BlockRecord, Optional[np.ndarray]]:
+        """Simulate one block attempt end to end, append its record and
+        pool its counts.  Returns the record and Bob's decoded message
+        bits, which are None unless the block is delivered.
 
-    # encoding phase: no message material leaves Alice before this point;
-    # only the data slots that fire Bob's detector are drawn
-    n_fwd_det, chip_idx = draw_data_detections(
-        code.block_chips, n_fwd, config.data_channel.survival, channel_rng
-    )
-    fwd_values, ops = alice_encode_block(chunk_bits, code, n_fwd_det, chip_idx, alice_rng, serial)
-    prepared = bob_prepare_block(ops.size, bob_rng)
-    wire = attack.apply(prepared, attack_rng)
-    det_codes = flip_codes(wire ^ ops, config.data_channel.flip_prob, channel_rng)
-    outcomes = measure_codes(det_codes, prepared >> 1, channel_rng)
+        serial is the attempt's number in the session (run_session
+        passes the count of records so far); it seeds the attempt's
+        generators and its keystream.  Slots nobody observes are only
+        counted (see the module docstring): Bob's states, the attack, the
+        flips and the measurements are drawn for the checked pulses and
+        the detected data slots alone.
+        """
+        config, code, attack = self.config, self.code, self.attack
+        ss = np.random.SeedSequence([self.seed, serial])
+        bob_rng, channel_rng, alice_rng, attack_rng = (
+            np.random.default_rng(child) for child in ss.spawn(4)
+        )
 
-    message_bits, decoded = bob_decode_block(
-        outcomes, prepared, fwd_values, chip_idx, code, serial, config.e_margin
-    )
-    return BlockRecord(**base_record, **decoded), message_bits
+        # check path: how many slots fire Alice's check detector, and which
+        # of those she checks
+        n_sent, n_fwd = config.slots_per_block, config.n_forward_checks
+        n_received = int(channel_rng.binomial(n_sent, config.check_channel.survival))
+        n_checked = int(alice_rng.binomial(n_received, config.check_fraction))
+        prepared = bob_prepare_block(n_checked, bob_rng)
+        wire = attack.apply(prepared, attack_rng)
+        arriving = flip_codes(wire, config.check_channel.flip_prob, channel_rng)
+        counts = bob_estimate_errors(*alice_sample_check(arriving, alice_rng), prepared)
+        q_hat = n_received / n_sent
+        values = dict(
+            counts, block_index=block_index, attempt=attempt, n_sent=n_sent,
+            n_received_check=n_received, n_checked=n_checked, q_hat=q_hat,
+        )
+        message_bits = None
+        # an empty basis bucket defers the attempt: BlockRecord's default status
+        if counts["n_x"] and counts["n_z"]:
+            proceed, estimate = self.gate(counts, q_hat)
+            values.update(c_s=estimate.c_s, i_ab=estimate.i_ab, i_ae=estimate.i_ae)
+            if not proceed:
+                values.update(status="gate-abort")
+            elif n_sent - n_checked < code.block_chips + n_fwd:
+                values.update(status="deferred-insufficient-slots")
+            else:
+                # encoding phase: no message material leaves Alice before
+                # this point; only the data slots that fire Bob's detector
+                # are drawn
+                n_fwd_det, chip_idx = draw_data_detections(
+                    code.block_chips, n_fwd, config.data_channel.survival, channel_rng
+                )
+                fwd_values, ops = alice_encode_block(
+                    chunk_bits, code, n_fwd_det, chip_idx, alice_rng, serial
+                )
+                prepared = bob_prepare_block(ops.size, bob_rng)
+                wire = attack.apply(prepared, attack_rng)
+                det_codes = flip_codes(wire ^ ops, config.data_channel.flip_prob, channel_rng)
+                outcomes = measure_codes(det_codes, prepared >> 1, channel_rng)
+                message_bits, decoded = bob_decode_block(
+                    outcomes, prepared, fwd_values, chip_idx, code, serial, config.e_margin
+                )
+                values.update(decoded)
+
+        record = BlockRecord(**values)
+        self.blocks.append(record)
+        self.pooled = {name: n + getattr(record, name) for name, n in self.pooled.items()}
+        return record, message_bits
 
 
 def run_session(
@@ -547,12 +539,13 @@ def run_session(
     exceeded, fewer informative coded bits than k_u, or no convergence)
     are retried with fresh randomness up to MAX_BLOCK_RETRIES times; a
     block still not delivered ends the session, as "deferred" if every
-    attempt was deferred, else as "decode-failure".  A capacity-gate
-    abort terminates the session immediately.  Check counts accumulate
-    across blocks and the gate runs on the pooled rates, so the estimate
-    sharpens as the session progresses while the first block is still
-    gated on its own sample.  The empty message yields an empty
-    transcript.
+    one of its attempts was deferred, else as "decode-failure".  A
+    capacity-gate abort ends the session at once; the transcript keeps
+    every record so far and delivers nothing.  Check counts accumulate
+    across blocks and the gate runs on the pooled rates (_Session.gate),
+    so the estimate sharpens as the session progresses while the first
+    block is still gated on its own sample.  The empty message yields an
+    empty transcript.
     """
     attack = attack or AttackModel.none()
     transcript = SessionTranscript(seed=seed, message_length=len(message), config=config)
@@ -560,27 +553,23 @@ def run_session(
         return transcript
 
     code = realize_code(config.code)
-    chunks = _frame_message(message, code.k_m)
+    session = _Session(config, code, seed, attack, transcript.blocks)
     recovered: list[np.ndarray] = []
-    pooled = _PooledCounts()
-    for block_index, chunk in enumerate(chunks):
+    for block_index, chunk in enumerate(_frame_message(message, code.k_m)):
+        all_deferred = True
         for attempt in range(MAX_BLOCK_RETRIES + 1):
-            record, message_bits = _run_block_attempt(
-                config, code, chunk, seed, len(transcript.blocks), block_index, attempt, attack,
-                pooled,
+            record, message_bits = session.attempt(
+                chunk, len(transcript.blocks), block_index, attempt
             )
-            transcript.blocks.append(record)
-            pooled.add(record)
             if record.status == "gate-abort":
                 transcript.abort_reason = "capacity-gate"
                 return transcript
             if message_bits is not None:
                 recovered.append(message_bits)
                 break
+            all_deferred = all_deferred and record.status.startswith("deferred")
         else:
-            attempts = transcript.blocks[-(MAX_BLOCK_RETRIES + 1) :]
-            deferred = all(b.status.startswith("deferred") for b in attempts)
-            transcript.abort_reason = "deferred" if deferred else "decode-failure"
+            transcript.abort_reason = "deferred" if all_deferred else "decode-failure"
             return transcript
     transcript.delivered = _unframe_message(recovered)
     return transcript

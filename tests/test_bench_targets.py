@@ -143,18 +143,22 @@ def test_bench_report_failed_cold_build_is_recorded(monkeypatch):
 
 
 def test_bench_report_tier1_names_errors_one_way(monkeypatch):
-    # pytest writes "1 error" but "2 errors"; both land in tier1.errors,
-    # which reads 0 when pytest names none
+    # pytest writes "1 error" but "2 errors"; both land in tier1.errors.
+    # A count pytest does not name reads 0
     bench_report = _bench_report()
-    for tail, passed, errors in (("3 passed in 1.0s", 3, 0), ("1 failed, 4 passed, 1 error in 1.0s", 4, 1),
-                                 ("2 errors in 1.0s", 0, 2)):
+    for tail, passed, errors, skipped in (("3 passed in 1.0s", 3, 0, 0),
+                                          ("1 failed, 4 passed, 1 error in 1.0s", 4, 1, 0),
+                                          ("2 errors in 1.0s", 0, 2, 0),
+                                          ("2 skipped, 5 passed in 1.0s", 5, 0, 2)):
         def fake_run(cmd, root=bench_report.ROOT, **kwargs):
             return subprocess.CompletedProcess(cmd, 1, stdout=f"..\n{tail}\n", stderr=""), 0.5
 
         monkeypatch.setattr(bench_report, "_run", fake_run)
         counts = bench_report.tier1()
-        assert sorted(counts) == ["tier1.errors", "tier1.failed", "tier1.passed", "tier1.wall_s"]
-        assert (counts["tier1.passed"], counts["tier1.errors"]) == (passed, errors), tail
+        assert sorted(counts) == ["tier1.errors", "tier1.failed", "tier1.passed", "tier1.skipped",
+                                  "tier1.wall_s", "tier1.xfailed"]
+        assert (counts["tier1.passed"], counts["tier1.errors"], counts["tier1.skipped"],
+                counts["tier1.xfailed"]) == (passed, errors, skipped, 0), tail
 
 
 def test_bench_report_runs_as_long_as_the_benchmark_by_default():

@@ -36,9 +36,8 @@ from qsdc.protocol import (
     payload_bytes_for_blocks,
     realize_code,
     run_session,
-    _PooledCounts,
+    _Session,
     _frame_message,
-    _run_block_attempt,
     _unframe_message,
 )
 from qsdc.security import ErrorRates, half_bias_capacity
@@ -139,7 +138,7 @@ def _dense_block_attempt(config, code, chunk_bits, seed, serial, attack):
     fields.update(counts, n_checked=checked.size, q_hat=q_hat)
     if not (counts["n_x"] and counts["n_z"]):
         return BlockRecord(**fields, status="deferred-empty-basis"), None
-    proceed, estimate = _PooledCounts().gate(config, counts, q_hat)
+    proceed, estimate = _Session(config, code, seed, attack).gate(counts, q_hat)
     fields.update(c_s=estimate.c_s)
     if not proceed:
         return BlockRecord(**fields, status="gate-abort"), None
@@ -619,6 +618,58 @@ def test_session_decode_failure_after_unconverged_decodes(fast_config):
     assert all(b.bp_iterations == 100 for b in tr.blocks)
 
 
+# the record status of each scripted attempt outcome
+_SCRIPTED_STATUS = {
+    "deferred": "deferred-empty-basis", "abort": "gate-abort", "fail": "fail-no-converge", "ok": "ok",
+}
+_ALL_ATTEMPTS = [(0, a) for a in range(MAX_BLOCK_RETRIES + 1)]
+
+
+@pytest.mark.parametrize(
+    "n_blocks, script, records, abort_reason",
+    [
+        (1, ["deferred"] * 4 + ["fail"] + ["deferred"] * 4, _ALL_ATTEMPTS, "decode-failure"),
+        (1, ["deferred", "ok"], [(0, 0), (0, 1)], None),
+        (2, ["deferred", "ok", "abort"], [(0, 0), (0, 1), (1, 0)], "capacity-gate"),
+        (1, ["deferred"] * (MAX_BLOCK_RETRIES + 1), _ALL_ATTEMPTS, "deferred"),
+    ],
+    ids=["deferrals and a failure", "deferred then ok", "abort on block 1", "all deferred"],
+)
+def test_session_end_rule(fast_config, monkeypatch, n_blocks, script, records, abort_reason):
+    # each attempt's outcome is scripted: an emptied check sample defers
+    # it, the gate aborts it or the decode fails it; "ok" runs the engine
+    real_estimate, real_gate, real_decode = bob_estimate_errors, gate_on_capacity, bob_decode_block
+    steps, taken = iter(script), []
+
+    def estimate(bases, outcomes, prepared):
+        taken.append(next(steps))
+        if taken[-1] == "deferred":
+            bases, outcomes, prepared = bases[:0], outcomes[:0], prepared[:0]
+        return real_estimate(bases, outcomes, prepared)
+
+    def gate(*args):
+        return taken[-1] != "abort", real_gate(*args)[1]
+
+    def decode(*args):
+        message_bits, decoded = real_decode(*args)
+        if taken[-1] == "fail":
+            return None, dict(decoded, status="fail-no-converge")
+        return message_bits, decoded
+
+    monkeypatch.setattr(qsdc.protocol, "bob_estimate_errors", estimate)
+    monkeypatch.setattr(qsdc.protocol, "gate_on_capacity", gate)
+    monkeypatch.setattr(qsdc.protocol, "bob_decode_block", decode)
+    size = payload_bytes_for_blocks(n_blocks, realize_code(fast_config.code).k_m)
+    message = (b"end rule " * size)[:size]
+    tr = run_session(fast_config, message, seed=21)
+    assert taken == script
+    assert [(b.block_index, b.attempt, b.status) for b in tr.blocks] == [
+        (*r, _SCRIPTED_STATUS[s]) for r, s in zip(records, script)
+    ]
+    assert tr.abort_reason == abort_reason
+    assert tr.delivered == (message if abort_reason is None else b"")
+
+
 def test_session_transcript_jsonl(fast_config):
     tr = run_session(fast_config, b"json lines", seed=17)
     lines = tr.to_jsonl().strip().split("\n")
@@ -704,7 +755,7 @@ def test_engine_matches_dense_oracle_statistics(fast_config, attack):
     needed = code.block_chips + fast_config.n_forward_checks
     n_attempts = 400
     sparse = [
-        _run_block_attempt(fast_config, code, chunk, 101, c, 0, 0, attack, _PooledCounts())
+        _Session(fast_config, code, 101, attack).attempt(chunk, c, 0, 0)
         for c in range(n_attempts)
     ]
     dense = [
@@ -795,10 +846,11 @@ def test_nominal_attempt_memory_below_one_byte_per_slot(attack):
     config = nominal_config()
     code = realize_code(config.code)
     chunk = np.zeros(code.k_m, dtype=np.uint8)
-    _run_block_attempt(config, code, chunk, 5, 0, 0, 0, AttackModel.none(), _PooledCounts())
+    _Session(config, code, 5, AttackModel.none()).attempt(chunk, 0, 0, 0)
+    session = _Session(config, code, 5, attack)
     tracemalloc.start()
     try:
-        record, _ = _run_block_attempt(config, code, chunk, 5, 1, 0, 0, attack, _PooledCounts())
+        record, _ = session.attempt(chunk, 1, 0, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

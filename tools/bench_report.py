@@ -145,9 +145,10 @@ def tier1() -> dict:
     proc, wall = _run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                        "--continue-on-collection-errors"])
     tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    counts = {"tier1.wall_s": wall, "tier1.passed": 0, "tier1.failed": 0, "tier1.errors": 0}
+    counts = {"tier1.wall_s": wall, "tier1.passed": 0, "tier1.failed": 0, "tier1.errors": 0,
+              "tier1.skipped": 0, "tier1.xfailed": 0}
     # pytest writes "1 error" but "2 errors"; both are counted as tier1.errors
-    for n, word in re.findall(r"(\d+) (passed|failed|error)", tail):
+    for n, word in re.findall(r"(\d+) (passed|failed|error|skipped|xfailed)", tail):
         counts[f"tier1.{'errors' if word == 'error' else word}"] = int(n)
     return counts
 
