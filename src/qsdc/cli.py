@@ -127,8 +127,9 @@ def _attack_from_args(args: argparse.Namespace) -> AttackModel:
 
 
 def _exit_code(abort_reason: str | None) -> int:
-    codes = {None: EXIT_OK, "capacity-gate": EXIT_SECURITY, "deferred": EXIT_DEFERRED}
-    return codes.get(abort_reason, EXIT_DECODE)
+    """The exit code of a session's abort reason; KeyError for a reason without one."""
+    return {None: EXIT_OK, "capacity-gate": EXIT_SECURITY, "decode-failure": EXIT_DECODE,
+            "deferred": EXIT_DEFERRED}[abort_reason]
 
 
 def _write_output(text: str, output: str) -> None:

@@ -67,7 +67,8 @@ def run_stability(config: ProtocolConfig, n_blocks: int, seed: int) -> Stability
     transmitted (payload_bytes_for_blocks); each block attempt
     contributes one row of (e_x, e_z, e) where e is the forward check
     error seen on the data path.  The summary reports per-column means
-    and standard deviations plus the pooled counts behind them.
+    and standard deviations and the pooled counts behind them, then the
+    transcript's summary line and whether the payload came back intact.
     """
     if not 1 <= n_blocks <= MAX_STABILITY_BLOCKS:
         raise ValueError(f"n_blocks must lie in [1, {MAX_STABILITY_BLOCKS}], got {n_blocks}")
@@ -87,8 +88,7 @@ def run_stability(config: ProtocolConfig, n_blocks: int, seed: int) -> Stability
         n_x_total=sum(r["n_x"] for r in rows),
         n_z_total=sum(r["n_z"] for r in rows),
         n_fwd_total=sum(r["n_fwd"] for r in rows),
-        security_abort=transcript.security_abort,
-        abort_reason=transcript.abort_reason,
+        **transcript.summary(),
         delivered_ok=transcript.delivered == payload,
     )
     return StabilityReport(rows=rows, summary=summary)
@@ -179,10 +179,12 @@ def run_e2e(
     """Transmit a file through the full protocol and report throughput.
 
     The recovered bytes are written to output_path (only when the
-    session completes).  The report carries the measured rate next to
-    the two theoretical conversions, which do not agree with each
-    other: the block-accounting rate k_m / slots-per-block and the
-    capacity-based rate C_s x repetition rate.  Under a collective
+    session completes).  The report is the transcript's summary line
+    (SessionTranscript.summary) extended by what a file transfer adds:
+    whether the bytes came back intact, the block attempts and retries,
+    and the two theoretical conversions of the measured rate, which do
+    not agree with each other: the block-accounting rate k_m /
+    slots-per-block and the capacity-based rate C_s x repetition rate.  Under a collective
     attack the report also carries the analytic bound on Eve's
     information (her optimal measurement is not simulable; the bound
     is the quantity the security statement uses).
@@ -193,15 +195,10 @@ def run_e2e(
 
     e_check = config.check_channel.flip_prob
     report = {
-        "bytes_in": len(data),
-        "bytes_out": len(transcript.delivered),
+        **transcript.summary(),
         "byte_identical": transcript.delivered == data,
-        "blocks": len(transcript.blocks),
+        "attempts": len(transcript.blocks),
         "retries": sum(b.attempt > 0 for b in transcript.blocks),
-        "pulses_emitted": transcript.pulses_emitted,
-        "security_abort": transcript.security_abort,
-        "abort_reason": transcript.abort_reason,
-        "throughput_bits_per_s": transcript.throughput_bits_per_s,
         "block_rate_bits_per_s": (
             config.code.k_m / config.slots_per_block * config.repetition_rate_hz
         ),

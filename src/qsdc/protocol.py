@@ -358,34 +358,27 @@ class SessionTranscript:
     def security_abort(self) -> bool:
         return self.abort_reason == "capacity-gate"
 
-    @property
-    def pulses_emitted(self) -> int:
-        return sum(b.n_sent for b in self.blocks)
-
-    @property
-    def throughput_bits_per_s(self) -> float:
-        if not self.blocks:
-            return 0.0
-        return len(self.delivered) * 8 / self.pulses_emitted * self.config.repetition_rate_hz
+    def summary(self) -> dict:
+        """The session's outcome figures, as its summary line carries them;
+        the send report and the stability summary extend this dict."""
+        pulses = sum(b.n_sent for b in self.blocks)
+        return {
+            "seed": self.seed,
+            "code": dict(vars(self.config.code)),
+            "message_length": self.message_length,
+            "delivered_bytes": len(self.delivered),
+            "security_abort": self.security_abort,
+            "abort_reason": self.abort_reason,
+            "pulses_emitted": pulses,
+            "throughput_bits_per_s": (
+                len(self.delivered) * 8 / pulses * self.config.repetition_rate_hz if pulses else 0.0
+            ),
+        }
 
     def to_jsonl(self) -> str:
         """One line per block attempt, plus a trailing summary line."""
         lines = [json.dumps({"record": "block", **vars(b)}) for b in self.blocks]
-        lines.append(
-            json.dumps(
-                {
-                    "record": "summary",
-                    "seed": self.seed,
-                    "code": vars(self.config.code),
-                    "message_length": self.message_length,
-                    "delivered_bytes": len(self.delivered),
-                    "security_abort": self.security_abort,
-                    "abort_reason": self.abort_reason,
-                    "pulses_emitted": self.pulses_emitted,
-                    "throughput_bits_per_s": self.throughput_bits_per_s,
-                }
-            )
-        )
+        lines.append(json.dumps({"record": "summary", **self.summary()}))
         return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,7 @@ import qsdc
 import qsdc.experiments
 import qsdc.wiretap_code
 from qsdc.cli import (
-    EXIT_DECODE, EXIT_DEFERRED, EXIT_IO, EXIT_OK, EXIT_SECURITY, _build_parser, main,
+    EXIT_DECODE, EXIT_DEFERRED, EXIT_IO, EXIT_OK, EXIT_SECURITY, _build_parser, _exit_code, main,
 )
 from qsdc.config_io import load_config, parse_config, render_config
 from qsdc.experiments import MAX_STABILITY_BLOCKS, MAX_SWEEP_POINTS
@@ -305,6 +305,15 @@ def test_stability_decode_failure_exit_code(tmp_path, capsys):
         assert f"abort_reason {reason}" in capsys.readouterr().err
 
 
+def test_every_abort_reason_has_its_exit_code():
+    codes = {None: EXIT_OK, "capacity-gate": EXIT_SECURITY, "decode-failure": EXIT_DECODE,
+             "deferred": EXIT_DEFERRED}
+    assert {reason: _exit_code(reason) for reason in codes} == codes
+    # a reason without a code is an error, never a silent default
+    with pytest.raises(KeyError):
+        _exit_code("no-such-reason")
+
+
 # a noisy check path: its small check samples close the gate on block 3
 # at seed 3, so the table has nonzero check rates and a negative c_s
 NOISY_CHECK_INI = FAST_INI.replace("flip_prob = 0.0\n", "flip_prob = 0.02\n")
@@ -324,8 +333,8 @@ _SEND_PIN_RUNS = (
     (FAST_INI, ["--seed", "6", "--attack", "intercept-resend"], EXIT_SECURITY),
     (FAILING_INI, ["--seed", "7"], EXIT_DECODE),
 )
-_STABILITY_PIN = "d30087c2ef5056db6f99113faeac19461754dbd441f96a0e5bfc96fd56f2381a"
-_SEND_PIN = "0d44ea8e1ba9d129c16663767ba57c283a6650dd18e77253667bff47ceadd2a7"
+_STABILITY_PIN = "8adb7d10fb4f8a2af015be8236b3cc5d0738de5163ceff81e2169a095260909f"
+_SEND_PIN = "3c2215eeccf47e553175ab592539fb3b71f3a0ab5944d6402a2e5d8bcdd4628e"
 
 
 def test_stability_output_pinned(tmp_path, capsys):

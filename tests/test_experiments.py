@@ -1,6 +1,7 @@
 """Stability, sweep, and end-to-end harnesses."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -165,7 +166,7 @@ def test_e2e_roundtrip(tmp_path, fast_config):
     report = run_e2e(fast_config, src, dst, seed=6)
     assert report["byte_identical"]
     assert dst.read_bytes() == data
-    assert report["bytes_in"] == report["bytes_out"] == 300
+    assert report["message_length"] == report["delivered_bytes"] == 300
     assert report["throughput_bits_per_s"] > 0
     assert report["block_rate_bits_per_s"] > 0
     assert "capacity_rate_bits_per_s" in report
@@ -193,7 +194,7 @@ def test_e2e_empty_file_builds_no_code(tmp_path, fast_config, monkeypatch):
 
     monkeypatch.setattr(qsdc.protocol, "build_code", no_build)
     config = dataclasses.replace(fast_config, code=dataclasses.replace(fast_config.code, seed=4243))
-    assert run_e2e(config, src, dst, seed=6) == expected
+    assert run_e2e(config, src, dst, seed=6) == {**expected, "code": vars(config.code)}
 
 
 def test_e2e_intercept_resend_aborts_block_zero(tmp_path, fast_config):
@@ -205,7 +206,7 @@ def test_e2e_intercept_resend_aborts_block_zero(tmp_path, fast_config):
     )
     assert report["security_abort"]
     assert report["abort_block"] == 0
-    assert report["bytes_out"] == 0
+    assert report["delivered_bytes"] == 0
     assert not dst.exists()
 
 
@@ -228,3 +229,23 @@ def test_e2e_transcript_written(tmp_path, fast_config):
     run_e2e(fast_config, src, dst, seed=6, transcript_path=trans)
     assert trans.exists()
     assert trans.read_text().count("\n") >= 2
+
+
+@pytest.mark.parametrize("flip, attack, reason", [
+    (0.006, None, None),
+    (0.006, AttackModel.intercept_resend(1.0), "capacity-gate"),
+    (0.3, None, "decode-failure"),
+])
+def test_e2e_report_extends_the_summary_line(tmp_path, fast_config, flip, attack, reason):
+    # the report opens with the transcript's summary line, key for key and
+    # value for value, and adds only what a file transfer adds
+    config = dataclasses.replace(fast_config, data_channel=ChannelParams(5.0, flip))
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"summary")
+    trans = tmp_path / "session.jsonl"
+    report = run_e2e(config, src, tmp_path / "out.bin", seed=6, attack=attack, transcript_path=trans)
+    summary = json.loads(trans.read_text().splitlines()[-1])
+    assert summary.pop("record") == "summary"
+    assert summary["abort_reason"] == reason
+    assert list(report)[: len(summary)] == list(summary)
+    assert {key: report[key] for key in summary} == summary

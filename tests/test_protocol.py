@@ -505,7 +505,7 @@ def test_session_roundtrip(fast_config):
     tr = run_session(fast_config, msg, seed=11)
     assert tr.ok
     assert tr.delivered == msg
-    assert tr.pulses_emitted == sum(b.n_sent for b in tr.blocks)
+    assert tr.summary()["pulses_emitted"] == sum(b.n_sent for b in tr.blocks)
     assert all(b.status == "ok" for b in tr.blocks)
 
 
@@ -527,7 +527,8 @@ def test_session_empty_message(fast_config, monkeypatch):
     config = dataclasses.replace(fast_config, code=dataclasses.replace(fast_config.code, seed=4242))
     tr = run_session(config, b"", seed=5)
     assert tr.ok and tr.delivered == b"" and len(tr.blocks) == 0
-    assert tr.config == config and tr.pulses_emitted == 0
+    assert tr.config == config
+    assert (tr.summary()["pulses_emitted"], tr.summary()["throughput_bits_per_s"]) == (0, 0.0)
 
 
 def test_session_gate_abort_on_intercept_resend(fast_config):
@@ -691,8 +692,9 @@ def test_summary_names_the_code(fast_config, message):
 def test_session_throughput_accounting(fast_config):
     msg = bytes(200)
     tr = run_session(fast_config, msg, seed=31)
-    expected = len(msg) * 8 / tr.pulses_emitted * fast_config.repetition_rate_hz
-    assert tr.throughput_bits_per_s == pytest.approx(expected)
+    pulses = sum(b.n_sent for b in tr.blocks)
+    expected = len(msg) * 8 / pulses * fast_config.repetition_rate_hz
+    assert tr.summary()["throughput_bits_per_s"] == pytest.approx(expected)
 
 
 def test_session_zero_noise_perfect():
