@@ -7,8 +7,9 @@ Subcommands:
   send       transmit a file through the simulated protocol
 
 Exit codes: 0 success, 2 I/O or argument error, 3 security abort,
-4 decode failure (a block still failed after its last retry),
-5 deferral (every attempt of a block was deferred).
+4 decode failure (a block still failed after its last retry, or the
+delivered message failed its CRC-32 tag), 5 deferral (every attempt of
+a block was deferred).
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _attack_from_args(args: argparse.Namespace) -> AttackModel:
 def _exit_code(abort_reason: str | None) -> int:
     """The exit code of a session's abort reason; KeyError for a reason without one."""
     return {None: EXIT_OK, "capacity-gate": EXIT_SECURITY, "decode-failure": EXIT_DECODE,
-            "deferred": EXIT_DEFERRED}[abort_reason]
+            "tag-mismatch": EXIT_DECODE, "deferred": EXIT_DEFERRED}[abort_reason]
 
 
 def _write_output(text: str, output: str) -> None:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import zlib
 from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
@@ -382,8 +383,10 @@ class SessionTranscript:
         return "\n".join(lines) + "\n"
 
 
-# the frame header is the payload length as a big-endian integer
+# the frame header is the payload length as a big-endian integer; the
+# tag after the payload is the CRC-32 of header and payload, big-endian
 FRAME_HEADER_BYTES = 4
+FRAME_TAG_BYTES = 4
 # a block is sent at most 1 + MAX_BLOCK_RETRIES times before the session
 # ends with decode-failure
 MAX_BLOCK_RETRIES = 8
@@ -392,27 +395,34 @@ MAX_BLOCK_RETRIES = 8
 def payload_bytes_for_blocks(n_blocks: int, k_m: int) -> int:
     """The most bytes that _frame_message splits into exactly n_blocks
     chunks of k_m bits; ValueError if no payload of a byte or more is."""
-    payload = n_blocks * k_m // 8 - FRAME_HEADER_BYTES
-    if payload < 1 or 8 * (FRAME_HEADER_BYTES + payload) <= (n_blocks - 1) * k_m:
+    overhead = FRAME_HEADER_BYTES + FRAME_TAG_BYTES
+    payload = n_blocks * k_m // 8 - overhead
+    if payload < 1 or 8 * (overhead + payload) <= (n_blocks - 1) * k_m:
         raise ValueError(f"no whole-byte payload fills exactly {n_blocks} blocks of {k_m} bits")
     return payload
 
 
 def _frame_message(message: bytes, k_m: int) -> list[np.ndarray]:
-    """Length-prefix the payload and split it into k_m-bit chunks."""
-    header = len(message).to_bytes(FRAME_HEADER_BYTES, "big")
-    bits = np.unpackbits(np.frombuffer(header + message, dtype=np.uint8))
+    """Length-prefix the payload, append the tag and split the frame into
+    k_m-bit chunks, zero-padding the last."""
+    frame = len(message).to_bytes(FRAME_HEADER_BYTES, "big") + message
+    frame += zlib.crc32(frame).to_bytes(FRAME_TAG_BYTES, "big")
+    bits = np.unpackbits(np.frombuffer(frame, dtype=np.uint8))
     n_blocks = math.ceil(bits.size / k_m)
     padded = np.zeros(n_blocks * k_m, dtype=np.uint8)
     padded[: bits.size] = bits
     return [padded[i * k_m : (i + 1) * k_m] for i in range(n_blocks)]
 
 
-def _unframe_message(bit_chunks: list[np.ndarray]) -> bytes:
-    bits = np.concatenate(bit_chunks)
-    data = np.packbits(bits).tobytes()
-    length = int.from_bytes(data[:FRAME_HEADER_BYTES], "big")
-    return data[FRAME_HEADER_BYTES : FRAME_HEADER_BYTES + length]
+def _unframe_message(bit_chunks: list[np.ndarray]) -> Optional[bytes]:
+    """The payload of the decoded chunks, or None if their length header
+    leaves no room for the tag or the tag does not match."""
+    data = np.packbits(np.concatenate(bit_chunks)).tobytes()
+    end = FRAME_HEADER_BYTES + int.from_bytes(data[:FRAME_HEADER_BYTES], "big")
+    tag = data[end : end + FRAME_TAG_BYTES]
+    if len(tag) < FRAME_TAG_BYTES or int.from_bytes(tag, "big") != zlib.crc32(data[:end]):
+        return None
+    return data[FRAME_HEADER_BYTES:end]
 
 
 # the BlockRecord counts the capacity gate pools over a session's attempts
@@ -534,7 +544,10 @@ def run_session(
     block still not delivered ends the session, as "deferred" if every
     one of its attempts was deferred, else as "decode-failure".  A
     capacity-gate abort ends the session at once; the transcript keeps
-    every record so far and delivers nothing.  Check counts accumulate
+    every record so far and delivers nothing.  Every block delivered, the
+    frame's tag is checked: a mismatch, which a block that converged to a
+    wrong codeword leaves, ends the session as "tag-mismatch", again
+    delivering nothing.  Check counts accumulate
     across blocks and the gate runs on the pooled rates (_Session.gate),
     so the estimate sharpens as the session progresses while the first
     block is still gated on its own sample.  The empty message yields an
@@ -564,5 +577,9 @@ def run_session(
         else:
             transcript.abort_reason = "deferred" if all_deferred else "decode-failure"
             return transcript
-    transcript.delivered = _unframe_message(recovered)
+    delivered = _unframe_message(recovered)
+    if delivered is None:
+        transcript.abort_reason = "tag-mismatch"
+    else:
+        transcript.delivered = delivered
     return transcript

@@ -295,6 +295,32 @@ def test_send_decode_failure_exit_code(tmp_path, capsys):
         assert not dst.exists()
 
 
+# a code of 3 message bits in 8 on noisy paths: at seed 1 every block of
+# b"abcd" decodes, but the tag of the message they carry does not match
+SHORT_CODE_INI = (
+    FAST_INI.replace("l = 256\nk_u = 128\nk_r = 32\nn_spread = 8\nseed = 99",
+                     "l = 8\nk_u = 4\nk_r = 1\nn_spread = 4\nseed = 7")
+    .replace("flip_prob = 0.0\n", "flip_prob = 0.006\n")
+)
+
+
+def test_send_tag_mismatch_is_a_decode_failure(tmp_path, capsys):
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(SHORT_CODE_INI)
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"abcd")
+    dst = tmp_path / "out.bin"
+    transcript = tmp_path / "t.jsonl"
+    rc = main(["send", "--config", str(cfg), "--input", str(src), "--output", str(dst),
+               "--seed", "1", "--transcript", str(transcript)])
+    assert rc == EXIT_DECODE
+    report = json.loads(capsys.readouterr().out)
+    assert (report["abort_reason"], report["delivered_bytes"]) == ("tag-mismatch", 0)
+    assert not report["security_abort"] and not dst.exists()
+    *blocks, _ = (json.loads(line) for line in transcript.read_text().splitlines())
+    assert blocks[-1]["status"] == "ok" and report["abort_block"] == blocks[-1]["block_index"]
+
+
 def test_stability_decode_failure_exit_code(tmp_path, capsys):
     cfg = tmp_path / "failing.ini"
     for ini, exit_code, reason in _UNDELIVERED:
@@ -307,7 +333,7 @@ def test_stability_decode_failure_exit_code(tmp_path, capsys):
 
 def test_every_abort_reason_has_its_exit_code():
     codes = {None: EXIT_OK, "capacity-gate": EXIT_SECURITY, "decode-failure": EXIT_DECODE,
-             "deferred": EXIT_DEFERRED}
+             "tag-mismatch": EXIT_DECODE, "deferred": EXIT_DEFERRED}
     assert {reason: _exit_code(reason) for reason in codes} == codes
     # a reason without a code is an error, never a silent default
     with pytest.raises(KeyError):
@@ -333,7 +359,7 @@ _SEND_PIN_RUNS = (
     (FAST_INI, ["--seed", "6", "--attack", "intercept-resend"], EXIT_SECURITY),
     (FAILING_INI, ["--seed", "7"], EXIT_DECODE),
 )
-_STABILITY_PIN = "8adb7d10fb4f8a2af015be8236b3cc5d0738de5163ceff81e2169a095260909f"
+_STABILITY_PIN = "c06177c43f669e795dd1330bb083465c590981156bc88090eae25fee29a49bc9"
 _SEND_PIN = "3c2215eeccf47e553175ab592539fb3b71f3a0ab5944d6402a2e5d8bcdd4628e"
 
 
