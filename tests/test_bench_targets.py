@@ -204,6 +204,7 @@ def test_bench_report_compare_alternates_and_marks_a_failed_side(monkeypatch):
     monkeypatch.setattr(bench_report, "_git", lambda *args: b"0123abc\n")
     monkeypatch.setattr(bench_report, "_worktree", lambda rev: contextlib.nullcontext(base_root))
     monkeypatch.setattr(bench_report, "_perfbench_run", fake_run)
+    monkeypatch.setattr(bench_report, "_build_wall", lambda root: 0.25)
     report = bench_report.compare("HEAD~1", 1, 0.0)
     workloads = bench_report.WORKLOADS
     assert len(calls) == 2 * bench_report.PAIRS * len(workloads)
@@ -216,6 +217,40 @@ def test_bench_report_compare_alternates_and_marks_a_failed_side(monkeypatch):
         assert report[f"{w}.change.correct"] is True
         assert report[f"{w}.pairs"] == 0
         assert f"{w}.ops_per_s.wins" not in report
+
+
+def test_bench_report_compare_times_the_cold_build_in_each_pair(monkeypatch):
+    # one fresh build process per side and pair, in the pair's order; the
+    # first base build fails and leaves its pair out of the statistics
+    bench_report = _bench_report()
+    base_root = Path("base")
+    builds = []
+
+    def fake_run(cmd, root=bench_report.ROOT, **kwargs):
+        assert cmd == [sys.executable, "-c", bench_report.BUILD_WALL_SNIPPET]
+        side = "base" if root == base_root else "change"
+        builds.append(side)
+        if builds == ["base"]:
+            return subprocess.CompletedProcess(cmd, 1, stdout="", stderr="MemoryError\n"), 0.1
+        wall = {"base": 0.25, "change": 0.2}[side]
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"{wall}\n", stderr=""), 0.4
+
+    def fake_perfbench_run(workload, seed, seconds, trace, root):
+        metrics = {m: {"value": 1.0} for m in bench_report.END_TO_END}
+        return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_report, "_git", lambda *args: b"0123abc\n")
+    monkeypatch.setattr(bench_report, "_worktree", lambda rev: contextlib.nullcontext(base_root))
+    monkeypatch.setattr(bench_report, "_perfbench_run", fake_perfbench_run)
+    monkeypatch.setattr(bench_report, "_run", fake_run)
+    report = bench_report.compare("HEAD~1", 1, 0.0)
+    assert builds == [side for i in range(bench_report.PAIRS)
+                      for side in (("base", "change") if i % 2 == 0 else ("change", "base"))]
+    assert report["build_code.base.error"] == "MemoryError"
+    assert "build_code.change.error" not in report
+    assert (report["build_code.wall_s.base_median"], report["build_code.wall_s.change_q3"]) == (0.25, 0.2)
+    assert (report["build_code.wall_s.wins"], report["build_code.wall_s.losses"]) == (
+        bench_report.PAIRS - 1, 0)
 
 
 def test_bench_report_main_writes_pairs_and_traced_runs_in_one_report(monkeypatch, tmp_path):
@@ -240,6 +275,7 @@ def test_bench_report_main_writes_pairs_and_traced_runs_in_one_report(monkeypatc
     monkeypatch.setattr(bench_report, "_git", lambda *args: b"0123abc\n")
     monkeypatch.setattr(bench_report, "_worktree", fake_worktree)
     monkeypatch.setattr(bench_report, "_perfbench_run", fake_run)
+    monkeypatch.setattr(bench_report, "_build_wall", lambda root: 0.25)
     monkeypatch.setattr(bench_report, "machine", lambda: {"cores": 2})
     monkeypatch.setattr(bench_report, "cold_build", lambda: {"build_code.traced_peak_mb": 9.0})
     monkeypatch.setattr(bench_report, "send_10k", lambda seed: {"send_10k.identical": True})
@@ -264,6 +300,7 @@ def test_bench_report_main_writes_pairs_and_traced_runs_in_one_report(monkeypatc
         assert report[f"{w}.trace.process.cpu_ms_per_op"] == 3.0
         assert report[f"{w}.trace.correct"] is True
     assert report["build_code.traced_peak_mb"] == 9.0
+    assert report["build_code.wall_s.change_median"] == 0.25
     assert report["send_10k.identical"] and report["tier1.failed"] == 0 and report["cores"] == 2
     # the line totals are `cat <files> | wc -l` of the measured tree
     root = bench_report.ROOT

@@ -17,8 +17,11 @@ interpolation), and `.wins` and `.losses`, the pairs in which the
 change was better or worse; a tie counts for neither.  A run that fails
 is left out of the statistics and its last stderr line kept as
 `<workload>.<base|change>.error`; that side's `.correct` is then false.
-Only alternating pairs compare two trees: the machine's speed drifts
-between runs.
+Each pair also times one cold `build_code(CodeParams())` in a fresh
+process on each side, untraced and in the pair's order, recorded the
+same way as `build_code.wall_s.*`; a failed build leaves its last
+stderr line as `build_code.<base|change>.error`.  Only alternating
+pairs compare two trees: the machine's speed drifts between runs.
 
 Then the working tree alone: one traced run of each workload, whose
 per-layer metrics and CPU per operation land under
@@ -69,6 +72,14 @@ TREE_PATHS = ("src", "tests", "perfbench", "tools")
 SEND_BYTES = 10 * 1024
 # untraced pairs of runs per workload: the fewest from which a gain may be claimed
 PAIRS = 10
+# builds the default CodeParams() code untraced and prints its wall seconds
+BUILD_WALL_SNIPPET = """
+import time
+from qsdc.wiretap_code import CodeParams, build_code
+t0 = time.perf_counter()
+build_code(CodeParams())
+print(time.perf_counter() - t0)
+"""
 # builds the default CodeParams() code under tracemalloc and prints the
 # peak MiB it saw
 BUILD_SNIPPET = """
@@ -120,6 +131,13 @@ def perfbench(workload: str, seed: int, seconds: float) -> dict:
     for name, metric in summary["metrics"].items():
         flat[f"{prefix}.{name}"] = metric["value"]
     return flat
+
+
+def _build_wall(root: Path) -> float | str:
+    """One untraced cold build in a fresh process in the checkout at root:
+    its wall seconds, or the last line of its stderr if it failed."""
+    proc, _ = _run([sys.executable, "-c", BUILD_WALL_SNIPPET], root)
+    return _failure(proc) if proc.returncode else float(proc.stdout.strip())
 
 
 def cold_build() -> dict:
@@ -234,16 +252,31 @@ def _worktree(rev: str):
 
 def compare(rev: str, seed: int, seconds: float) -> dict:
     """Alternating untraced runs of rev (base) and this working tree
-    (change), summarised per workload and end-to-end metric."""
+    (change), summarised per workload and end-to-end metric, and the
+    cold builds timed in the same pairs."""
     report = {"against": rev, "against_sha": _git("rev-parse", rev).decode().strip(), "pairs": PAIRS}
     runs = {(w, side): [] for w in WORKLOADS for side in ("base", "change")}
+    builds = {"base": [], "change": []}
     with _worktree(rev) as base:
         for i in range(1, PAIRS + 1):
             order = (("base", base), ("change", ROOT))
+            order = order if i % 2 else order[::-1]
             for workload in WORKLOADS:
-                for side, root in order if i % 2 else order[::-1]:
+                for side, root in order:
                     print(f"pair {i}/{PAIRS} {workload} {side}", file=sys.stderr)
                     runs[workload, side].append(_perfbench_run(workload, seed, seconds, 0, root))
+            for side, root in order:
+                print(f"pair {i}/{PAIRS} build_code {side}", file=sys.stderr)
+                builds[side].append(_build_wall(root))
+    for side, walls in builds.items():
+        errors = [w for w in walls if isinstance(w, str)]
+        if errors:
+            report[f"build_code.{side}.error"] = errors[-1]
+    timed = [(b, c) for b, c in zip(builds["base"], builds["change"])
+             if not isinstance(b, str) and not isinstance(c, str)]
+    if timed:
+        report.update(summarise_pairs("build_code.wall_s", "lower",
+                                      [b for b, _ in timed], [c for _, c in timed]))
     for workload in WORKLOADS:
         for side in ("base", "change"):
             summaries = [r for r in runs[workload, side] if not isinstance(r, str)]
