@@ -184,10 +184,10 @@ def run_e2e(
     whether the bytes came back intact, the block attempts and retries,
     and the two theoretical conversions of the measured rate, which do
     not agree with each other: the block-accounting rate k_m /
-    slots-per-block and the capacity-based rate C_s x repetition rate.  Under a collective
-    attack the report also carries the analytic bound on Eve's
-    information (her optimal measurement is not simulable; the bound
-    is the quantity the security statement uses).
+    slots-per-block and the capacity-based rate C_s x repetition rate.
+    Under a collective attack the report also carries the analytic bound
+    on Eve's information (her optimal measurement is not simulable; the
+    bound is the quantity the security statement uses).
     """
     attack = attack or AttackModel.none()
     data = Path(input_path).read_bytes()

@@ -544,14 +544,14 @@ def run_session(
     block still not delivered ends the session, as "deferred" if every
     one of its attempts was deferred, else as "decode-failure".  A
     capacity-gate abort ends the session at once; the transcript keeps
-    every record so far and delivers nothing.  Every block delivered, the
-    frame's tag is checked: a mismatch, which a block that converged to a
-    wrong codeword leaves, ends the session as "tag-mismatch", again
-    delivering nothing.  Check counts accumulate
-    across blocks and the gate runs on the pooled rates (_Session.gate),
-    so the estimate sharpens as the session progresses while the first
-    block is still gated on its own sample.  The empty message yields an
-    empty transcript.
+    every record so far and delivers nothing.  Once every block is
+    delivered the frame's tag is checked; a block that converged to a
+    wrong codeword fails it, and the session ends as "tag-mismatch",
+    again delivering nothing.  Check counts accumulate across blocks and
+    the gate runs on the pooled rates (_Session.gate), so the estimate
+    sharpens as the session progresses while the first block is still
+    gated on its own sample.  The empty message yields an empty
+    transcript.
     """
     attack = attack or AttackModel.none()
     transcript = SessionTranscript(seed=seed, message_length=len(message), config=config)
