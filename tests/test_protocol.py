@@ -903,8 +903,9 @@ def test_nominal_attempt_memory_below_one_byte_per_slot(attack):
 # held).  They and the LLR digest were re-recorded again when the frame
 # gained its CRC-32 tag, which changes every codeword and frames the
 # 200-byte payload into 18 blocks, not 17; the intercept-resend session,
-# gate-aborted on block 0, and the one-block nominal session held.  A transcript records counts, not the layout, chips or LLRs, so
-# the honest session also pins the sha256 of every LLR vector handed to
+# gate-aborted on block 0, and the one-block nominal session held.  A
+# transcript records counts, not the layout, chips or LLRs, so the
+# honest session also pins the sha256 of every LLR vector handed to
 # bp_decode: a change to the layout or codeword fails it even when the
 # counts stay.  The keystream cancels in de-spreading, so a change to it
 # fails neither digest; its own digest is pinned in test_spreading.py.

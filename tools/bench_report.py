@@ -238,6 +238,12 @@ def summarise_pairs(prefix: str, better: str, base: list[float], change: list[fl
     return flat
 
 
+def _paired(base: list, change: list) -> list[tuple]:
+    """The pairs of runs in which neither side failed; a failed run is
+    its last stderr line."""
+    return [(b, c) for b, c in zip(base, change) if not isinstance(b, str) and not isinstance(c, str)]
+
+
 @contextlib.contextmanager
 def _worktree(rev: str):
     """A detached checkout of rev under a temporary directory, removed on exit."""
@@ -272,11 +278,9 @@ def compare(rev: str, seed: int, seconds: float) -> dict:
         errors = [w for w in walls if isinstance(w, str)]
         if errors:
             report[f"build_code.{side}.error"] = errors[-1]
-    timed = [(b, c) for b, c in zip(builds["base"], builds["change"])
-             if not isinstance(b, str) and not isinstance(c, str)]
+    timed = _paired(builds["base"], builds["change"])
     if timed:
-        report.update(summarise_pairs("build_code.wall_s", "lower",
-                                      [b for b, _ in timed], [c for _, c in timed]))
+        report.update(summarise_pairs("build_code.wall_s", "lower", *map(list, zip(*timed))))
     for workload in WORKLOADS:
         for side in ("base", "change"):
             summaries = [r for r in runs[workload, side] if not isinstance(r, str)]
@@ -285,8 +289,7 @@ def compare(rev: str, seed: int, seconds: float) -> dict:
                 report[f"{workload}.{side}.error"] = errors[-1]
             report[f"{workload}.{side}.correct"] = not errors and all(r["correct"] for r in summaries)
             report[f"{workload}.{side}.failed"] = sum(r["failed"] for r in summaries)
-        complete = [(b, c) for b, c in zip(runs[workload, "base"], runs[workload, "change"])
-                    if not isinstance(b, str) and not isinstance(c, str)]
+        complete = _paired(runs[workload, "base"], runs[workload, "change"])
         report[f"{workload}.pairs"] = len(complete)
         if not complete:
             continue
