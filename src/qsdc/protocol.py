@@ -52,14 +52,34 @@ from qsdc.ldpc import bp_decode, ldpc_encode
 from qsdc.security import ErrorRates, SecurityEstimate, half_bias_capacity
 from qsdc.spreading import compute_llrs, spread
 from qsdc.states import ChannelParams, flip_codes, measure_codes, random_state_codes
-from qsdc.wiretap_code import CodeParams, WiretapCode, build_code, uhf_invert, uhf_map
+from qsdc.wiretap_code import (
+    CodeParams,
+    WiretapCode,
+    build_code,
+    load_code,
+    store_code,
+    uhf_invert,
+    uhf_map,
+)
 
 
 @functools.lru_cache(maxsize=8)
 def realize_code(params: CodeParams) -> WiretapCode:
-    """Build the configured code, or fetch it from the process-wide cache
-    of the eight most recently used."""
-    return build_code(params)
+    """The configured code: from the process-wide cache of the eight most
+    recently used, else loaded from the on-disk code cache, else built and
+    stored there (wiretap_code.code_cache_path).
+
+    A code on disk is keyed on (l, k_u, seed) and the builder's sources,
+    so codes that differ only in k_r or n_spread share one file.  A file
+    that is missing, unreadable or fails its digest, or a cache directory
+    that cannot be written, falls back to build_code; the returned code
+    is the same either way.
+    """
+    code = load_code(params)
+    if code is None:
+        code = build_code(params)
+        store_code(code)
+    return code
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,11 @@ matrices.  build_code is deterministic in the CodeParams, and
 code_description records them plus the sha256 of each matrix's bits,
 so two parties that build from the same parameters can compare
 descriptions to verify they built the same code.
+
+The built matrices can also be kept on disk (store_code, load_code):
+one uncompressed .npz per code in the user's cache directory, named by
+a digest of what the matrices depend on, so a fresh process loads them
+instead of running the construction again.
 """
 
 from __future__ import annotations
@@ -20,7 +25,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import os
+import tempfile
+import tokenize
+import zipfile
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -117,6 +127,105 @@ def build_code(params: CodeParams) -> WiretapCode:
         g_rows=g,
         uhf_rows=uhf.transpose(),
         uhf_inv_rows=uhf_inv.transpose(),
+    )
+
+
+# the source files whose code decides the built matrices
+_BUILDER_SOURCES = ("gf2.py", "ldpc.py", "wiretap_code.py")
+# the arrays a stored code holds, in the order its digest reads them
+_STORED = ("var_checks", "info_positions", "g_rows", "uhf_rows", "uhf_inv_rows")
+# what np.load and its reads raise on a missing, truncated or altered file:
+# zipfile refuses a bad CRC or header, NotImplementedError (a RuntimeError)
+# names a compression it lacks, and numpy's header parse may end in tokenize
+_UNREADABLE = (OSError, EOFError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile,
+               tokenize.TokenError)
+
+
+def code_cache_path(params: CodeParams) -> Path | None:
+    """Where the code that params name is stored: $XDG_CACHE_HOME/qsdc, or
+    ~/.cache/qsdc when that is unset, holds one file per code.
+
+    build_code reads neither k_r nor n_spread, so the name is a digest of
+    (l, k_u, seed), the numpy version and the builder's source files, and
+    a change to any of them names another file.  None when there is no
+    home directory or no source to read.
+    """
+    try:
+        # the XDG base-directory rules ignore an empty or relative value
+        env = os.environ.get("XDG_CACHE_HOME", "")
+        root = Path(env) if os.path.isabs(env) else Path.home() / ".cache"
+        digest = hashlib.sha256(repr((params.l, params.k_u, params.seed, np.__version__)).encode())
+        for name in _BUILDER_SOURCES:
+            digest.update(Path(__file__).with_name(name).read_bytes())
+    except (OSError, RuntimeError):
+        return None
+    return root / "qsdc" / f"code-{digest.hexdigest()[:32]}.npz"
+
+
+def _sha256(arrays: dict[str, np.ndarray], path: Path) -> np.ndarray:
+    """The digest a stored code carries: of its file name and of each array's
+    dtype, shape and bytes, so a file copied under another name fails it."""
+    digest = hashlib.sha256(path.name.encode())
+    for name in _STORED:
+        a = arrays[name]
+        digest.update(f"{name} {a.dtype.str} {a.shape}".encode())
+        digest.update(a.tobytes())
+    return np.frombuffer(digest.digest(), dtype=np.uint8)
+
+
+def store_code(code: WiretapCode) -> None:
+    """Write code to its code_cache_path, through a temporary file in the
+    same directory and os.replace, so no reader sees a partial file.  A
+    directory that cannot be made or written leaves no file behind."""
+    path = code_cache_path(code)
+    if path is None:
+        return
+    edges = code.edges
+    arrays = {
+        # variable v's checks, in ascending order: TannerGraph rebuilds
+        # the same table from them as from peg_construct's order
+        "var_checks": edges.checks[edges.var_edges.T % edges.checks.size],
+        "info_positions": code.info_positions,
+        "g_rows": code.g_rows.rows,
+        "uhf_rows": code.uhf_rows.rows,
+        "uhf_inv_rows": code.uhf_inv_rows.rows,
+    }
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.NamedTemporaryFile(
+            dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp", delete=False
+        ) as f:
+            tmp = Path(f.name)
+            np.savez(f, **arrays, sha256=_sha256(arrays, path))
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            tmp.unlink(missing_ok=True)
+
+
+def load_code(params: CodeParams) -> WiretapCode | None:
+    """The code that params name, from its code_cache_path; None when the
+    file is absent, unreadable or fails its digest.  Runs no construction:
+    the Tanner graph is rebuilt from the stored check table."""
+    path = code_cache_path(params)
+    if path is None:
+        return None
+    try:
+        with np.load(path, allow_pickle=False) as f:
+            arrays = {name: f[name] for name in _STORED}
+            stored = f["sha256"]
+    except _UNREADABLE:
+        return None
+    if not np.array_equal(stored, _sha256(arrays, path)):
+        return None
+    return WiretapCode(
+        **vars(params),
+        edges=TannerGraph(arrays["var_checks"], params.l - params.k_u),
+        info_positions=arrays["info_positions"],
+        g_rows=PackedRows(arrays["g_rows"], params.l),
+        uhf_rows=PackedRows(arrays["uhf_rows"], params.k_u),
+        uhf_inv_rows=PackedRows(arrays["uhf_inv_rows"], params.k_u),
     )
 
 

@@ -6,6 +6,16 @@ from qsdc.states import ChannelParams
 from qsdc.wiretap_code import CodeParams, build_code
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_code_cache(tmp_path_factory):
+    """Point the on-disk code cache at a directory of this run's own, so
+    tests, and the processes they start, never touch the user's cache and
+    every run starts cold."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg_cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def default_code():
     # nominal operating-point code: 830 chips/bit against ~25 dB loss

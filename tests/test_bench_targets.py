@@ -10,8 +10,9 @@ anything else the harness reads from the package fails here too, and
 one traced nominal round must time every layer of the nominal hot path
 above zero.  The report writer in tools/ must keep a failed run's
 report flat, alternate the two trees in its pairs and mark a side whose
-runs failed as not correct, and write one report of the pairs and the
-traced runs.
+runs failed as not correct, write one report of the pairs and the
+traced runs, run every process of a report in an empty code cache of
+its own, and time a cold and then a warm send.
 """
 
 import ast
@@ -20,6 +21,8 @@ import functools
 import importlib
 import importlib.util
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -261,7 +264,16 @@ def test_bench_report_main_writes_pairs_and_traced_runs_in_one_report(monkeypatc
     base_root = Path("base")
     calls, revs = [], []
 
+    caches = []
+
+    def cache_seen(*args):
+        # the code cache every step's processes would inherit
+        cache = os.environ["XDG_CACHE_HOME"]
+        assert Path(cache).is_dir()
+        caches.append(cache)
+
     def fake_run(workload, seed, seconds, trace, root=bench_report.ROOT):
+        cache_seen()
         calls.append((workload, trace, "base" if root == base_root else "change"))
         metrics = {m: {"value": 1.0} for m in bench_report.END_TO_END}
         if trace:
@@ -275,17 +287,26 @@ def test_bench_report_main_writes_pairs_and_traced_runs_in_one_report(monkeypatc
     monkeypatch.setattr(bench_report, "_git", lambda *args: b"0123abc\n")
     monkeypatch.setattr(bench_report, "_worktree", fake_worktree)
     monkeypatch.setattr(bench_report, "_perfbench_run", fake_run)
-    monkeypatch.setattr(bench_report, "_build_wall", lambda root: 0.25)
+    monkeypatch.setattr(bench_report, "_build_wall", lambda root: cache_seen() or 0.25)
     monkeypatch.setattr(bench_report, "machine", lambda: {"cores": 2})
-    monkeypatch.setattr(bench_report, "cold_build", lambda: {"build_code.traced_peak_mb": 9.0})
-    monkeypatch.setattr(bench_report, "send_10k", lambda seed: {"send_10k.identical": True})
-    monkeypatch.setattr(bench_report, "tier1", lambda: {"tier1.failed": 0})
+    monkeypatch.setattr(bench_report, "cold_build",
+                        lambda: cache_seen() or {"build_code.traced_peak_mb": 9.0})
+    monkeypatch.setattr(bench_report, "send_10k",
+                        lambda seed: cache_seen() or {"send_10k.identical": True})
+    monkeypatch.setattr(bench_report, "tier1", lambda: cache_seen() or {"tier1.failed": 0})
     monkeypatch.setattr(bench_report.signal, "signal", lambda *args: None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "callers_cache"))
     out = tmp_path / "report.json"
     assert bench_report.main(["--output", str(out), "--seconds", "0"]) == 0
     report = json.loads(out.read_text())
-
     workloads = bench_report.WORKLOADS
+    # one cache for the whole report, not the caller's, removed after it:
+    # the paired runs and builds, the traced runs and the last three steps
+    (cache,) = set(caches)
+    assert len(caches) == 2 * bench_report.PAIRS * (len(workloads) + 1) + len(workloads) + 3
+    assert not Path(cache).exists()
+    assert os.environ["XDG_CACHE_HOME"] == str(tmp_path / "callers_cache")
+
     assert revs == ["HEAD"] and report["against"] == "HEAD"
     untraced = [c for c in calls if c[1] == 0]
     assert len(untraced) == 2 * bench_report.PAIRS * len(workloads)
@@ -308,3 +329,32 @@ def test_bench_report_main_writes_pairs_and_traced_runs_in_one_report(monkeypatc
         text = "".join(path.read_text() for path in root.glob(pattern))
         assert report[key] == text.count("\n") > 0
     assert all(not isinstance(v, (dict, list)) for v in report.values())
+
+
+def test_bench_report_sends_cold_then_warm_into_one_empty_cache(monkeypatch):
+    # two identical sends; the first finds the send's cache empty, and the
+    # second runs after it: wall_s is the cold figure, warm_wall_s the warm
+    bench_report = _bench_report()
+    for warm_delivers in (True, False):
+        sends = []
+
+        def fake_run(cmd, root=bench_report.ROOT, env=None, **kwargs):
+            cache = Path(env["XDG_CACHE_HOME"])
+            args = dict(zip(cmd[4::2], cmd[5::2]))
+            sends.append((cmd[:4], args["--input"], args["--seed"], cache, cache.exists()))
+            cache.mkdir(exist_ok=True)
+            if warm_delivers or len(sends) == 1:
+                shutil.copyfile(args["--input"], args["--output"])
+            return subprocess.CompletedProcess(cmd, 0, stdout="", stderr=""), 0.5 / len(sends)
+
+        monkeypatch.setattr(bench_report, "_run", fake_run)
+        flat = bench_report.send_10k(7)
+        assert flat == {"send_10k.wall_s": 0.5, "send_10k.exit_code": 0,
+                        "send_10k.warm_wall_s": 0.25, "send_10k.warm_exit_code": 0,
+                        "send_10k.identical": warm_delivers}
+        (cold, warm) = sends
+        assert cold[0] == [sys.executable, "-m", "qsdc.cli", "send"]
+        assert cold[:4] == warm[:4] and cold[2] == "7"
+        # the cache is made for the sends: absent before the first
+        assert (cold[4], warm[4]) == (False, True)
+        assert cold[3] != Path(os.environ.get("XDG_CACHE_HOME", "")) and not cold[3].exists()

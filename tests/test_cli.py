@@ -188,6 +188,17 @@ def test_cli_import_leaves_scipy_out():
     assert out.strip() == "[]"
 
 
+def test_capacity_leaves_the_code_cache_alone(tmp_path):
+    # no code is built, so no cache path is formed and no directory made
+    src = str(Path(qsdc.__file__).resolve().parents[1])
+    cache = tmp_path / "xdg"
+    env = {**os.environ, "XDG_CACHE_HOME": str(cache),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import qsdc.cli; qsdc.cli.main(['capacity'])"
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    assert not cache.exists()
+
+
 def test_sweep_stdout(capsys):
     rc = main(["sweep", "--loss-start", "5", "--loss-stop", "10", "--loss-step", "1"])
     assert rc == EXIT_OK

@@ -193,8 +193,11 @@ def test_e2e_empty_file_builds_no_code(tmp_path, fast_config, monkeypatch):
         raise AssertionError("an empty send built the wiretap code")
 
     monkeypatch.setattr(qsdc.protocol, "build_code", no_build)
+    # nor is the disk cache looked up
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     config = dataclasses.replace(fast_config, code=dataclasses.replace(fast_config.code, seed=4243))
     assert run_e2e(config, src, dst, seed=6) == {**expected, "code": vars(config.code)}
+    assert not (tmp_path / "xdg").exists()
 
 
 def test_e2e_intercept_resend_aborts_block_zero(tmp_path, fast_config):

@@ -9,6 +9,7 @@ domain, lives here as _rescaling_gate; the gate must decide as it did.
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -43,7 +44,7 @@ from qsdc.protocol import (
 from qsdc.security import ErrorRates, half_bias_capacity
 from qsdc.spreading import spread
 from qsdc.states import ChannelParams, flip_codes, measure_codes
-from qsdc.wiretap_code import uhf_map
+from qsdc.wiretap_code import build_code, code_description, load_code, uhf_map
 from test_gf2 import gf2_matmul
 
 
@@ -189,6 +190,121 @@ def test_code_params_key_roundtrip():
     code = realize_code(params)
     assert code.l == 64 and code.k_m == 24
     assert realize_code(params) is code  # cached
+
+
+# a code that builds in milliseconds
+_CACHED = CodeParams(l=64, k_u=32, k_r=8, n_spread=4, seed=3)
+
+
+@pytest.fixture
+def code_cache(tmp_path, monkeypatch):
+    """An empty on-disk code cache and an empty process-wide one; yields
+    the cache directory realize_code writes to."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    realize_code.cache_clear()
+    yield tmp_path / "xdg" / "qsdc"
+    realize_code.cache_clear()
+
+
+def _no_build(*args):
+    raise AssertionError("built a code the disk cache holds")
+
+
+def _assert_same_code(code, built):
+    assert code_description(code) == code_description(built)
+    pairs = [(code.edges.slots, built.edges.slots), (code.edges.pad, built.edges.pad),
+             (code.edges.var_edges, built.edges.var_edges), (code.edges.checks, built.edges.checks),
+             (code.info_positions, built.info_positions)]
+    for name in ("g_rows", "uhf_rows", "uhf_inv_rows"):
+        mine, theirs = getattr(code, name), getattr(built, name)
+        assert mine.n_cols == theirs.n_cols
+        pairs.append((mine.rows, theirs.rows))
+    for mine, theirs in pairs:
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    assert (code.edges.n_checks, code.edges.n_vars) == (built.edges.n_checks, built.edges.n_vars)
+
+
+def test_realize_code_loads_a_stored_code_without_building(code_cache, monkeypatch):
+    realize_code(_CACHED)
+    realize_code.cache_clear()
+    monkeypatch.setattr(qsdc.protocol, "build_code", _no_build)
+    _assert_same_code(realize_code(_CACHED), build_code(_CACHED))
+
+
+def test_realize_code_stores_one_file_per_miss(code_cache):
+    realize_code(_CACHED)
+    files = list(code_cache.iterdir())
+    assert len(files) == 1 and files[0].suffix == ".npz"
+    assert not list(code_cache.glob("*.tmp"))
+
+
+def test_realize_code_rebuilds_and_replaces_a_damaged_file(code_cache):
+    realize_code(_CACHED)
+    (path,) = code_cache.iterdir()
+    good = path.read_bytes()
+    built = build_code(_CACHED)
+    # a byte inside g's stored rows, past every zip and .npy header
+    flipped = bytearray(good)
+    flipped[good.index(built.g_rows.rows.tobytes()) + 5] ^= 0x01
+    # a sound zip whose g no longer matches the digest stored beside it
+    with np.load(path) as f:
+        arrays = dict(f)
+    arrays["g_rows"] ^= 1
+    forged = io.BytesIO()
+    np.savez(forged, **arrays)
+    for damaged in (good[: len(good) // 2], bytes(flipped), forged.getvalue()):
+        path.write_bytes(damaged)
+        realize_code.cache_clear()
+        _assert_same_code(realize_code(_CACHED), built)
+        assert list(code_cache.iterdir()) == [path] and path.read_bytes() != damaged
+        # the replacement loads
+        realize_code.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qsdc.protocol, "build_code", _no_build)
+            _assert_same_code(realize_code(_CACHED), built)
+
+
+def test_load_code_refuses_every_flipped_byte_quietly(code_cache):
+    # a flip in the zip's or the arrays' headers raises many types inside
+    # np.load; each must read as a miss, and a flip that leaves the arrays
+    # whole (a time stamp, say) loads the same code
+    tiny = CodeParams(l=16, k_u=8, k_r=2, n_spread=2, seed=1)
+    realize_code(tiny)
+    (path,) = code_cache.iterdir()
+    good = path.read_bytes()
+    described = code_description(build_code(tiny))
+    loaded = 0
+    for i in range(len(good)):
+        flipped = bytearray(good)
+        flipped[i] ^= 0x01
+        path.write_bytes(flipped)
+        code = load_code(tiny)
+        if code is not None:
+            loaded += 1
+            assert code_description(code) == described, i
+    assert 0 < loaded < len(good) // 2
+
+
+def test_realize_code_builds_when_the_cache_cannot_be_made(code_cache, tmp_path, monkeypatch):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_dir))
+    _assert_same_code(realize_code(_CACHED), build_code(_CACHED))
+    assert not_a_dir.read_text() == ""
+
+
+def test_stored_code_is_keyed_on_what_build_code_reads(code_cache):
+    # k_r and n_spread lay the code out but never enter its matrices
+    realize_code(_CACHED)
+    for layout in (dataclasses.replace(_CACHED, k_r=12), dataclasses.replace(_CACHED, n_spread=9)):
+        code = realize_code(layout)
+        assert (code.k_r, code.n_spread) == (layout.k_r, layout.n_spread)
+        _assert_same_code(code, build_code(layout))
+    assert len(list(code_cache.iterdir())) == 1
+    for change in ({"l": 72}, {"k_u": 36}, {"seed": 4}):
+        before = set(code_cache.iterdir())
+        realize_code(dataclasses.replace(_CACHED, **change))
+        assert len(set(code_cache.iterdir()) - before) == 1, change
 
 
 def test_config_validation():
@@ -550,14 +666,17 @@ def test_session_deterministic(fast_config):
     assert a.to_jsonl() != c.to_jsonl()
 
 
-def test_session_empty_message(fast_config, monkeypatch):
+def test_session_empty_message(fast_config, monkeypatch, tmp_path):
     # no block is sent, so a code not yet in the cache is never built
     def no_build(*args):
         raise AssertionError("an empty message built the wiretap code")
 
     monkeypatch.setattr(qsdc.protocol, "build_code", no_build)
+    # nor is the disk cache looked up
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     config = dataclasses.replace(fast_config, code=dataclasses.replace(fast_config.code, seed=4242))
     tr = run_session(config, b"", seed=5)
+    assert not (tmp_path / "xdg").exists()
     assert tr.ok and tr.delivered == b"" and len(tr.blocks) == 0
     assert tr.config == config
     assert (tr.summary()["pulses_emitted"], tr.summary()["throughput_bits_per_s"]) == (0, 0.0)

@@ -26,9 +26,12 @@ pairs compare two trees: the machine's speed drifts between runs.
 Then the working tree alone: one traced run of each workload, whose
 per-layer metrics and CPU per operation land under
 `<workload>.trace.<metric>`; the tracemalloc peak of a cold nominal
-`build_code` in a fresh process (the traced runs time the same build
-as `wiretap_code.build_s`); a 10 KiB `qsdc send` at the default
-configuration; and the Tier-1 test suite.  It records the line totals
+`build_code` in a fresh process (a traced run times the same build as
+`wiretap_code.build_s` when its code cache misses, and reads 0.0 when
+it loads the code); two identical 10 KiB `qsdc send`s at the default
+configuration into one empty code cache, the first building the code
+(`send_10k.wall_s`) and the second loading it (`send_10k.warm_wall_s`);
+and the Tier-1 test suite.  It records the line totals
 of the package and of the tests, `lines.src` and `lines.tests`, as
 `cat src/qsdc/*.py | wc -l` and `cat tests/*.py | wc -l` count them,
 and the machine: cores, Python, numpy, the git head and, for a tree
@@ -36,6 +39,10 @@ with uncommitted changes, a digest that names them.  A traced run or
 build that fails leaves the last line of its stderr under
 `<workload>.trace.error` or `build_code.error`, and the report is
 still written.
+
+Every process a report starts reads and writes the on-disk code cache
+(`XDG_CACHE_HOME`) in a temporary directory made for that report and
+removed after it, so no figure depends on the caller's cache.
 
 Every key of the output is a top-level scalar, so two reports diff with
 
@@ -59,6 +66,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -97,9 +105,12 @@ def _env(root: Path) -> dict:
     return {**os.environ, "PYTHONPATH": f"{src}:{path}" if path else src}
 
 
-def _run(cmd: list[str], root: Path = ROOT, **kwargs) -> tuple[subprocess.CompletedProcess, float]:
+def _run(cmd: list[str], root: Path = ROOT, env: dict | None = None,
+         **kwargs) -> tuple[subprocess.CompletedProcess, float]:
+    """Run cmd in the checkout at root, with env added to its environment."""
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True, text=True, **kwargs)
+    proc = subprocess.run(cmd, cwd=root, env={**_env(root), **(env or {})}, capture_output=True,
+                          text=True, **kwargs)
     return proc, time.perf_counter() - t0
 
 
@@ -149,14 +160,22 @@ def cold_build() -> dict:
 
 
 def send_10k(seed: int) -> dict:
+    """Two identical sends into one empty code cache: the first, cold, as
+    `send_10k.wall_s` and `.exit_code`, the second, warm, as `.warm_wall_s`
+    and `.warm_exit_code`; `.identical` when both delivered the input."""
+    flat, identical = {}, True
     with tempfile.TemporaryDirectory() as tmp:
-        src, dst = Path(tmp) / "in.bin", Path(tmp) / "out.bin"
+        src = Path(tmp) / "in.bin"
         src.write_bytes(random.Random(seed).randbytes(SEND_BYTES))
-        proc, wall = _run([sys.executable, "-m", "qsdc.cli", "send", "--input", str(src),
-                           "--output", str(dst), "--seed", str(seed)])
-        identical = dst.is_file() and dst.read_bytes() == src.read_bytes()
-    return {"send_10k.wall_s": wall, "send_10k.exit_code": proc.returncode,
-            "send_10k.identical": identical}
+        cache = {"XDG_CACHE_HOME": str(Path(tmp) / "cache")}
+        for prefix in ("", "warm_"):
+            dst = Path(tmp) / f"{prefix}out.bin"
+            proc, wall = _run([sys.executable, "-m", "qsdc.cli", "send", "--input", str(src),
+                               "--output", str(dst), "--seed", str(seed)], env=cache)
+            flat[f"send_10k.{prefix}wall_s"] = wall
+            flat[f"send_10k.{prefix}exit_code"] = proc.returncode
+            identical = identical and dst.is_file() and dst.read_bytes() == src.read_bytes()
+    return {**flat, "send_10k.identical": identical}
 
 
 def tier1() -> dict:
@@ -318,16 +337,19 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     report = {"schema": 2, "seconds": args.seconds, "seed": args.seed, **machine(), **line_counts()}
-    # SIGTERM raises SystemExit, so the worktree is still removed
+    # SIGTERM raises SystemExit, so the worktree and the cache are still removed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-    report.update(compare(args.against, args.seed, args.seconds))
-    for workload in WORKLOADS:
-        print(f"{workload} traced", file=sys.stderr)
-        report.update(perfbench(workload, args.seed, args.seconds))
-    for name, step in (("cold build_code", cold_build), ("10 KiB send", lambda: send_10k(args.seed)),
-                       ("tier-1", tier1)):
-        print(name, file=sys.stderr)
-        report.update(step())
+    # every process the report starts inherits an empty code cache of its own
+    with tempfile.TemporaryDirectory(prefix="bench_report_cache_") as cache, \
+            mock.patch.dict(os.environ, XDG_CACHE_HOME=cache):
+        report.update(compare(args.against, args.seed, args.seconds))
+        for workload in WORKLOADS:
+            print(f"{workload} traced", file=sys.stderr)
+            report.update(perfbench(workload, args.seed, args.seconds))
+        for name, step in (("cold build_code", cold_build),
+                           ("10 KiB send", lambda: send_10k(args.seed)), ("tier-1", tier1)):
+            print(name, file=sys.stderr)
+            report.update(step())
     Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
